@@ -157,14 +157,12 @@ def c1_best_params(n: int, ell: int, q: int, limit: int = MAX_ENUMERABLE):
     arr = all_words(n, q, limit=limit)
     sig_len, _, csum = signature_scan(arr, ell)
     residues = csum % (sig_len + 1)
-    a = []
-    total = 0
-    for s in range(1, n - ell + 2):
-        counts = np.bincount(residues[sig_len == s], minlength=s + 1)
-        best = int(np.argmax(counts))
-        a.append(best)
-        total += int(counts[best])
-    return tuple(a), total
+    # one count per (signature length s, residue); residues of length s lie in 0..s
+    width = n - ell + 2
+    counts = np.bincount(sig_len * width + residues, minlength=width * width)
+    counts = counts.reshape(width, width)[1:]
+    best = counts.argmax(axis=1)  # first maximum: the smallest residue wins ties
+    return tuple(int(r) for r in best), int(counts.max(axis=1).sum())
 
 
 def c1_size_lower_bound(n: int, ell: int, q: int) -> Fraction:

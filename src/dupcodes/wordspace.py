@@ -2,18 +2,10 @@
 
 Codebook enumeration, parameter sweeps, and bound tabulation all reduce to
 computing a handful of per-word statistics across every word of a given
-length. These scans are the hot loops of the package, so each kernel
-exists twice:
+length. These scans are the hot loops of the package.
 
-  * a numba @njit row-loop version (default), and
-  * a pure-numpy vectorised version.
-
-Set DUPCODES_BACKEND=numpy to force the numpy path (or =numba to require
-the compiled path); the default picks numba when importable and falls back
-to numpy otherwise. benchmarks/bench_kernels.py compares the two.
-
-Kernels take an (N, n) int8 array of words (one row per word) and return
-per-row statistics:
+Kernels take an (N, n) array of words (one row per word, any memory order)
+and return per-row statistics as int64 arrays:
 
   signature_scan(words, ell) -> (sig_len, sig_weight, vt_checksum)
       length wt_H(v)+1 of the ell-zero-signature of the difference tail,
@@ -21,9 +13,13 @@ per-row statistics:
       sum_k k * sigma_k (unreduced).
   run_stats(words) -> (run_count, len1_runs, run_checksum)
   pal2_free_mask(words) -> bool mask of words with no a b b a window
-"""
 
-import os
+Each kernel streams over symbol columns: it takes one column-major copy of
+the rows and runs the per-word left-to-right recursion for all rows at
+once, one column per step. The per-row state lives in a few length-N
+arrays of the narrowest integer type that cannot overflow for the word
+length, so memory stays O(N) beyond the copy.
+"""
 
 import numpy as np
 
@@ -46,194 +42,120 @@ def all_words(n: int, q: int, limit: int = MAX_ENUMERABLE) -> np.ndarray:
             f"instance too large: q^n = {q}^{n} = {total} words exceeds the guard {limit}"
         )
     out = np.empty((total, n), dtype=np.int8)
-    idx = np.arange(total)
-    power = 1
-    for j in range(n - 1, -1, -1):
-        out[:, j] = (idx // power) % q
-        power *= q
+    symbols = np.arange(q, dtype=np.int8)[:, None]
+    for j in range(n):
+        # rows split into q**j blocks of q runs of q**(n-1-j) rows; run d holds symbol d
+        out.reshape(q**j, q, q ** (n - 1 - j), n)[:, :, :, j] = symbols
     return out
 
 
-# ---------------------------------------------------------------------------
-# kernel bodies (plain loops; compiled by numba on the default path)
-# ---------------------------------------------------------------------------
+_BLOCK_BYTES = 1 << 19  # input bytes _columns transposes per step; a block stays in cache
 
 
-def _signature_scan_loop(words, ell):
-    N, n = words.shape
-    m = n - ell
-    sig_len = np.empty(N, dtype=np.int64)
-    sig_weight = np.empty(N, dtype=np.int64)
-    checksum = np.empty(N, dtype=np.int64)
-    for r in range(N):
-        wt = 0
-        weight = 0
-        csum = 0
-        zeros = 0
-        gap = 1
-        for i in range(m):
-            if words[r, i + ell] == words[r, i]:
-                zeros += 1
-            else:
-                blocks = zeros // ell
-                if blocks > 0:
-                    weight += 1
-                    csum += gap * blocks
-                wt += 1
-                gap += 1
-                zeros = 0
-        blocks = zeros // ell
-        if blocks > 0:
-            weight += 1
-            csum += gap * blocks
-        sig_len[r] = wt + 1
-        sig_weight[r] = weight
-        checksum[r] = csum
-    return sig_len, sig_weight, checksum
+def _columns(words) -> np.ndarray:
+    """The words as an (n, N) C-contiguous array: one row per symbol position.
+
+    Copied one cache-sized block of rows at a time: a single transposing copy
+    of the whole array reads it from memory once per output row.
+    """
+    rows = np.asarray(words)
+    if rows.T.flags.c_contiguous:
+        return rows.T
+    N, n = rows.shape
+    cols = np.empty((n, N), dtype=rows.dtype)
+    step = max(1, _BLOCK_BYTES // max(1, n * rows.itemsize))
+    for start in range(0, N, step):
+        cols[:, start : start + step] = rows[start : start + step].T
+    return cols
 
 
-def _run_stats_loop(words):
-    N, n = words.shape
-    run_count = np.empty(N, dtype=np.int64)
-    len1_runs = np.empty(N, dtype=np.int64)
-    checksum = np.empty(N, dtype=np.int64)
-    for r in range(N):
-        runs = 1
-        cur_len = 1
-        singles = 0
-        csum = 0
-        for i in range(1, n):
-            if words[r, i] != words[r, i - 1]:
-                csum += runs * cur_len
-                if cur_len == 1:
-                    singles += 1
-                runs += 1
-                cur_len = 1
-            else:
-                cur_len += 1
-        csum += runs * cur_len
-        if cur_len == 1:
-            singles += 1
-        run_count[r] = runs
-        len1_runs[r] = singles
-        checksum[r] = csum
-    return run_count, len1_runs, checksum
-
-
-def _pal2_free_loop(words):
-    N, n = words.shape
-    free = np.ones(N, dtype=np.bool_)
-    for r in range(N):
-        for i in range(n - 3):
-            if words[r, i] == words[r, i + 3] and words[r, i + 1] == words[r, i + 2]:
-                free[r] = False
-                break
-    return free
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy vectorised implementations
-# ---------------------------------------------------------------------------
-
-
-def signature_scan_numpy(words, ell):
-    N, n = words.shape
-    m = n - ell
-    if m <= 0:
-        if m < 0:
-            raise ValueError("ell exceeds word length")
-        z64 = np.zeros(N, dtype=np.int64)
-        return np.ones(N, dtype=np.int64), z64, z64.copy()
-    z = words[:, ell:] == words[:, :m]  # zero mask of the difference tail
-    idx = np.arange(m)
-    last_nz = np.maximum.accumulate(np.where(~z, idx, -1), axis=1)
-    since = idx - last_nz  # zeros since the last nonzero, counted at zero positions
-    completes = z & (since % ell == 0)  # position closes a whole ell-block
-    first_block = z & (since == ell)  # first block of its gap -> one weight unit
-    nonzero_before = np.cumsum(~z, axis=1)  # at zero positions: nonzeros strictly before
-    gap = nonzero_before + 1
-    sig_len = (~z).sum(axis=1).astype(np.int64) + 1
-    sig_weight = first_block.sum(axis=1).astype(np.int64)
-    checksum = (completes * gap).sum(axis=1).astype(np.int64)
-    return sig_len, sig_weight, checksum
-
-
-def run_stats_numpy(words):
-    N, n = words.shape
-    if n == 0:
-        raise ValueError("run statistics need nonempty words")
-    if n == 1:
-        ones = np.ones(N, dtype=np.int64)
-        return ones, ones.copy(), ones.copy()
-    b = words[:, 1:] != words[:, :-1]
-    run_count = 1 + b.sum(axis=1).astype(np.int64)
-    # checksum = n + sum over boundaries k of (n-1-k): each boundary bumps the
-    # run index of every later position by one
-    weights = (n - 1) - np.arange(n - 1)
-    checksum = n + (b * weights).sum(axis=1).astype(np.int64)
-    first = b[:, 0].astype(np.int64)
-    last = b[:, -1].astype(np.int64)
-    if n == 2:
-        singles = first + last
-    else:
-        singles = first + last + (b[:, :-1] & b[:, 1:]).sum(axis=1).astype(np.int64)
-    return run_count, singles, checksum
-
-
-def pal2_free_mask_numpy(words):
-    N, n = words.shape
-    if n < 4:
-        return np.ones(N, dtype=np.bool_)
-    hit = (words[:, :-3] == words[:, 3:]) & (words[:, 1:-2] == words[:, 2:-1])
-    return ~hit.any(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-_requested = os.environ.get("DUPCODES_BACKEND", "auto").strip().lower()
-
-signature_scan_numba = None
-run_stats_numba = None
-pal2_free_mask_numba = None
-
-if _requested in ("auto", "", "numba"):
-    try:
-        from numba import njit
-
-        signature_scan_numba = njit(cache=True)(_signature_scan_loop)
-        run_stats_numba = njit(cache=True)(_run_stats_loop)
-        pal2_free_mask_numba = njit(cache=True)(_pal2_free_loop)
-        _active = "numba"
-    except ImportError:
-        if _requested == "numba":
-            raise
-        _active = "numpy"
-elif _requested == "numpy":
-    _active = "numpy"
-else:
-    raise ValueError(f"DUPCODES_BACKEND={_requested!r} not understood (use 'numba' or 'numpy')")
-
-
-def backend() -> str:
-    """Name of the active kernel backend ('numba' or 'numpy')."""
-    return _active
+def _state(N: int, largest: int, fill: int = 0) -> np.ndarray:
+    """Length-N per-row state array of the narrowest signed type holding `largest`."""
+    for dtype in (np.int16, np.int32, np.int64):
+        if largest <= np.iinfo(dtype).max:
+            return np.full(N, fill, dtype=dtype)
+    raise OverflowError(f"state value {largest} exceeds int64")
 
 
 def signature_scan(words, ell):
-    if _active == "numba":
-        return signature_scan_numba(words, ell)
-    return signature_scan_numpy(words, ell)
+    """(sig_len, sig_weight, vt_checksum) of every row; see the module docstring."""
+    cols = _columns(words)
+    n, N = cols.shape
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    m = n - ell
+    if m < 0:
+        raise ValueError("ell exceeds word length")
+    # per row: zeros = length of the current zero run of the difference tail,
+    # gap = 1 + nonzeros so far (the signature index of the current run)
+    zeros = _state(N, n)
+    gap = _state(N, n, fill=1)
+    weight = _state(N, n)
+    checksum = _state(N, n * n)  # sum of gap * blocks <= (m + 1) * m
+    scratch = (np.empty_like(checksum), np.empty(N, dtype=np.bool_))
+    nonzero = np.empty(N, dtype=np.bool_)
+    for i in range(m):
+        np.not_equal(cols[i + ell], cols[i], out=nonzero)
+        _close_zero_runs(nonzero, zeros, gap, ell, weight, checksum, scratch)
+        gap += nonzero
+        zeros += 1
+        zeros *= ~nonzero
+    _close_zero_runs(np.True_, zeros, gap, ell, weight, checksum, scratch)
+    return gap.astype(np.int64), weight.astype(np.int64), checksum.astype(np.int64)
+
+
+def _close_zero_runs(ending, zeros, gap, ell, weight, checksum, scratch):
+    """Where `ending`, the current zero run ends: its ell-blocks raise signature
+    entry `gap` by zeros // ell, which adds one to the weight when positive
+    and gap * blocks to the checksum."""
+    blocks, positive = scratch
+    np.floor_divide(zeros, ell, out=blocks)
+    np.greater(blocks, 0, out=positive)
+    positive &= ending
+    weight += positive
+    blocks *= gap
+    blocks *= ending
+    checksum += blocks
 
 
 def run_stats(words):
-    if _active == "numba":
-        return run_stats_numba(words)
-    return run_stats_numpy(words)
+    """(run_count, len1_runs, run_checksum) of every row; the checksum is
+    sum_k k * (length of run k), the sum over positions of their run index."""
+    cols = _columns(words)
+    n, N = cols.shape
+    if n == 0:
+        raise ValueError("run statistics need nonempty words")
+    runs = _state(N, n, fill=1)  # run index of the current position
+    checksum = _state(N, n * (n + 1) // 2, fill=1)
+    singles = _state(N, n)
+    before = np.ones(N, dtype=np.bool_)  # a run boundary precedes the previous position
+    boundary = np.empty(N, dtype=np.bool_)
+    for i in range(1, n):
+        np.not_equal(cols[i], cols[i - 1], out=boundary)
+        before &= boundary  # the previous position is a run of length 1
+        singles += before
+        runs += boundary
+        checksum += runs
+        before, boundary = boundary, before
+    singles += before
+    return runs.astype(np.int64), singles.astype(np.int64), checksum.astype(np.int64)
 
 
 def pal2_free_mask(words):
-    if _active == "numba":
-        return pal2_free_mask_numba(words)
-    return pal2_free_mask_numpy(words)
+    """True for rows with no length-4 window a b b a."""
+    cols = _columns(words)
+    n, N = cols.shape
+    hit = np.zeros(N, dtype=np.bool_)
+    outer = np.empty(N, dtype=np.bool_)
+    inner = np.empty(N, dtype=np.bool_)
+    for i in range(n - 3):
+        np.equal(cols[i], cols[i + 3], out=outer)
+        np.equal(cols[i + 1], cols[i + 2], out=inner)
+        outer &= inner
+        hit |= outer
+    return ~hit
+
+
+def backend() -> str:
+    """Name of the kernel implementation; recorded in benchmark reports."""
+    return "numpy"

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from dupcodes import codes
 from dupcodes.cli import main
 
 
@@ -120,6 +121,44 @@ def test_verify_cpf(capsys):
     assert code == 0
     assert "PASS" in out
     assert "count 26" in out
+
+
+@pytest.mark.parametrize(
+    "args,decoder",
+    [
+        (("--code", "c1", "--n", "6", "--l", "2", "--q", "2"), "c1_decode"),
+        (("--code", "c1", "--n", "6", "--l", "2", "--q", "2"), "oracle_decode"),
+        (("--code", "c2", "--n", "6", "--q", "2"), "c2_decode"),
+        (("--code", "c2", "--n", "6", "--q", "2"), "oracle_decode"),
+        (("--code", "cpf", "--n", "6", "--q", "2"), "cpf_decode"),
+    ],
+)
+def test_verify_counts_decoding_failure_as_broken(monkeypatch, capsys, args, decoder):
+    def fail(*_):
+        raise codes.DecodingFailure("decoding failure: injected")
+
+    monkeypatch.setattr(codes, decoder, fail)
+    code, out, _ = run_cli(capsys, "verify", *args)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-1] == "FAIL"
+    assert any(line.startswith("FAIL ") and "broken" in line for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--code", "cpf", "--n", "1", "--q", "2"),
+        ("rates", "--q", "1", "--n", "4"),
+        ("sphere", "--word", "0101", "--kind", "tandem-dup", "--l", "1", "--t", "-1"),
+    ],
+    ids=["simulate-cpf-n1", "rates-q1", "sphere-negative-t"],
+)
+def test_bad_input_refused_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_rates_table(capsys):

@@ -32,6 +32,7 @@ from dupcodes.codes import (
     oracle_decode,
     vt_member,
 )
+from dupcodes.transform import derive, zero_signature
 from dupcodes.words import parse_word, word
 
 from conftest import words_of
@@ -106,6 +107,26 @@ def test_c1_best_params_cardinality_bounds():
         assert cardinality >= c1_size_lower_bound(n, ell, q)
         code = TandemVTCode(n, q, ell, a)
         assert len(c1_codebook(code)) == cardinality
+
+
+def test_c1_best_params_matches_scalar_recount():
+    """Residues, tie-break and cardinality against a per-word recount of
+    zero_signature and its VT checksum."""
+    ties = 0
+    for n, ell, q in [(1, 1, 2), (4, 1, 2), (7, 2, 2), (9, 3, 2), (5, 1, 3), (6, 2, 3), (4, 2, 4)]:
+        counts = {}  # (signature length, residue) -> words
+        for x in words_of(n, q):
+            sig = zero_signature(derive(x, ell).v, ell)
+            key = (len(sig), sum(k * c for k, c in enumerate(sig, start=1)) % (len(sig) + 1))
+            counts[key] = counts.get(key, 0) + 1
+        a, total = [], 0
+        for s in range(1, n - ell + 2):
+            row = [counts.get((s, r), 0) for r in range(s + 1)]
+            a.append(row.index(max(row)))  # the smallest residue among the maxima
+            total += max(row)
+            ties += row.count(max(row)) > 1
+        assert c1_best_params(n, ell, q) == (tuple(a), total), (n, ell, q)
+    assert ties > 0  # the cases above exercise the tie-break
 
 
 def test_c2_member_examples():

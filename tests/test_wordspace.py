@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from dupcodes import wordspace
 from dupcodes.transform import derive, zero_signature
 from dupcodes.words import Word, run_profile
-from dupcodes.wordspace import (
-    all_words,
-    backend,
-    pal2_free_mask_numpy,
-    run_stats_numpy,
-    signature_scan_numpy,
-)
+from dupcodes.wordspace import all_words, backend, pal2_free_mask, run_stats, signature_scan
 
 
 def _scalar_signature(row, ell, q):
@@ -32,10 +28,40 @@ def _scalar_pal2_free(row, q):
     return not any(s[p] == s[p + 3] and s[p + 1] == s[p + 2] for p in range(len(s) - 3))
 
 
+def _assert_stats(got, expected):
+    """Kernel triple against oracle rows: int64 columns, equal values."""
+    expected = np.array(expected, dtype=np.int64).reshape(-1, 3)
+    for k, column in enumerate(got):
+        assert column.dtype == np.int64
+        assert column.tolist() == expected[:, k].tolist(), k
+
+
+def _assert_signature(arr, q, ell):
+    _assert_stats(signature_scan(arr, ell), [_scalar_signature(row, ell, q) for row in arr])
+
+
+def _assert_run_stats(arr, q):
+    _assert_stats(run_stats(arr), [_scalar_run_stats(row, q) for row in arr])
+
+
+def _assert_pal2_free(arr, q):
+    got = pal2_free_mask(arr)
+    assert got.dtype == np.bool_
+    assert got.tolist() == [_scalar_pal2_free(row, q) for row in arr]
+
+
 def test_all_words_lexicographic():
     arr = all_words(2, 3)
     assert arr.tolist() == [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2], [2, 0], [2, 1], [2, 2]]
     assert all_words(0, 2).shape == (1, 0)
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 7), (3, 4), (5, 3)])
+def test_all_words_rows_are_base_q_digits(q, n):
+    arr = all_words(n, q)
+    assert arr.dtype == np.int8 and arr.flags.c_contiguous
+    weights = q ** np.arange(n - 1, -1, -1)
+    assert (arr.astype(np.int64) @ weights).tolist() == list(range(q**n))
 
 
 def test_all_words_guard():
@@ -45,53 +71,82 @@ def test_all_words_guard():
         all_words(1, 300)
 
 
-def _implementations(name):
-    numpy_fn = {"signature": signature_scan_numpy, "runs": run_stats_numpy, "pal": pal2_free_mask_numpy}[name]
-    impls = [("numpy", numpy_fn)]
-    numba_fn = {
-        "signature": wordspace.signature_scan_numba,
-        "runs": wordspace.run_stats_numba,
-        "pal": wordspace.pal2_free_mask_numba,
-    }[name]
-    if numba_fn is not None:
-        impls.append(("numba", numba_fn))
-    return impls
-
-
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 6), (2, 9), (3, 5), (4, 4), (5, 3)])
 def test_signature_scan_matches_scalar(q, n):
     arr = all_words(n, q)
     for ell in range(1, n + 1):
-        expected = np.array([_scalar_signature(row, ell, q) for row in arr], dtype=np.int64)
-        for label, fn in _implementations("signature"):
-            sig_len, weight, csum = fn(arr, ell)
-            assert (sig_len == expected[:, 0]).all(), label
-            assert (weight == expected[:, 1]).all(), label
-            assert (csum == expected[:, 2]).all(), label
+        _assert_signature(arr, q, ell)
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 8), (3, 5), (5, 3)])
 def test_run_stats_matches_scalar(q, n):
-    arr = all_words(n, q)
-    expected = np.array([_scalar_run_stats(row, q) for row in arr], dtype=np.int64)
-    for label, fn in _implementations("runs"):
-        runs, singles, csum = fn(arr)
-        assert (runs == expected[:, 0]).all(), label
-        assert (singles == expected[:, 1]).all(), label
-        assert (csum == expected[:, 2]).all(), label
+    _assert_run_stats(all_words(n, q), q)
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 3), (2, 4), (2, 9), (3, 6), (4, 4)])
 def test_pal2_free_matches_scalar(q, n):
-    arr = all_words(n, q)
-    expected = np.array([_scalar_pal2_free(row, q) for row in arr])
-    for label, fn in _implementations("pal"):
-        assert (fn(arr) == expected).all(), label
+    _assert_pal2_free(all_words(n, q), q)
+
+
+def test_kernel_argument_errors():
+    arr = all_words(3, 2)
+    with pytest.raises(ValueError, match="exceeds"):
+        signature_scan(arr, 4)
+    with pytest.raises(ValueError):
+        signature_scan(arr, 0)
+    with pytest.raises(ValueError, match="nonempty"):
+        run_stats(all_words(0, 2))
+
+
+def test_long_words_widen_the_state():
+    """Checksums past the int16 range: n = 400 gives sums near 40000."""
+    half = [i % 2 for i in range(200)]
+    rows = np.array([half + [0] * 200, [i % 2 for i in range(400)], [0] * 400], dtype=np.int8)
+    for ell in (1, 2):
+        _assert_signature(rows, 2, ell)
+    _assert_run_stats(rows, 2)
+    _assert_pal2_free(rows, 2)
+
+
+def test_many_rows_same_as_fortran_input():
+    """2^17 rows of length 17 take several cache blocks to transpose; a
+    Fortran-ordered copy of the same rows needs no transposing."""
+    arr = all_words(17, 2)
+    fortran = np.asfortranarray(arr)
+    for ell in (1, 2, 5):
+        for got, ref in zip(signature_scan(arr, ell), signature_scan(fortran, ell)):
+            assert (got == ref).all()
+    for got, ref in zip(run_stats(arr), run_stats(fortran)):
+        assert (got == ref).all()
+    assert (pal2_free_mask(arr) == pal2_free_mask(fortran)).all()
+
+
+@st.composite
+def _word_arrays(draw):
+    """(array, q): random rows over Z_q in C order, Fortran order, or a strided view."""
+    q = draw(st.integers(2, 5))
+    n = draw(st.integers(0, 40))
+    rows = draw(st.integers(0, 12))
+    layout = draw(st.sampled_from(("C", "F", "strided")))
+    shape = (2 * rows, 2 * n) if layout == "strided" else (rows, n)
+    arr = draw(arrays(np.int8, shape, elements=st.integers(0, q - 1)))
+    if layout == "F":
+        arr = np.asfortranarray(arr)
+    elif layout == "strided":
+        arr = arr[::2, 1::2]
+    return arr, q
+
+
+@settings(max_examples=150, deadline=None)
+@given(_word_arrays(), st.integers(1, 40))
+def test_kernels_match_scalar_on_random_rows(data, ell):
+    arr, q = data
+    n = arr.shape[1]
+    if n >= 1:
+        _assert_signature(arr, q, (ell - 1) % n + 1)
+        _assert_run_stats(arr, q)
+    _assert_pal2_free(arr, q)
 
 
 def test_backend_name():
-    assert backend() in ("numba", "numpy")
-    # the dispatching wrappers agree with the numpy reference
-    arr = all_words(6, 2)
-    for a, b in zip(wordspace.signature_scan(arr, 2), signature_scan_numpy(arr, 2)):
-        assert (a == b).all()
+    assert backend() == "numpy"
