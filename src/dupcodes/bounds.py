@@ -299,24 +299,13 @@ def exact_optimum(
 
 @dataclass(frozen=True)
 class RedundancyRow:
-    """One row of the redundancy comparison table (all columns in bits)."""
+    """One row of the redundancy comparison table (redundancy columns in bits)."""
 
     n: int
-    gsp_lower_bound: float  # clamped at 0
-    gsp_lower_bound_raw: float
+    report: BoundReport  # the sphere-packing bound and its lower bound on redundancy
     c1_redundancy: float
     c2_redundancy: float
     burst_redundancy: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "gsp_lower_bound": self.gsp_lower_bound,
-            "gsp_lower_bound_raw": self.gsp_lower_bound_raw,
-            "c1_redundancy": self.c1_redundancy,
-            "c2_redundancy": self.c2_redundancy,
-            "burst_redundancy": self.burst_redundancy,
-        }
 
 
 def redundancy_table(n_values, ell: int, q: int, limit: int = MAX_ENUMERABLE) -> list[RedundancyRow]:
@@ -337,8 +326,7 @@ def redundancy_table(n_values, ell: int, q: int, limit: int = MAX_ENUMERABLE) ->
         rows.append(
             RedundancyRow(
                 n=n,
-                gsp_lower_bound=report.redundancy_lb_bits,
-                gsp_lower_bound_raw=report.redundancy_lb_bits_raw,
+                report=report,
                 c1_redundancy=c1_red,
                 c2_redundancy=c2_red,
                 burst_redundancy=burst,

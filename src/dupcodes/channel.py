@@ -123,8 +123,17 @@ def palindromic_delete(x: Word, ell: int, p: int) -> Word:
 
 def apply_error(x: Word, kind: ErrorKind, p: int) -> Word:
     """Apply one error of the given kind at position p."""
-    op = {TANDEM_DUP: tandem_duplicate, TANDEM_DEL: tandem_delete,
-          PAL_DUP: palindromic_duplicate, PAL_DEL: palindromic_delete}[kind.family]
+    # a branch per family, not a dict built on every call: every ball, sphere
+    # and verify round trip goes through here
+    family = kind.family
+    if family == TANDEM_DUP:
+        op = tandem_duplicate
+    elif family == PAL_DUP:
+        op = palindromic_duplicate
+    elif family == TANDEM_DEL:
+        op = tandem_delete
+    else:
+        op = palindromic_delete
     return op(x, kind.ell, p)
 
 
@@ -163,42 +172,28 @@ class ErrorSphere:
         return len(self.members)
 
 
-def _sphere_members(x: Word, kind: ErrorKind, t: int) -> frozenset[Word]:
-    level = {x}
+def _reach(x: Word, kind: ErrorKind, t: int, ball: bool) -> frozenset[Word]:
+    """Breadth-first levels of single errors from x: the last level (exactly
+    t errors) or, with ball, the union of all levels (at most t errors)."""
+    if t < 0:
+        raise ValueError("error count t must be >= 0")
+    level = reached = {x}
     for _ in range(t):
-        nxt = set()
-        for w in level:
-            for p in error_positions(w, kind):
-                nxt.add(apply_error(w, kind, p))
-        level = nxt
+        level = {apply_error(w, kind, p) for w in level for p in error_positions(w, kind)}
+        reached = reached | level if ball else level
         if not level:
             break
-    return frozenset(level)
+    return frozenset(reached)
 
 
 def error_sphere(x: Word, kind: ErrorKind, t: int) -> ErrorSphere:
     """Sphere of radius exactly t; t=0 gives {x}. Deletion spheres may be empty."""
-    if t < 0:
-        raise ValueError("error count t must be >= 0")
-    return ErrorSphere(x, kind, t, _sphere_members(x, kind, t))
+    return ErrorSphere(x, kind, t, _reach(x, kind, t, ball=False))
 
 
 def error_ball(x: Word, kind: ErrorKind, t: int) -> frozenset[Word]:
     """Union of the spheres of radius 0..t around x."""
-    if t < 0:
-        raise ValueError("error count t must be >= 0")
-    out = {x}
-    level = {x}
-    for _ in range(t):
-        nxt = set()
-        for w in level:
-            for p in error_positions(w, kind):
-                nxt.add(apply_error(w, kind, p))
-        out |= nxt
-        level = nxt
-        if not level:
-            break
-    return frozenset(out)
+    return _reach(x, kind, t, ball=True)
 
 
 def ball_intersection(x: Word, y: Word, kind: ErrorKind, t: int) -> frozenset[Word]:

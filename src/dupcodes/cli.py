@@ -16,8 +16,8 @@ import sys
 
 from . import bounds, channel, codes, formulas
 from .channel import ErrorKind
-from .words import Word, format_word, parse_word, run_profile
-from .wordspace import MAX_ENUMERABLE, all_words
+from .words import Word, format_word, parse_word
+from .wordspace import MAX_ENUMERABLE
 
 _DNA = {"A": 0, "C": 1, "G": 2, "T": 3}
 
@@ -152,19 +152,24 @@ def cmd_sphere(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    n_values = _parse_n_values(args.n)
-    limit = _limit(args)
+    try:
+        n_values = _parse_n_values(args.n)
+        if args.l < 1:
+            raise ValueError(f"block length must be >= 1, got l={args.l}")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rows = []
     try:
-        table = bounds.redundancy_table(n_values, args.l, args.q, limit=limit)
+        table = bounds.redundancy_table(n_values, args.l, args.q, limit=_limit(args))
     except ValueError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
     print(f"{'n':>4} {'bound':>14} {'gsp_lb':>10} {'c1_red':>10} {'c2_red':>10} {'burst':>10}")
-    for n, red in zip(n_values, table):
-        report = bounds.bound_report(n, args.l, args.q)
+    for red in table:
+        report = red.report
         print(
-            f"{n:>4} {_fraction_str(report.bound):>14} {report.redundancy_lb_bits:>10.6g} "
+            f"{red.n:>4} {_fraction_str(report.bound):>14} {report.redundancy_lb_bits:>10.6g} "
             f"{red.c1_redundancy:>10.6g} {red.c2_redundancy:>10.6g} {red.burst_redundancy:>10.6g}"
         )
         row = report.to_json_dict()
@@ -200,133 +205,117 @@ def _recovers(c: Word, decode, *args) -> bool:
         return False
 
 
-def _verify_c1(n: int, ell: int, q: int, limit: int) -> tuple[bool, list[str]]:
-    lines = []
-    a, cardinality = codes.c1_best_params(n, ell, q, limit=limit)
-    code = codes.TandemVTCode(n, q, ell, a)
-    book = codes.c1_codebook(code, limit=limit)
-    lb = codes.c1_size_lower_bound(n, ell, q)
-    ok = True
-    lines.append(f"c1 n={n} l={ell} q={q}: best residues {a}, cardinality {cardinality}")
-    if cardinality < lb:
-        ok = False
-        lines.append(f"FAIL cardinality {cardinality} below guarantee {_fraction_str(lb)}")
-    else:
-        lines.append(f"ok   cardinality >= guarantee {_fraction_str(lb)}")
-    kind = channel.tandem_dup(ell)
-    clash = codes.disjoint_ball_violation(book, kind, 1)
-    if clash:
-        ok = False
-        lines.append(f"FAIL balls intersect: {clash[0]} / {clash[1]} share {clash[2]}")
-    else:
-        lines.append("ok   all codeword balls disjoint")
-    mismatches = 0
-    for c in book:
-        for p in range(n - ell + 1):
-            y = channel.tandem_duplicate(c, ell, p)
-            got = _recovers(c, codes.c1_decode, y, code)
-            ref = _recovers(c, codes.oracle_decode, y, n, kind, lambda w: codes.c1_member(w, code))
-            if not (got and ref):
-                mismatches += 1
-    if mismatches:
-        ok = False
-        lines.append(f"FAIL {mismatches} decode round-trips broken")
-    else:
-        lines.append("ok   syndrome decoder = oracle on every (codeword, error)")
-    return ok, lines
+def _check_correction(code, book: list[Word], oracle: bool) -> tuple[list, int]:
+    """Single-error correction of one code over its codebook, for every kind
+    it corrects: the first clashing pair of each kind whose codeword balls
+    intersect, and the number of round trips (codeword, error) that the
+    decoder, and with `oracle` the oracle decoder over code.member, do not
+    return to the codeword."""
+    clashes, broken = [], 0
+    for kind in code.kinds:
+        clash = codes.disjoint_ball_violation(book, kind, 1)
+        if clash:
+            clashes.append(clash)
+        for c in book:
+            for p in channel.error_positions(c, kind):
+                y = channel.apply_error(c, kind, p)
+                if not (
+                    _recovers(c, code.decode, y)
+                    and (not oracle or _recovers(c, codes.oracle_decode, y, code.n, kind, code.member))
+                ):
+                    broken += 1
+    return clashes, broken
 
 
-def _verify_c2(n: int, limit: int) -> tuple[bool, list[str]]:
-    lines = []
-    ok = True
-    kind = channel.pal_dup(2)
-    modulus = 2 * n + 1
-    groups: dict[tuple[int, int], list[Word]] = {}
-    for row in all_words(n, 2, limit=limit):
-        x = Word(tuple(int(v) for v in row), 2)
-        prof = run_profile(x)
-        key = (prof.count_of_length(1) % 5, prof.checksum() % modulus)
-        groups.setdefault(key, []).append(x)
-    best = max(len(v) for v in groups.values())
+def _claim(holds: bool, ok_text: str, fail_text: str) -> str:
+    return f"ok   {ok_text}" if holds else f"FAIL {fail_text}"
+
+
+def _verify_c1(code: codes.TandemVTCode, limit: int) -> list[str]:
+    book = code.codebook(limit)
+    lb = codes.c1_size_lower_bound(code.n, code.ell, code.q)
+    clashes, broken = _check_correction(code, book, oracle=True)
+    clash = "balls intersect: {} / {} share {}".format(*clashes[0]) if clashes else ""
+    return [
+        f"c1 n={code.n} l={code.ell} q={code.q}: best residues {code.a}, cardinality {len(book)}",
+        _claim(
+            len(book) >= lb,
+            f"cardinality >= guarantee {_fraction_str(lb)}",
+            f"cardinality {len(book)} below guarantee {_fraction_str(lb)}",
+        ),
+        _claim(not clashes, "all codeword balls disjoint", clash),
+        _claim(not broken, "syndrome decoder = oracle on every (codeword, error)", f"{broken} decode round-trips broken"),
+    ]
+
+
+def _verify_c2(code: codes.PalindromicL2Code, limit: int) -> list[str]:
+    """Every (a, b) code of length n, not only the best one."""
+    n = code.n
+    groups = codes.c2_codebooks(n, limit)
+    best = max(len(book) for book in groups.values())
     need = math.ceil(codes.c2_size_lower_bound(n))
-    lines.append(f"c2 n={n}: {5 * modulus} parameter pairs, best cardinality {best}")
-    if best < need:
-        ok = False
-        lines.append(f"FAIL best cardinality {best} below guarantee {need}")
-    else:
-        lines.append(f"ok   best cardinality >= {need}")
     bad = 0
-    for (a, b), book in groups.items():
-        code = codes.PalindromicL2Code(n, a, b)
-        if codes.disjoint_ball_violation(book, kind, 1):
-            bad += 1
-            continue
-        for c in book:
-            for p in range(n - 1):
-                y = channel.palindromic_duplicate(c, 2, p)
-                got = _recovers(c, codes.c2_decode, y, code)
-                ref = _recovers(c, codes.oracle_decode, y, n, kind, lambda w: codes.c2_member(w, code))
-                if not (got and ref):
-                    bad += 1
-    if bad:
-        ok = False
-        lines.append(f"FAIL {bad} parameter pairs with broken correction")
-    else:
-        lines.append("ok   every (a, b) corrects every single palindromic duplication")
-    return ok, lines
+    for group_code, book in groups.items():
+        clashes, broken = _check_correction(group_code, book, oracle=True)
+        bad += len(clashes) + broken
+    return [
+        f"c2 n={n}: {5 * (2 * n + 1)} parameter pairs, best cardinality {best}",
+        _claim(best >= need, f"best cardinality >= {need}", f"best cardinality {best} below guarantee {need}"),
+        _claim(not bad, "every (a, b) corrects every single palindromic duplication", f"{bad} parameter pairs with broken correction"),
+    ]
 
 
-def _verify_cpf(n: int, q: int, limit: int) -> tuple[bool, list[str]]:
-    lines = []
-    ok = True
-    book = codes.cpf_codebook(n, q, limit=limit)
+def _verify_cpf(code: codes.PalindromeFreeCode, limit: int) -> list[str]:
+    n, q = code.n, code.q
+    book = code.codebook(limit)
     count = codes.cpf_count_recursive(n, q)
-    lines.append(f"cpf n={n} q={q}: count {count}")
-    if len(book) != count:
-        ok = False
-        lines.append(f"FAIL recursion {count} != enumeration {len(book)}")
-    else:
-        lines.append("ok   recursion matches enumeration")
     closed = codes.cpf_count_closed(n, q) if n >= 3 else float(count)
-    if abs(closed - count) > 1e-6 * max(1, count):
-        ok = False
-        lines.append(f"FAIL closed form {closed} != {count}")
-    else:
-        lines.append("ok   closed form matches")
-    bad = 0
-    for ell in range(2, n + 1):
-        kind = channel.pal_dup(ell)
-        if codes.disjoint_ball_violation(book, kind, 1):
-            bad += 1
-            continue
-        for c in book:
-            for p in range(n - ell + 1):
-                y = channel.palindromic_duplicate(c, ell, p)
-                if not _recovers(c, codes.cpf_decode, y, n):
-                    bad += 1
-    if bad:
-        ok = False
-        lines.append(f"FAIL {bad} duplication lengths/positions with broken correction")
-    else:
-        lines.append(f"ok   decoder corrects every duplication of every length 2..{n}")
-    return ok, lines
+    clashes, broken = _check_correction(code, book, oracle=False)
+    return [
+        f"cpf n={n} q={q}: count {count}",
+        _claim(len(book) == count, "recursion matches enumeration", f"recursion {count} != enumeration {len(book)}"),
+        _claim(abs(closed - count) <= 1e-6 * max(1, count), "closed form matches", f"closed form {closed} != {count}"),
+        _claim(
+            not (clashes or broken),
+            f"decoder corrects every duplication of every length 2..{n}",
+            f"{len(clashes) + broken} duplication lengths/positions with broken correction",
+        ),
+    ]
+
+
+# --code -> (construction class, its verify report: count claims and wording)
+CONSTRUCTIONS = {
+    "c1": (codes.TandemVTCode, _verify_c1),
+    "c2": (codes.PalindromicL2Code, _verify_c2),
+    "cpf": (codes.PalindromeFreeCode, _verify_cpf),
+}
+
+
+def _best_code(args):
+    """The best code of --code for the flags, or None after a one-line refusal:
+    the construction refuses the flags, or no duplication it corrects fits in
+    a word of length n."""
+    try:
+        code = CONSTRUCTIONS[args.code][0].best(args.n, args.q, args.l, limit=_limit(args))
+    except ValueError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return None
+    if not any(kind.ell <= args.n for kind in code.kinds):
+        print(f"error: no error that {args.code} corrects fits in length n={args.n}", file=sys.stderr)
+        return None
+    return code
 
 
 def cmd_verify(args) -> int:
-    limit = _limit(args)
+    code = _best_code(args)
+    if code is None:
+        return 2
     try:
-        if args.code == "c1":
-            ok, lines = _verify_c1(args.n, args.l, args.q, limit)
-        elif args.code == "c2":
-            if args.q != 2:
-                print("error: c2 is binary (use --q 2)", file=sys.stderr)
-                return 2
-            ok, lines = _verify_c2(args.n, limit)
-        else:
-            ok, lines = _verify_cpf(args.n, args.q, limit)
+        lines = CONSTRUCTIONS[args.code][1](code, _limit(args))
     except ValueError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
+    ok = not any(line.startswith("FAIL") for line in lines)
     for line in lines:
         print(line)
     print("PASS" if ok else "FAIL")
@@ -372,60 +361,33 @@ def cmd_rates(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    limit = _limit(args)
     rng = random.Random(args.seed)
+    code = _best_code(args)
+    if code is None:
+        return 2
     try:
-        if args.code == "c1":
-            a, _ = codes.c1_best_params(args.n, args.l, args.q, limit=limit)
-            code = codes.TandemVTCode(args.n, args.q, args.l, a)
-            book = codes.c1_codebook(code, limit=limit)
-            kind = channel.tandem_dup(args.l)
-
-            def decode(y):
-                return codes.c1_decode(y, code)
-
-        elif args.code == "c2":
-            if args.q != 2:
-                print("error: c2 is binary (use --q 2)", file=sys.stderr)
-                return 2
-            (a, b), _ = codes.c2_best_params(args.n, limit=limit)
-            code = codes.PalindromicL2Code(args.n, a, b)
-            book = codes.c2_codebook(code, limit=limit)
-            kind = channel.pal_dup(2)
-
-            def decode(y):
-                return codes.c2_decode(y, code)
-
-        else:
-            if args.n < 2:
-                print("error: cpf corrects duplications of length 2..n (use --n 2 or more)", file=sys.stderr)
-                return 2
-            book = codes.cpf_codebook(args.n, args.q, limit=limit)
-            kind = None
-
-            def decode(y):
-                return codes.cpf_decode(y, args.n)
-
+        book = code.codebook(_limit(args))
     except ValueError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
     if not book:
         print("error: empty codebook", file=sys.stderr)
         return 2
+    kinds = code.kinds
     successes = 0
     failure = None
     for _ in range(args.trials):
         c = book[rng.randrange(len(book))]
-        trial_kind = kind if kind is not None else channel.pal_dup(rng.randrange(2, args.n + 1))
-        y, p = channel.sample_single_error(c, trial_kind, rng)
+        kind = kinds[0] if len(kinds) == 1 else kinds[rng.randrange(len(kinds))]
+        y, p = channel.sample_single_error(c, kind, rng)
         try:
-            got = decode(y)
+            got = code.decode(y)
         except codes.DecodingFailure:
             got = None
         if got == c:
             successes += 1
         elif failure is None:
-            failure = (c, trial_kind, p, y, got)
+            failure = (c, kind, p, y, got)
     print(f"{successes}/{args.trials} decoded correctly (seed {args.seed})")
     if failure:
         c, k, p, y, got = failure
@@ -484,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("verify", help="exhaustively verify a construction")
-    p.add_argument("--code", required=True, choices=("c1", "c2", "cpf"))
+    p.add_argument("--code", required=True, choices=tuple(CONSTRUCTIONS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, default=1)
     p.add_argument("--q", type=int, default=2)
@@ -498,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rates)
 
     p = sub.add_parser("simulate", help="random single-error transmission round trips")
-    p.add_argument("--code", required=True, choices=("c1", "c2", "cpf"))
+    p.add_argument("--code", required=True, choices=tuple(CONSTRUCTIONS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, default=1)
     p.add_argument("--q", type=int, default=2)

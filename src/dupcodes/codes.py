@@ -24,6 +24,12 @@ incremented (equal sums), so it could not drive the decoder; the weighted
 form makes the incremented coordinate uniquely recoverable, and the
 exhaustive correction tests pin this behaviour down.
 
+Each construction class offers one interface: `best(n, q, ell, limit)`
+builds the code with the best parameters, `kinds` lists the error kinds it
+corrects, and `member(x)`, `decode(y)` and `codebook(limit)` delegate to the
+module functions below, which stay the public API. The CLI's round-trip
+check and its simulation loop use nothing but this interface.
+
 Codebook enumeration and parameter sweeps run on the wordspace kernels and
 are deterministic (lexicographic word order, smallest-residue tie breaks).
 """
@@ -35,21 +41,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import rll_weight_count
-from .channel import ErrorKind, error_ball, error_sphere, palindromic_delete
+from .bounds import _binom, rll_weight_count
+from .channel import ErrorKind, error_ball, error_sphere, pal_dup, palindromic_delete, tandem_dup
 from .transform import DerivativePair, assemble, derive, integrate, trunk, zero_signature
-from .words import Word, format_word, parse_word, run_profile
+from .words import Word, run_profile
 from .wordspace import MAX_ENUMERABLE, all_words, pal2_free_mask, run_stats, signature_scan
 
 
 class DecodingFailure(Exception):
     """Raised when a received word lies outside every codeword's error ball."""
-
-
-def _binom(a: int, b: int) -> int:
-    if a < 0 or b < 0:
-        return 0
-    return math.comb(a, b)
 
 
 def _materialize(rows, q: int) -> list[Word]:
@@ -96,6 +96,19 @@ class TandemVTCode:
     def best(cls, n: int, q: int, ell: int, limit: int = MAX_ENUMERABLE) -> "TandemVTCode":
         a, _ = c1_best_params(n, ell, q, limit=limit)
         return cls(n, q, ell, a)
+
+    @property
+    def kinds(self) -> tuple[ErrorKind, ...]:
+        return (tandem_dup(self.ell),)
+
+    def member(self, x: Word) -> bool:
+        return c1_member(x, self)
+
+    def decode(self, y: Word) -> Word:
+        return c1_decode(y, self)
+
+    def codebook(self, limit: int = MAX_ENUMERABLE) -> list[Word]:
+        return c1_codebook(self, limit)
 
 
 def c1_member(x: Word, code: TandemVTCode) -> bool:
@@ -210,9 +223,26 @@ class PalindromicL2Code:
             raise ValueError(f"b must be in 0..{2 * self.n}")
 
     @classmethod
-    def best(cls, n: int, limit: int = MAX_ENUMERABLE) -> "PalindromicL2Code":
+    def best(cls, n: int, q: int, ell: int, limit: int = MAX_ENUMERABLE) -> "PalindromicL2Code":
+        """Best (a, b) code of length n; q must be 2, and ell is ignored
+        (the duplication length is always 2)."""
+        if q != 2:
+            raise ValueError("binary only: the run-profile construction requires q = 2")
         (a, b), _ = c2_best_params(n, limit=limit)
         return cls(n, a, b)
+
+    @property
+    def kinds(self) -> tuple[ErrorKind, ...]:
+        return (pal_dup(2),)
+
+    def member(self, x: Word) -> bool:
+        return c2_member(x, self)
+
+    def decode(self, y: Word) -> Word:
+        return c2_decode(y, self)
+
+    def codebook(self, limit: int = MAX_ENUMERABLE) -> list[Word]:
+        return c2_codebook(self, limit)
 
 
 def c2_member(x: Word, code: PalindromicL2Code) -> bool:
@@ -310,15 +340,33 @@ def c2_decode(y: Word, code: PalindromicL2Code) -> Word:
     )
 
 
-def c2_best_params(n: int, limit: int = MAX_ENUMERABLE):
-    """Best (a, b) pair (lexicographic tie-break) and its cardinality."""
+def _c2_keys(n: int, limit: int):
+    """All binary words of length n and the key a * (2n+1) + b of the (a, b)
+    code each belongs to, from one run_stats scan."""
     arr = all_words(n, 2, limit=limit)
     _, len1, csum = run_stats(arr)
     modulus = 2 * n + 1
-    keys = (len1 % 5) * modulus + (csum % modulus)
+    return arr, (len1 % 5) * modulus + (csum % modulus)
+
+
+def c2_best_params(n: int, limit: int = MAX_ENUMERABLE):
+    """Best (a, b) pair (lexicographic tie-break) and its cardinality."""
+    _, keys = _c2_keys(n, limit)
+    modulus = 2 * n + 1
     counts = np.bincount(keys, minlength=5 * modulus)
     idx = int(np.argmax(counts))
     return (idx // modulus, idx % modulus), int(counts[idx])
+
+
+def c2_codebooks(n: int, limit: int = MAX_ENUMERABLE) -> dict[PalindromicL2Code, list[Word]]:
+    """Every nonempty (a, b) code of length n with its codebook, in (a, b)
+    order; the codebooks partition the 2^n binary words."""
+    arr, keys = _c2_keys(n, limit)
+    modulus = 2 * n + 1
+    groups: dict[int, list[Word]] = {}
+    for key, x in zip(keys.tolist(), _materialize(arr, 2)):
+        groups.setdefault(key, []).append(x)
+    return {PalindromicL2Code(n, key // modulus, key % modulus): groups[key] for key in sorted(groups)}
 
 
 def c2_size_lower_bound(n: int) -> Fraction:
@@ -348,6 +396,24 @@ class PalindromeFreeCode:
 
     n: int
     q: int
+
+    @classmethod
+    def best(cls, n: int, q: int, ell: int, limit: int = MAX_ENUMERABLE) -> "PalindromeFreeCode":
+        """The code is unique for (n, q); ell and limit are ignored."""
+        return cls(n, q)
+
+    @property
+    def kinds(self) -> tuple[ErrorKind, ...]:
+        return tuple(pal_dup(ell) for ell in range(2, self.n + 1))
+
+    def member(self, x: Word) -> bool:
+        return cpf_member(x)
+
+    def decode(self, y: Word) -> Word:
+        return cpf_decode(y, self.n)
+
+    def codebook(self, limit: int = MAX_ENUMERABLE) -> list[Word]:
+        return cpf_codebook(self.n, self.q, limit)
 
 
 def cpf_member(x: Word) -> bool:
@@ -519,46 +585,3 @@ def disjoint_ball_violation(codebook, kind: ErrorKind, t: int):
                 return (prev, c, member)
             owner[member] = c
     return None
-
-
-def encode_index(codebook: list[Word], index: int) -> Word:
-    """Enumeration-based encoder: message index -> codeword.
-
-    Plumbing over the sorted codebook; the constructions define codes as
-    subsets, not as images of an algebraic encoder map.
-    """
-    if not 0 <= index < len(codebook):
-        raise ValueError(f"index {index} outside 0..{len(codebook) - 1}")
-    return codebook[index]
-
-
-def format_codebook(codebook: list[Word]) -> str:
-    """Codebook export format: one word per line in the text word format."""
-    return "".join(format_word(c) + "\n" for c in codebook)
-
-
-def parse_codebook(text: str, q: int) -> list[Word]:
-    return [parse_word(line, q) for line in text.splitlines() if line.strip()]
-
-
-def code_params(code) -> dict:
-    """JSON-ready parameter record identifying one construction instance."""
-    if isinstance(code, TandemVTCode):
-        return {"construction": "c1", "n": code.n, "q": code.q, "l": code.ell, "a": list(code.a)}
-    if isinstance(code, PalindromicL2Code):
-        return {"construction": "c2", "n": code.n, "q": 2, "l": 2, "a": code.a, "b": code.b}
-    if isinstance(code, PalindromeFreeCode):
-        return {"construction": "cpf", "n": code.n, "q": code.q}
-    raise TypeError(f"not a code object: {code!r}")
-
-
-def code_from_params(params: dict):
-    """Inverse of code_params."""
-    kind = params["construction"]
-    if kind == "c1":
-        return TandemVTCode(params["n"], params["q"], params["l"], tuple(params["a"]))
-    if kind == "c2":
-        return PalindromicL2Code(params["n"], params["a"], params["b"])
-    if kind == "cpf":
-        return PalindromeFreeCode(params["n"], params["q"])
-    raise ValueError(f"unknown construction id {kind!r}")

@@ -34,16 +34,6 @@ class DerivativePair:
         return self.u.q
 
 
-@dataclass(frozen=True, slots=True)
-class SignatureDecomposition:
-    """Canonical split of a difference tail into its trunk (all zero-runs
-    shorter than ell) and the per-gap count of whole ell-blocks of zeros."""
-
-    trunk: Word
-    signature: tuple[int, ...]
-    ell: int
-
-
 def derive(x: Word, ell: int) -> DerivativePair:
     """ell-step derivative: u = first ell symbols, v_i = x_{i+ell} - x_i mod q."""
     if ell < 1:
@@ -103,11 +93,6 @@ def zero_signature(v: Word, ell: int) -> tuple[int, ...]:
         raise ValueError("ell must be >= 1")
     gaps, _ = _zero_gaps(v)
     return tuple(m // ell for m in gaps)
-
-
-def decompose(v: Word, ell: int) -> SignatureDecomposition:
-    """trunk and zero-signature together."""
-    return SignatureDecomposition(trunk(v, ell), zero_signature(v, ell), ell)
 
 
 def assemble(trunk_word: Word, signature, ell: int) -> Word:

@@ -117,25 +117,6 @@ def run_profile(x: Word) -> RunProfile:
     return RunProfile(tuple(sum(1 for _ in grp) for _, grp in groupby(x.symbols)))
 
 
-def run_count(x: Word) -> int:
-    """Number of runs r(x)."""
-    return run_profile(x).num_runs
-
-
-def run_count_of_length(x: Word, i: int) -> int:
-    """Number of runs of length exactly i."""
-    if i < 1:
-        raise ValueError("run length index must be >= 1")
-    return run_profile(x).count_of_length(i)
-
-
-def run_count_at_least(x: Word, i: int) -> int:
-    """Number of runs of length >= i."""
-    if i < 1:
-        raise ValueError("run length index must be >= 1")
-    return run_profile(x).count_at_least(i)
-
-
 def run_checksum(x: Word) -> int:
     """Unreduced run-length checksum C(x) = sum_j j * r_j(x).
 

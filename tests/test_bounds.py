@@ -151,9 +151,9 @@ def test_redundancy_table_columns():
     for row in rows:
         assert row.c2_redundancy == math.log2(row.n) + math.log2(10)
         assert row.burst_redundancy == math.log2(row.n) + math.log2(math.log2(row.n)) + 1
-        assert row.gsp_lower_bound >= 0
-        assert row.gsp_lower_bound <= row.c1_redundancy
+        assert row.report.redundancy_lb_bits >= 0
+        assert row.report.redundancy_lb_bits <= row.c1_redundancy
     assert rows[2].burst_redundancy == 7  # 4 + 2 + 1 at n = 16
     clamped = redundancy_table([2], 1, 2)[0]
-    assert clamped.gsp_lower_bound == 0
-    assert clamped.gsp_lower_bound_raw == 0  # bound 4 = 2^2 exactly
+    assert clamped.report.redundancy_lb_bits == 0
+    assert clamped.report.redundancy_lb_bits_raw == 0  # bound 4 = 2^2 exactly

@@ -123,6 +123,61 @@ def test_verify_cpf(capsys):
     assert "count 26" in out
 
 
+# exact verify reports and simulate machine output, pinned byte for byte
+@pytest.mark.parametrize(
+    "args,report",
+    [
+        (
+            ("--code", "c1", "--n", "6", "--l", "2", "--q", "2"),
+            [
+                "c1 n=6 l=2 q=2: best residues (0, 1, 0, 0, 0), cardinality 44",
+                "ok   cardinality >= guarantee 86/5",
+                "ok   all codeword balls disjoint",
+                "ok   syndrome decoder = oracle on every (codeword, error)",
+            ],
+        ),
+        (
+            ("--code", "c2", "--n", "6", "--q", "2"),
+            [
+                "c2 n=6: 65 parameter pairs, best cardinality 6",
+                "ok   best cardinality >= 1",
+                "ok   every (a, b) corrects every single palindromic duplication",
+            ],
+        ),
+        (
+            ("--code", "cpf", "--n", "6", "--q", "2"),
+            [
+                "cpf n=6 q=2: count 26",
+                "ok   recursion matches enumeration",
+                "ok   closed form matches",
+                "ok   decoder corrects every duplication of every length 2..6",
+            ],
+        ),
+    ],
+    ids=["c1", "c2", "cpf"],
+)
+def test_verify_golden_report(tmp_path, capsys, args, report):
+    out_path = tmp_path / "verify.json"
+    code, out, err = run_cli(capsys, "verify", *args, "--out", str(out_path))
+    assert code == 0 and err == ""
+    assert out == "\n".join(report + ["PASS"]) + "\n"
+    assert json.load(open(out_path)) == [{"passed": True, "report": report}]
+
+
+def test_simulate_golden_output(tmp_path, capsys):
+    out_path = tmp_path / "simulate.json"
+    code, out, _ = run_cli(
+        capsys, "simulate", "--code", "cpf", "--n", "8", "--q", "3", "--trials", "60", "--seed", "7",
+        "--out", str(out_path),
+    )
+    assert code == 0
+    assert out == "60/60 decoded correctly (seed 7)\n"
+    assert out_path.read_text() == (
+        '[\n  {\n    "code": "cpf",\n    "l": 1,\n    "n": 8,\n    "q": 3,\n'
+        '    "seed": 7,\n    "successes": 60,\n    "trials": 60\n  }\n]\n'
+    )
+
+
 @pytest.mark.parametrize(
     "args,decoder",
     [
@@ -151,8 +206,24 @@ def test_verify_counts_decoding_failure_as_broken(monkeypatch, capsys, args, dec
         ("simulate", "--code", "cpf", "--n", "1", "--q", "2"),
         ("rates", "--q", "1", "--n", "4"),
         ("sphere", "--word", "0101", "--kind", "tandem-dup", "--l", "1", "--t", "-1"),
+        ("bound", "--n", "abc"),
+        ("bound", "--n", "5", "--l", "0"),
+        ("simulate", "--code", "c2", "--n", "1", "--q", "2"),
+        ("verify", "--code", "c2", "--n", "1", "--q", "2"),
+        ("verify", "--code", "cpf", "--n", "1", "--q", "2"),
+        ("verify", "--code", "cpf", "--n", "0", "--q", "2"),
     ],
-    ids=["simulate-cpf-n1", "rates-q1", "sphere-negative-t"],
+    ids=[
+        "simulate-cpf-n1",
+        "rates-q1",
+        "sphere-negative-t",
+        "bound-n-not-a-number",
+        "bound-l0",
+        "simulate-c2-n1",
+        "verify-c2-n1",
+        "verify-cpf-n1",
+        "verify-cpf-n0",
+    ],
 )
 def test_bad_input_refused_with_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -7,6 +7,7 @@ from dupcodes import channel
 from dupcodes.channel import palindromic_duplicate, tandem_duplicate
 from dupcodes.codes import (
     DecodingFailure,
+    PalindromeFreeCode,
     PalindromicL2Code,
     TandemVTCode,
     c1_best_params,
@@ -16,6 +17,7 @@ from dupcodes.codes import (
     c1_size_lower_bound,
     c2_best_params,
     c2_codebook,
+    c2_codebooks,
     c2_decode,
     c2_member,
     c2_size_lower_bound,
@@ -28,7 +30,6 @@ from dupcodes.codes import (
     cpf_rate,
     cpf_rate_table,
     disjoint_ball_violation,
-    encode_index,
     oracle_decode,
     vt_member,
 )
@@ -284,30 +285,38 @@ def test_disjoint_ball_violation_reports_pair():
     assert disjoint_ball_violation([c1, c2], channel.pal_del(2), 1) is None
 
 
-def test_encode_index():
-    book = cpf_codebook(4, 2)
-    assert encode_index(book, 0) == book[0]
-    with pytest.raises(ValueError):
-        encode_index(book, len(book))
+@pytest.mark.parametrize(
+    "cls,n,q,ell,kinds",
+    [
+        (TandemVTCode, 6, 2, 2, [channel.tandem_dup(2)]),
+        (TandemVTCode, 5, 3, 1, [channel.tandem_dup(1)]),
+        (PalindromicL2Code, 7, 2, 2, [channel.pal_dup(2)]),
+        (PalindromeFreeCode, 6, 2, 1, [channel.pal_dup(ell) for ell in range(2, 7)]),
+        (PalindromeFreeCode, 5, 3, 1, [channel.pal_dup(ell) for ell in range(2, 6)]),
+    ],
+    ids=["c1-n6-q2-l2", "c1-n5-q3-l1", "c2-n7", "cpf-n6-q2", "cpf-n5-q3"],
+)
+def test_construction_interface(cls, n, q, ell, kinds):
+    code = cls.best(n, q, ell)
+    assert isinstance(code, cls) and code.n == n
+    assert list(code.kinds) == kinds
+    book = code.codebook()
+    assert book and all(code.member(c) for c in book)
+    for kind in code.kinds:
+        for c in book:
+            for p in range(n - kind.ell + 1):
+                assert code.decode(channel.apply_error(c, kind, p)) == c
 
 
-def test_codebook_and_params_serialization():
-    import json
+def test_c2_best_refuses_nonbinary():
+    with pytest.raises(ValueError, match="binary"):
+        PalindromicL2Code.best(6, 3, 2)
 
-    from dupcodes.codes import code_from_params, code_params, format_codebook, parse_codebook
 
-    book = cpf_codebook(4, 2)
-    text = format_codebook(book)
-    assert text.splitlines()[0] == "0001"  # first palindrome-free word after 0000
-    assert parse_codebook(text, 2) == book
-
-    c1 = TandemVTCode(6, 2, 2, (0, 1, 0, 2, 1))
-    c2 = PalindromicL2Code(8, 4, 13)
-    from dupcodes.codes import PalindromeFreeCode
-
-    cpf = PalindromeFreeCode(5, 3)
-    for code in (c1, c2, cpf):
-        payload = json.loads(json.dumps(code_params(code)))
-        assert code_from_params(payload) == code
-    assert code_params(c1)["construction"] == "c1"
-    assert code_params(c2)["l"] == 2
+def test_c2_codebooks_partition_the_word_space():
+    n = 7
+    groups = c2_codebooks(n)
+    assert sum(len(book) for book in groups.values()) == 2**n
+    for code, book in groups.items():
+        assert book == c2_codebook(code)
+    assert max(len(book) for book in groups.values()) == c2_best_params(n)[1]

@@ -7,8 +7,6 @@ from dupcodes.words import (
     format_word,
     parse_word,
     run_checksum,
-    run_count_at_least,
-    run_count_of_length,
     run_profile,
     word,
 )
@@ -33,11 +31,12 @@ def test_run_profile_empty_raises():
 
 def test_run_counts_example():
     x = word((1, 1, 1, 1, 0, 2, 2, 0), 3)
-    assert run_count_of_length(x, 1) == 2
-    assert run_count_of_length(x, 3) == 0
-    assert run_count_of_length(word((0, 0), 2), 2) == 1
-    assert run_count_at_least(x, 2) == 2
-    assert run_count_at_least(x, 1) == 4
+    prof = run_profile(x)
+    assert prof.count_of_length(1) == 2
+    assert prof.count_of_length(3) == 0
+    assert run_profile(word((0, 0), 2)).count_of_length(2) == 1
+    assert prof.count_at_least(2) == 2
+    assert prof.count_at_least(1) == 4
 
 
 def test_run_checksum_examples():
