@@ -20,7 +20,7 @@ from math import comb
 
 from . import channel
 from .channel import ErrorKind, error_ball, error_sphere, tandem_del
-from .words import Word
+from .words import Word, _words_of_rows
 from .wordspace import MAX_ENUMERABLE, all_words
 
 
@@ -191,8 +191,7 @@ def transversal_check(n: int, ell: int, t: int, q: int, limit: int = MAX_ENUMERA
         return got
 
     deficits = []
-    for row in all_words(n, q, limit=limit):
-        x = Word(tuple(int(s) for s in row), q)
+    for x in _words_of_rows(all_words(n, q, limit=limit), q):
         total = sum((weight(v) for v in error_ball(x, kind, t)), Fraction(0))
         if total < 1:
             deficits.append(x)
@@ -283,7 +282,7 @@ def exact_optimum(
     if t == 0:
         return q**n
     kind = ErrorKind(family, ell)
-    vertices = [Word(tuple(int(s) for s in row), q) for row in all_words(n, q, limit=limit)]
+    vertices = list(_words_of_rows(all_words(n, q, limit=limit), q))
     adj: dict[Word, set[Word]] = {v: set() for v in vertices}
     owners: dict[Word, list[Word]] = {}
     for v in vertices:

@@ -11,13 +11,19 @@ with t >= 2 are applied sequentially on intermediate words. Memory use is
 O(|sphere| * n), which is fine at the enumerable scales this package
 targets.
 
-All functions are pure and operate on immutable words, so concurrent use
-needs no synchronisation.
+`duplication_rows` and `deletion_rows` are the batch twins of the single
+operations: they act on a batch of words given as the (N, n) int8 rows the
+wordspace kernels produce and return every single-error outcome as rows.
+
+All functions are pure and operate on immutable words or copy their input
+rows, so concurrent use needs no synchronisation.
 """
 
 from dataclasses import dataclass
 
-from .words import Word, require_same_alphabet
+import numpy as np
+
+from .words import Word, _unchecked_word, require_same_alphabet
 
 TANDEM_DUP = "tandem-dup"
 TANDEM_DEL = "tandem-del"
@@ -93,14 +99,14 @@ def tandem_duplicate(x: Word, ell: int, p: int) -> Word:
     """Insert a copy of the ell-block starting after prefix length p."""
     _check_dup_position(x, ell, p)
     s = x.symbols
-    return x.replace(s[: p + ell] + s[p : p + ell] + s[p + ell :])
+    return _unchecked_word(s[: p + ell] + s[p : p + ell] + s[p + ell :], x.q)
 
 
 def palindromic_duplicate(x: Word, ell: int, p: int) -> Word:
     """Insert the reversed copy of the ell-block starting after prefix length p."""
     _check_dup_position(x, ell, p)
     s = x.symbols
-    return x.replace(s[: p + ell] + s[p : p + ell][::-1] + s[p + ell :])
+    return _unchecked_word(s[: p + ell] + s[p : p + ell][::-1] + s[p + ell :], x.q)
 
 
 def tandem_delete(x: Word, ell: int, p: int) -> Word:
@@ -109,7 +115,7 @@ def tandem_delete(x: Word, ell: int, p: int) -> Word:
     s = x.symbols
     if s[p : p + ell] != s[p + ell : p + 2 * ell]:
         raise ValueError(f"not a tandem at p={p}: block x_{p + 1}..x_{p + ell} is not repeated")
-    return x.replace(s[: p + ell] + s[p + 2 * ell :])
+    return _unchecked_word(s[: p + ell] + s[p + 2 * ell :], x.q)
 
 
 def palindromic_delete(x: Word, ell: int, p: int) -> Word:
@@ -118,7 +124,7 @@ def palindromic_delete(x: Word, ell: int, p: int) -> Word:
     s = x.symbols
     if s[p + ell : p + 2 * ell] != s[p : p + ell][::-1]:
         raise ValueError(f"not a palindrome at p={p}: x_{p + ell + 1}..x_{p + 2 * ell} does not mirror the block")
-    return x.replace(s[: p + ell] + s[p + 2 * ell :])
+    return _unchecked_word(s[: p + ell] + s[p + 2 * ell :], x.q)
 
 
 def apply_error(x: Word, kind: ErrorKind, p: int) -> Word:
@@ -157,6 +163,58 @@ def error_positions(x: Word, kind: ErrorKind) -> list[int]:
     if kind.is_duplication:
         return list(range(len(x) - kind.ell + 1))
     return deletion_positions(x, kind)
+
+
+def duplication_rows(rows, kind: ErrorKind) -> tuple[np.ndarray, np.ndarray]:
+    """Every single duplication of the kind of every row, as (received, owner).
+
+    With P = n - ell + 1 positions, received[i * P + p] is row i duplicated
+    at position p, an (N * P, n + ell) array of the rows' dtype, and
+    owner[i * P + p] = i: outputs come row by row, positions ascending.
+    """
+    if not kind.is_duplication:
+        raise ValueError("duplication_rows requires a duplication kind")
+    rows = np.asarray(rows)
+    N, n = rows.shape
+    ell = kind.ell
+    P = max(0, n - ell + 1)
+    out = np.empty((N, P, n + ell), dtype=rows.dtype)
+    for p in range(P):
+        block = rows[:, p : p + ell]
+        out[:, p, : p + ell] = rows[:, : p + ell]
+        out[:, p, p + ell : p + 2 * ell] = block if kind.is_tandem else block[:, ::-1]
+        out[:, p, p + 2 * ell :] = rows[:, p + ell :]
+    return out.reshape(N * P, n + ell), np.repeat(np.arange(N), P)
+
+
+def deletion_rows(rows, kind: ErrorKind) -> tuple[np.ndarray, np.ndarray]:
+    """Every valid single deletion of the kind of every row, as (outcomes, source).
+
+    A deletion at position p is valid where the window x_{p+ell+1..p+2ell}
+    repeats (tandem) or mirrors (palindromic) the block x_{p+1..p+ell}, as in
+    `deletion_positions`. outcomes is an (M, m - ell) array for rows of
+    length m, and source[k] is the row outcomes[k] comes from; outcomes come
+    row by row, positions ascending.
+    """
+    if kind.is_duplication:
+        raise ValueError("deletion_rows requires a deletion kind")
+    rows = np.asarray(rows)
+    N, m = rows.shape
+    ell = kind.ell
+    P = max(0, m - 2 * ell + 1)
+    valid = np.empty((N, P), dtype=np.bool_)
+    for p in range(P):
+        block = rows[:, p : p + ell]
+        tail = rows[:, p + ell : p + 2 * ell]
+        np.all(tail == (block if kind.is_tandem else block[:, ::-1]), axis=1, out=valid[:, p])
+    source, position = np.nonzero(valid)  # row by row, positions ascending
+    outcomes = np.empty((len(source), max(0, m - ell)), dtype=rows.dtype)
+    for p in range(P):
+        at = np.flatnonzero(position == p)
+        kept = rows[source[at]]
+        outcomes[at, : p + ell] = kept[:, : p + ell]
+        outcomes[at, p + ell :] = kept[:, p + 2 * ell :]
+    return outcomes, source
 
 
 @dataclass(frozen=True, slots=True)

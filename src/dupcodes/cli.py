@@ -14,6 +14,8 @@ import math
 import random
 import sys
 
+import numpy as np
+
 from . import bounds, channel, codes, formulas
 from .channel import ErrorKind
 from .words import Word, format_word, parse_word
@@ -197,45 +199,16 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _recovers(c: Word, decode, *args) -> bool:
-    """True when decode(*args) returns c; a DecodingFailure is a broken round trip."""
-    try:
-        return decode(*args) == c
-    except codes.DecodingFailure:
-        return False
-
-
-def _check_correction(code, book: list[Word], oracle: bool) -> tuple[list, int]:
-    """Single-error correction of one code over its codebook, for every kind
-    it corrects: the first clashing pair of each kind whose codeword balls
-    intersect, and the number of round trips (codeword, error) that the
-    decoder, and with `oracle` the oracle decoder over code.member, do not
-    return to the codeword."""
-    clashes, broken = [], 0
-    for kind in code.kinds:
-        clash = codes.disjoint_ball_violation(book, kind, 1)
-        if clash:
-            clashes.append(clash)
-        for c in book:
-            for p in channel.error_positions(c, kind):
-                y = channel.apply_error(c, kind, p)
-                if not (
-                    _recovers(c, code.decode, y)
-                    and (not oracle or _recovers(c, codes.oracle_decode, y, code.n, kind, code.member))
-                ):
-                    broken += 1
-    return clashes, broken
-
-
 def _claim(holds: bool, ok_text: str, fail_text: str) -> str:
     return f"ok   {ok_text}" if holds else f"FAIL {fail_text}"
 
 
 def _verify_c1(code: codes.TandemVTCode, limit: int) -> list[str]:
-    book = code.codebook(limit)
+    book = code.codebook_rows(limit)
     lb = codes.c1_size_lower_bound(code.n, code.ell, code.q)
-    clashes, broken = _check_correction(code, book, oracle=True)
+    [(_, clashes, broken)] = codes.check_correction([code], book)
     clash = "balls intersect: {} / {} share {}".format(*clashes[0]) if clashes else ""
+    broken = int(broken.sum())
     return [
         f"c1 n={code.n} l={code.ell} q={code.q}: best residues {code.a}, cardinality {len(book)}",
         _claim(
@@ -251,13 +224,11 @@ def _verify_c1(code: codes.TandemVTCode, limit: int) -> list[str]:
 def _verify_c2(code: codes.PalindromicL2Code, limit: int) -> list[str]:
     """Every (a, b) code of length n, not only the best one."""
     n = code.n
-    groups = codes.c2_codebooks(n, limit)
-    best = max(len(book) for book in groups.values())
+    group_codes, book, group = codes.c2_groups(n, limit)
+    best = int(np.bincount(group).max())
     need = math.ceil(codes.c2_size_lower_bound(n))
-    bad = 0
-    for group_code, book in groups.items():
-        clashes, broken = _check_correction(group_code, book, oracle=True)
-        bad += len(clashes) + broken
+    [(_, clashes, broken)] = codes.check_correction(group_codes, book, group)
+    bad = len(clashes.keys() | set(np.flatnonzero(broken).tolist()))
     return [
         f"c2 n={n}: {5 * (2 * n + 1)} parameter pairs, best cardinality {best}",
         _claim(best >= need, f"best cardinality >= {need}", f"best cardinality {best} below guarantee {need}"),
@@ -267,18 +238,18 @@ def _verify_c2(code: codes.PalindromicL2Code, limit: int) -> list[str]:
 
 def _verify_cpf(code: codes.PalindromeFreeCode, limit: int) -> list[str]:
     n, q = code.n, code.q
-    book = code.codebook(limit)
+    book = code.codebook_rows(limit)
     count = codes.cpf_count_recursive(n, q)
     closed = codes.cpf_count_closed(n, q) if n >= 3 else float(count)
-    clashes, broken = _check_correction(code, book, oracle=False)
+    bad = sum(1 for _, clashes, broken in codes.check_correction([code], book) if clashes or broken.any())
     return [
         f"cpf n={n} q={q}: count {count}",
         _claim(len(book) == count, "recursion matches enumeration", f"recursion {count} != enumeration {len(book)}"),
         _claim(abs(closed - count) <= 1e-6 * max(1, count), "closed form matches", f"closed form {closed} != {count}"),
         _claim(
-            not (clashes or broken),
+            not bad,
             f"decoder corrects every duplication of every length 2..{n}",
-            f"{len(clashes) + broken} duplication lengths/positions with broken correction",
+            f"{bad} duplication lengths with broken correction",
         ),
     ]
 

@@ -26,9 +26,19 @@ exhaustive correction tests pin this behaviour down.
 
 Each construction class offers one interface: `best(n, q, ell, limit)`
 builds the code with the best parameters, `kinds` lists the error kinds it
-corrects, and `member(x)`, `decode(y)` and `codebook(limit)` delegate to the
-module functions below, which stay the public API. The CLI's round-trip
-check and its simulation loop use nothing but this interface.
+corrects, and `member(x)`, `decode(y)`, `codebook(limit)` and
+`codebook_rows(limit)` delegate to the module functions below, which stay
+the public API. `check_correction` and the CLI's simulation loop use
+nothing but this interface.
+
+`check_correction` verifies single-error correction on arrays: it takes a
+codebook as the int8 rows of the kernels, builds every single duplication
+with `channel.duplication_rows`, decides ball disjointness by sorting
+packed keys (`ball_clashes`) and replaces the enumeration of
+`oracle_decode` by looking up every valid deletion outcome among the
+codebook keys (`oracle_verdicts`). The scalar decoder still runs on every
+round trip. `oracle_decode` and `disjoint_ball_violation` stay as the
+Word-level routes that the tests compare the array routes against.
 
 Codebook enumeration and parameter sweeps run on the wordspace kernels and
 are deterministic (lexicographic word order, smallest-residue tie breaks).
@@ -42,18 +52,26 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import _binom, rll_weight_count
-from .channel import ErrorKind, error_ball, error_sphere, pal_dup, palindromic_delete, tandem_dup
+from .channel import (
+    ErrorKind,
+    apply_error,
+    deletion_positions,
+    deletion_rows,
+    duplication_rows,
+    error_ball,
+    error_sphere,
+    pal_del,
+    pal_dup,
+    palindromic_delete,
+    tandem_dup,
+)
 from .transform import DerivativePair, assemble, derive, integrate, trunk, zero_signature
-from .words import Word, run_profile
-from .wordspace import MAX_ENUMERABLE, all_words, pal2_free_mask, run_stats, signature_scan
+from .words import Word, _unchecked_word, _words_of_rows, run_profile
+from .wordspace import MAX_ENUMERABLE, all_words, packed_keys, pal2_free_mask, run_stats, signature_scan
 
 
 class DecodingFailure(Exception):
     """Raised when a received word lies outside every codeword's error ball."""
-
-
-def _materialize(rows, q: int) -> list[Word]:
-    return [Word(tuple(int(s) for s in row), q) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +127,9 @@ class TandemVTCode:
 
     def codebook(self, limit: int = MAX_ENUMERABLE) -> list[Word]:
         return c1_codebook(self, limit)
+
+    def codebook_rows(self, limit: int = MAX_ENUMERABLE) -> np.ndarray:
+        return c1_codebook_rows(self, limit)
 
 
 def c1_member(x: Word, code: TandemVTCode) -> bool:
@@ -191,13 +212,18 @@ def c1_size_lower_bound(n: int, ell: int, q: int) -> Fraction:
     return q**ell * total
 
 
-def c1_codebook(code: TandemVTCode, limit: int = MAX_ENUMERABLE) -> list[Word]:
-    """All codewords in lexicographic order."""
+def c1_codebook_rows(code: TandemVTCode, limit: int = MAX_ENUMERABLE) -> np.ndarray:
+    """All codewords as int8 rows in lexicographic order."""
     arr = all_words(code.n, code.q, limit=limit)
     sig_len, _, csum = signature_scan(arr, code.ell)
     residues = csum % (sig_len + 1)
     wanted = np.asarray(code.a, dtype=np.int64)[sig_len - 1]
-    return _materialize(arr[residues == wanted], code.q)
+    return arr[residues == wanted]
+
+
+def c1_codebook(code: TandemVTCode, limit: int = MAX_ENUMERABLE) -> list[Word]:
+    """All codewords in lexicographic order."""
+    return list(_words_of_rows(c1_codebook_rows(code, limit), code.q))
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +258,10 @@ class PalindromicL2Code:
         return cls(n, a, b)
 
     @property
+    def q(self) -> int:
+        return 2
+
+    @property
     def kinds(self) -> tuple[ErrorKind, ...]:
         return (pal_dup(2),)
 
@@ -243,6 +273,9 @@ class PalindromicL2Code:
 
     def codebook(self, limit: int = MAX_ENUMERABLE) -> list[Word]:
         return c2_codebook(self, limit)
+
+    def codebook_rows(self, limit: int = MAX_ENUMERABLE) -> np.ndarray:
+        return c2_codebook_rows(self, limit)
 
 
 def c2_member(x: Word, code: PalindromicL2Code) -> bool:
@@ -325,12 +358,9 @@ def c2_decode(y: Word, code: PalindromicL2Code) -> Word:
 
     survivors: set[Word] = set()
     for p in candidates:
-        if not 0 <= p <= len(y) - 4:
-            continue
-        try:
-            candidate = palindromic_delete(y, 2, p)
-        except ValueError:
-            continue  # window is not a mirrored pair; rejected candidate run
+        if not 0 <= p <= len(y) - 4 or y[p] != y[p + 3] or y[p + 1] != y[p + 2]:
+            continue  # the window is not a mirrored pair: a rejected candidate run
+        candidate = palindromic_delete(y, 2, p)
         if c2_member(candidate, code):
             survivors.add(candidate)
     if len(survivors) == 1:
@@ -358,15 +388,25 @@ def c2_best_params(n: int, limit: int = MAX_ENUMERABLE):
     return (idx // modulus, idx % modulus), int(counts[idx])
 
 
+def c2_groups(n: int, limit: int = MAX_ENUMERABLE):
+    """(codes, rows, group): every nonempty (a, b) code of length n in (a, b)
+    order, all 2^n binary words as int8 rows in lexicographic order, and for
+    each row the index in `codes` of the code it belongs to."""
+    arr, keys = _c2_keys(n, limit)
+    modulus = 2 * n + 1
+    present, group = np.unique(keys, return_inverse=True)
+    codes = [PalindromicL2Code(n, key // modulus, key % modulus) for key in present.tolist()]
+    return codes, arr, group
+
+
 def c2_codebooks(n: int, limit: int = MAX_ENUMERABLE) -> dict[PalindromicL2Code, list[Word]]:
     """Every nonempty (a, b) code of length n with its codebook, in (a, b)
     order; the codebooks partition the 2^n binary words."""
-    arr, keys = _c2_keys(n, limit)
-    modulus = 2 * n + 1
-    groups: dict[int, list[Word]] = {}
-    for key, x in zip(keys.tolist(), _materialize(arr, 2)):
-        groups.setdefault(key, []).append(x)
-    return {PalindromicL2Code(n, key // modulus, key % modulus): groups[key] for key in sorted(groups)}
+    codes, arr, group = c2_groups(n, limit)
+    books: dict[PalindromicL2Code, list[Word]] = {code: [] for code in codes}
+    for g, x in zip(group.tolist(), _words_of_rows(arr, 2)):
+        books[codes[g]].append(x)
+    return books
 
 
 def c2_size_lower_bound(n: int) -> Fraction:
@@ -376,12 +416,16 @@ def c2_size_lower_bound(n: int) -> Fraction:
     return Fraction(2**n, 5 * (2 * n + 1))
 
 
-def c2_codebook(code: PalindromicL2Code, limit: int = MAX_ENUMERABLE) -> list[Word]:
-    """All codewords in lexicographic order."""
+def c2_codebook_rows(code: PalindromicL2Code, limit: int = MAX_ENUMERABLE) -> np.ndarray:
+    """All codewords as int8 rows in lexicographic order."""
     arr = all_words(code.n, 2, limit=limit)
     _, len1, csum = run_stats(arr)
-    mask = (len1 % 5 == code.a) & (csum % (2 * code.n + 1) == code.b)
-    return _materialize(arr[mask], 2)
+    return arr[(len1 % 5 == code.a) & (csum % (2 * code.n + 1) == code.b)]
+
+
+def c2_codebook(code: PalindromicL2Code, limit: int = MAX_ENUMERABLE) -> list[Word]:
+    """All codewords in lexicographic order."""
+    return list(_words_of_rows(c2_codebook_rows(code, limit), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +451,10 @@ class PalindromeFreeCode:
         return tuple(pal_dup(ell) for ell in range(2, self.n + 1))
 
     def member(self, x: Word) -> bool:
+        if x.q != self.q:
+            raise ValueError(f"alphabet mismatch: word q={x.q}, code q={self.q}")
+        if len(x) != self.n:
+            raise ValueError(f"length mismatch: |x|={len(x)}, code n={self.n}")
         return cpf_member(x)
 
     def decode(self, y: Word) -> Word:
@@ -414,6 +462,9 @@ class PalindromeFreeCode:
 
     def codebook(self, limit: int = MAX_ENUMERABLE) -> list[Word]:
         return cpf_codebook(self.n, self.q, limit)
+
+    def codebook_rows(self, limit: int = MAX_ENUMERABLE) -> np.ndarray:
+        return cpf_codebook_rows(self.n, self.q, limit)
 
 
 def cpf_member(x: Word) -> bool:
@@ -428,9 +479,10 @@ def cpf_member(x: Word) -> bool:
 def cpf_decode(y: Word, n: int) -> Word:
     """Correct one palindromic duplication of length |y| - n >= 2.
 
-    Tries the deletion at every admissible position and returns the unique
-    palindrome-free outcome. Length-1 duplications are outside this code's
-    error model and are rejected up front.
+    Tries the deletion at every position where the window mirrors the block
+    and returns the unique palindrome-free outcome. Length-1 duplications
+    are outside this code's error model: a word of length n + 1 raises
+    DecodingFailure.
     """
     ell = len(y) - n
     if ell < 0:
@@ -440,13 +492,10 @@ def cpf_decode(y: Word, n: int) -> Word:
             return y
         raise DecodingFailure("decoding failure: received word is not palindrome-free")
     if ell == 1:
-        raise ValueError("unsupported duplication length 1; this code corrects lengths 2..n")
+        raise DecodingFailure("decoding failure: duplication length 1 is outside this code's model (lengths 2..n)")
     survivors: set[Word] = set()
-    for p in range(len(y) - 2 * ell + 1):
-        try:
-            candidate = palindromic_delete(y, ell, p)
-        except ValueError:
-            continue
+    for p in deletion_positions(y, pal_del(ell)):
+        candidate = palindromic_delete(y, ell, p)
         if cpf_member(candidate):
             survivors.add(candidate)
     if len(survivors) == 1:
@@ -543,10 +592,15 @@ def cpf_rate_table(q_list, n_list) -> list[dict]:
     return rows
 
 
+def cpf_codebook_rows(n: int, q: int, limit: int = MAX_ENUMERABLE) -> np.ndarray:
+    """All 2-palindrome-free words of length n as int8 rows in lexicographic order."""
+    arr = all_words(n, q, limit=limit)
+    return arr[pal2_free_mask(arr)]
+
+
 def cpf_codebook(n: int, q: int, limit: int = MAX_ENUMERABLE) -> list[Word]:
     """All 2-palindrome-free words of length n in lexicographic order."""
-    arr = all_words(n, q, limit=limit)
-    return _materialize(arr[pal2_free_mask(arr)], q)
+    return list(_words_of_rows(cpf_codebook_rows(n, q, limit), q))
 
 
 # ---------------------------------------------------------------------------
@@ -585,3 +639,133 @@ def disjoint_ball_violation(codebook, kind: ErrorKind, t: int):
                 return (prev, c, member)
             owner[member] = c
     return None
+
+
+def ball_clashes(keys, owner, group) -> dict[int, tuple[int, int, int]]:
+    """Array twin of `disjoint_ball_violation` for t = 1 and one duplication
+    kind, over a batch of codebooks that one sort keeps apart.
+
+    `keys` are the packed keys (group << bits) | key of the single
+    duplications of the codewords (`wordspace.packed_keys` with the owner's
+    group as prefix), in the order `channel.duplication_rows` gives them;
+    owner[r] is the codeword received word r comes from, and group[i] the
+    codebook of codeword i. The codewords of one codebook are distinct.
+    Every ball holds its codeword of length n and received words of length
+    n + ell, so two balls of one codebook intersect exactly when two of its
+    codewords reach the same received word: two equal keys of different
+    owners. Returns, for each group whose balls intersect, (i, j, r): the
+    first two codewords i < j whose balls hold the group's lexicographically
+    smallest shared word, received word r.
+    """
+    order = np.argsort(keys, kind="stable")  # equal keys keep their owners ascending
+    keys, owners = keys[order], owner[order]
+    hits = np.flatnonzero((keys[1:] == keys[:-1]) & (owners[1:] != owners[:-1]))
+    groups, first = np.unique(group[owners[hits]], return_index=True)
+    return {
+        int(g): (int(owners[h]), int(owners[h + 1]), int(order[h]))
+        for g, h in zip(groups.tolist(), hits[first].tolist())
+    }
+
+
+def oracle_verdicts(book, group, received, owner, kind: ErrorKind, group_codes) -> np.ndarray:
+    """Array twin of `oracle_decode` over a batch of codebooks: True for each
+    received row whose single deletions of the inverse kind reach exactly one
+    codeword of its owner's codebook, and that codeword is the owner.
+
+    book[i] is codeword i, of the code group_codes[group[i]]; `received` and
+    `owner` come from `channel.duplication_rows(book, kind)`. The deletions
+    run once per distinct received word, and a deletion outcome is a codeword
+    when its packed key is among the sorted keys of the codebook. The scalar
+    `member` of the code is asked once per distinct (code, outcome) and must
+    agree with that lookup: a row with an outcome on which they disagree is
+    False.
+    """
+    q = group_codes[0].q
+    received_group = group[owner]
+    received_keys = packed_keys(received, q, prefix=received_group)
+    _, distinct, word_of = np.unique(received_keys, return_index=True, return_inverse=True)
+    outcomes, source = deletion_rows(received[distinct], kind.inverse())
+    outcome_group = received_group[distinct][source]
+    keys = packed_keys(outcomes, q, prefix=outcome_group)
+    book_keys = packed_keys(book, q, prefix=group)
+    order = np.argsort(book_keys)
+    book_keys = book_keys[order]
+    at = np.minimum(np.searchsorted(book_keys, keys), len(book_keys) - 1)
+    found = book_keys[at] == keys
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    member = [
+        group_codes[g].member(_unchecked_word(tuple(outcomes[k].tolist()), q))
+        for g, k in zip(outcome_group[first].tolist(), first.tolist())
+    ]
+    disagree = (np.array(member, dtype=bool) != found[first])[inverse]
+    # per distinct word: the lowest and highest codeword its deletions reach
+    lowest = np.full(len(distinct), len(book))
+    highest = np.full(len(distinct), -1)
+    reached, by = order[at[found]], source[found]
+    np.minimum.at(lowest, by, reached)
+    np.maximum.at(highest, by, reached)
+    spoiled = np.bincount(source[disagree], minlength=len(distinct)) > 0
+    return (lowest[word_of] == owner) & (highest[word_of] == owner) & ~spoiled[word_of]
+
+
+def _recovers(c: Word, decode, y: Word) -> bool:
+    """True when decode(y) returns c; a DecodingFailure is a broken round trip."""
+    try:
+        return decode(y) == c
+    except DecodingFailure:
+        return False
+
+
+_BLOCK_ROWS = 1 << 15  # received words that check_correction holds as rows at a time
+
+
+def check_correction(group_codes, book, group=None) -> list[tuple[ErrorKind, dict, np.ndarray]]:
+    """Single-error correction of a batch of codebooks of one construction,
+    for every kind its codes correct; the codes share n, q and kinds.
+
+    book holds the codewords as int8 rows and group[i] (default 0) is the
+    index in group_codes of the code that codeword i belongs to. Returns one
+    (kind, clashes, broken) per kind: clashes maps each group whose balls
+    intersect to (first codeword, second codeword, shared word) as Words
+    (see `ball_clashes`), and broken[g] counts the round trips (codeword,
+    error) of group g that the code's decoder or `oracle_verdicts` does not
+    return to the codeword. The decoder runs on every round trip. Raises
+    ValueError when the packed keys do not fit int64.
+
+    Received words are built, checked and decoded one block of codewords
+    (about _BLOCK_ROWS received words) at a time, so memory stays bounded;
+    only their packed keys, which the disjointness sort needs all at once,
+    are kept for a whole kind. The member cross-check of `oracle_verdicts`
+    runs once per block.
+    """
+    q = group_codes[0].q
+    if group is None:
+        group = np.zeros(len(book), dtype=np.intp)
+    words = list(_words_of_rows(book, q))
+    decoders = [group_codes[g].decode for g in group.tolist()]  # per codeword
+    results = []
+    for kind in group_codes[0].kinds:
+        per_codeword = max(0, book.shape[1] - kind.ell + 1)  # received words i * per_codeword.. are codeword i's
+        step = max(1, _BLOCK_ROWS // max(1, per_codeword))
+        keys, recovered = [], []
+        for start in range(0, max(1, len(book)), step):  # an empty book is one empty block
+            stop = min(start + step, len(book))
+            received, owner = duplication_rows(book[start:stop], kind)
+            owner += start
+            keys.append(packed_keys(received, q, prefix=group[owner]))
+            verdicts = oracle_verdicts(book, group, received, owner, kind, group_codes)
+            per_owner = received.reshape(stop - start, per_codeword, received.shape[1])
+            decoded = [
+                _recovers(words[i], decoders[i], _unchecked_word(tuple(y), q))
+                for i, rows in zip(range(start, stop), per_owner)
+                for y in rows.tolist()
+            ]
+            recovered.append(verdicts & np.array(decoded, dtype=bool))
+        owner = np.repeat(np.arange(len(book)), per_codeword)
+        clashes = {
+            g: (words[i], words[j], apply_error(words[i], kind, r % per_codeword))
+            for g, (i, j, r) in ball_clashes(np.concatenate(keys), owner, group).items()
+        }
+        broken = owner[~np.concatenate(recovered)]
+        results.append((kind, clashes, np.bincount(group[broken], minlength=len(group_codes))))
+    return results

@@ -15,7 +15,7 @@ trailing gap. An empty v has trunk () and signature (0,).
 
 from dataclasses import dataclass
 
-from .words import Word
+from .words import Word, _unchecked_word
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,7 +42,7 @@ def derive(x: Word, ell: int) -> DerivativePair:
         raise ValueError(f"word of length {len(x)} too short for step ell={ell}")
     s = x.symbols
     v = tuple((s[i + ell] - s[i]) % x.q for i in range(len(s) - ell))
-    return DerivativePair(Word(s[:ell], x.q), Word(v, x.q))
+    return DerivativePair(_unchecked_word(s[:ell], x.q), _unchecked_word(v, x.q))
 
 
 def integrate(pair: DerivativePair) -> Word:
@@ -54,7 +54,7 @@ def integrate(pair: DerivativePair) -> Word:
     out = list(pair.u.symbols)
     for d in pair.v.symbols:
         out.append((out[-ell] + d) % q)
-    return Word(tuple(out), q)
+    return _unchecked_word(tuple(out), q)
 
 
 def _zero_gaps(v: Word) -> tuple[list[int], list[int]]:
@@ -80,7 +80,7 @@ def trunk(v: Word, ell: int) -> Word:
         out.extend([0] * (m % ell))
         out.append(w)
     out.extend([0] * (gaps[-1] % ell))
-    return Word(tuple(out), v.q)
+    return _unchecked_word(tuple(out), v.q)
 
 
 def zero_signature(v: Word, ell: int) -> tuple[int, ...]:
@@ -118,4 +118,4 @@ def assemble(trunk_word: Word, signature, ell: int) -> Word:
         out.extend([0] * (gaps[k] + signature[k] * ell))
         out.append(w)
     out.extend([0] * (gaps[-1] + signature[-1] * ell))
-    return Word(tuple(out), trunk_word.q)
+    return _unchecked_word(tuple(out), trunk_word.q)

@@ -47,6 +47,37 @@ class Word:
         return Word(tuple(symbols), self.q)
 
 
+_new_word = object.__new__
+_set_symbols = Word.symbols.__set__
+_set_q = Word.q.__set__
+
+
+def _unchecked_word(symbols: tuple[int, ...], q: int) -> Word:
+    """Word built without the symbol check, for symbols that come from a valid
+    word or are reduced mod q; `symbols` must already be a tuple of ints.
+
+    Only the package's own operations call this: every word that enters from
+    outside goes through the checking constructor (`Word`, `word`,
+    `parse_word`, `Word.replace`).
+    """
+    w = _new_word(Word)
+    _set_symbols(w, symbols)
+    _set_q(w, q)
+    return w
+
+
+_ROW_BLOCK = 4096  # rows converted to Python lists at a time
+
+
+def _words_of_rows(rows, q: int):
+    """The words of an (N, n) integer array whose symbols lie in 0..q-1, as
+    the wordspace kernels produce them, in row order. Converts one block of
+    rows at a time, so no list of all rows is ever built."""
+    for start in range(0, len(rows), _ROW_BLOCK):
+        for row in rows[start : start + _ROW_BLOCK].tolist():
+            yield _unchecked_word(tuple(row), q)
+
+
 def word(symbols, q: int) -> Word:
     """Convenience constructor accepting any iterable of symbols."""
     return Word(tuple(symbols), q)

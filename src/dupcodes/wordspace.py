@@ -14,6 +14,10 @@ and return per-row statistics as int64 arrays:
   run_stats(words) -> (run_count, len1_runs, run_checksum)
   pal2_free_mask(words) -> bool mask of words with no a b b a window
 
+packed_keys(words, q, prefix) turns each row into one int64 base-q key that
+sorts as the row does, so a batch of words can be sorted, deduplicated and
+looked up as integers.
+
 Each kernel streams over symbol columns: it takes one column-major copy of
 the rows and runs the per-word left-to-right recursion for all rows at
 once, one column per step. The per-row state lives in a few length-N
@@ -154,6 +158,32 @@ def pal2_free_mask(words):
         outer &= inner
         hit |= outer
     return ~hit
+
+
+def packed_keys(words, q: int, prefix=None) -> np.ndarray:
+    """Base-q key sum_j x_j q^(n-1-j) of every row as int64: the first symbol
+    is the most significant, so keys order as the rows do lexicographically.
+
+    With `prefix` (one nonnegative integer per row) the key is
+    (prefix << b) | key, where b is the bit width of q^n - 1, so keys sort by
+    prefix first. Raises ValueError when the keys need more than 63 bits.
+    """
+    cols = _columns(words)
+    n, N = cols.shape
+    width = (q**n - 1).bit_length()
+    top = 0 if prefix is None or N == 0 else int(np.max(prefix))
+    if top.bit_length() + width > 63:
+        raise ValueError(
+            f"packed keys of {N} words of length {n} over q={q} need "
+            f"{top.bit_length() + width} bits; int64 keys hold 63"
+        )
+    keys = np.zeros(N, dtype=np.int64)
+    for j in range(n):
+        keys *= q
+        keys += cols[j]
+    if prefix is not None:
+        keys |= np.asarray(prefix, dtype=np.int64) << width
+    return keys
 
 
 def backend() -> str:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dupcodes.channel import (
@@ -6,6 +7,8 @@ from dupcodes.channel import (
     ball_intersection,
     balls_intersect,
     deletion_positions,
+    deletion_rows,
+    duplication_rows,
     error_ball,
     error_positions,
     error_sphere,
@@ -189,3 +192,38 @@ def test_error_kind_helpers():
     x = word((0, 0, 1), 2)
     assert error_positions(x, tandem_dup(1)) == [0, 1, 2]
     assert apply_error(x, pal_dup(2), 1) == word((0, 0, 1, 1, 0), 2)
+
+
+@pytest.mark.parametrize("q,n_max", [(2, 6), (3, 4)])
+def test_batch_twins_match_the_single_operations(q, n_max):
+    """duplication_rows and deletion_rows against apply_error over every word,
+    in their documented order (row by row, positions ascending)."""
+    for n in range(0, n_max + 1):
+        words = list(words_of(n, q))
+        rows = np.array([x.symbols for x in words], dtype=np.int8).reshape(len(words), n)
+        for ell in (1, 2, 3):
+            for dup in (tandem_dup(ell), pal_dup(ell)):
+                received, owner = duplication_rows(rows, dup)
+                expected = [(i, apply_error(x, dup, p)) for i, x in enumerate(words) for p in error_positions(x, dup)]
+                assert owner.tolist() == [i for i, _ in expected]
+                assert [word(r, q) for r in received.tolist()] == [y for _, y in expected]
+                deletion = dup.inverse()
+                outcomes, source = deletion_rows(received, deletion)
+                expected = [
+                    (k, apply_error(y, deletion, p))
+                    for k, (_, y) in enumerate(expected)
+                    for p in deletion_positions(y, deletion)
+                ]
+                assert source.tolist() == [k for k, _ in expected]
+                assert [word(r, q) for r in outcomes.tolist()] == [x for _, x in expected]
+                outcomes, source = deletion_rows(rows, deletion)
+                assert sorted(source.tolist()) == source.tolist()
+                assert len(source) == sum(len(deletion_positions(x, deletion)) for x in words)
+
+
+def test_batch_twins_refuse_the_other_direction():
+    rows = np.zeros((2, 4), dtype=np.int8)
+    with pytest.raises(ValueError, match="duplication kind"):
+        duplication_rows(rows, tandem_del(1))
+    with pytest.raises(ValueError, match="deletion kind"):
+        deletion_rows(rows, pal_dup(2))

@@ -1,10 +1,17 @@
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dupcodes import codes
+from dupcodes.channel import error_ball, tandem_dup
 from dupcodes.cli import main
+from dupcodes.words import parse_word
+from dupcodes.wordspace import all_words
 
 
 def run_cli(capsys, *argv):
@@ -182,9 +189,9 @@ def test_simulate_golden_output(tmp_path, capsys):
     "args,decoder",
     [
         (("--code", "c1", "--n", "6", "--l", "2", "--q", "2"), "c1_decode"),
-        (("--code", "c1", "--n", "6", "--l", "2", "--q", "2"), "oracle_decode"),
+        (("--code", "c1", "--n", "6", "--l", "2", "--q", "2"), "oracle_verdicts"),
         (("--code", "c2", "--n", "6", "--q", "2"), "c2_decode"),
-        (("--code", "c2", "--n", "6", "--q", "2"), "oracle_decode"),
+        (("--code", "c2", "--n", "6", "--q", "2"), "oracle_verdicts"),
         (("--code", "cpf", "--n", "6", "--q", "2"), "cpf_decode"),
     ],
 )
@@ -192,12 +199,73 @@ def test_verify_counts_decoding_failure_as_broken(monkeypatch, capsys, args, dec
     def fail(*_):
         raise codes.DecodingFailure("decoding failure: injected")
 
-    monkeypatch.setattr(codes, decoder, fail)
+    def oracle_rejects_every_row(book, group, received, *_):
+        return np.zeros(len(received), dtype=bool)
+
+    monkeypatch.setattr(codes, decoder, oracle_rejects_every_row if decoder == "oracle_verdicts" else fail)
     code, out, _ = run_cli(capsys, "verify", *args)
     assert code == 1
     lines = out.splitlines()
     assert lines[-1] == "FAIL"
     assert any(line.startswith("FAIL ") and "broken" in line for line in lines)
+
+
+@pytest.mark.parametrize(
+    "args,decoder,report",
+    [
+        (("--code", "c2", "--n", "6", "--q", "2"), "c2_decode", "FAIL {groups} parameter pairs with broken correction"),
+        (("--code", "cpf", "--n", "6", "--q", "2"), "cpf_decode", "FAIL 5 duplication lengths with broken correction"),
+    ],
+    ids=["c2", "cpf"],
+)
+def test_verify_failure_counts_parameter_pairs_and_lengths(monkeypatch, capsys, args, decoder, report):
+    """A decoder that fails everywhere breaks every (a, b) group that exists
+    at n=6, and each duplication length 2..6 of cpf, once."""
+
+    def fail(*_):
+        raise codes.DecodingFailure("decoding failure: injected")
+
+    groups = len(codes.c2_codebooks(6))
+    monkeypatch.setattr(codes, decoder, fail)
+    code, out, _ = run_cli(capsys, "verify", *args)
+    assert code == 1
+    assert report.format(groups=groups) in out.splitlines()
+
+
+def test_verify_names_a_clashing_pair_and_their_shared_word(monkeypatch, capsys):
+    """With every word of length 6 as the codebook, the balls clash; the FAIL
+    line names two codewords and a word that both balls hold."""
+    monkeypatch.setattr(codes, "c1_codebook_rows", lambda code, limit: all_words(code.n, code.q, limit))
+    code, out, _ = run_cli(capsys, "verify", "--code", "c1", "--n", "6", "--l", "2", "--q", "2")
+    assert code == 1
+    [line] = [line for line in out.splitlines() if line.startswith("FAIL balls intersect: ")]
+    first, rest = line.removeprefix("FAIL balls intersect: ").split(" / ")
+    second, shared = rest.split(" share ")
+    first, second, shared = (parse_word(text, 2) for text in (first, second, shared))
+    assert first != second
+    assert shared in error_ball(first, tandem_dup(2), 1) & error_ball(second, tandem_dup(2), 1)
+
+
+def test_verify_refuses_keys_wider_than_int64(monkeypatch, capsys):
+    """cpf at n=40 duplicates up to 40 symbols: received words of length 80
+    need 80-bit keys. The codebook stands in for one that a larger machine
+    could enumerate."""
+    monkeypatch.setattr(codes, "cpf_codebook_rows", lambda n, q, limit: np.zeros((0, n), dtype=np.int8))
+    code, out, err = run_cli(capsys, "verify", "--code", "cpf", "--n", "40", "--q", "2", "--force")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("refused: ") and "int64" in err and err.count("\n") == 1
+
+
+def test_benchmark_self_test_passes():
+    """perfbench/selftest.py: every benchmark output check accepts the real
+    answer and rejects each corruption, including a wrong decoder in verify."""
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"], cwd=root, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "self-test passed"
 
 
 @pytest.mark.parametrize(

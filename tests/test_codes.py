@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dupcodes import channel
 from dupcodes.channel import palindromic_duplicate, tandem_duplicate
@@ -191,7 +193,7 @@ def test_cpf_decode_roundtrip_and_errors():
                 for p in range(n - ell + 1):
                     y = palindromic_duplicate(c, ell, p)
                     assert cpf_decode(y, n) == c
-    with pytest.raises(ValueError, match="length 1"):
+    with pytest.raises(DecodingFailure, match="length 1"):
         cpf_decode(word((0, 1, 0, 1, 0, 1, 0, 1), 2), 7)
     with pytest.raises(DecodingFailure):
         cpf_decode(word((0, 0, 0, 0), 2), 4)  # not palindrome-free
@@ -320,3 +322,34 @@ def test_c2_codebooks_partition_the_word_space():
     for code, book in groups.items():
         assert book == c2_codebook(code)
     assert max(len(book) for book in groups.values()) == c2_best_params(n)[1]
+
+
+def test_palindrome_free_member_refuses_other_lengths_and_alphabets():
+    code = PalindromeFreeCode(5, 2)
+    assert code.member(word((0, 1, 1, 0, 0), 2)) is False
+    with pytest.raises(ValueError, match="length"):
+        code.member(word((0, 1), 2))
+    with pytest.raises(ValueError, match="alphabet"):
+        code.member(word((0, 1, 2, 2, 0), 3))
+
+
+# small codes of every construction: each c1 (n, q, ell), every c2 (a, b) group, each cpf (n, q)
+_CONTRACT_CODES = (
+    [TandemVTCode.best(n, q, ell) for q in (2, 3) for n in range(1, 7) for ell in range(1, min(n, 3) + 1)]
+    + [code for n in range(1, 8) for code in c2_codebooks(n)]
+    + [PalindromeFreeCode(n, q) for q in (2, 3) for n in range(0, 7)]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_CONTRACT_CODES), st.data())
+def test_decoders_return_a_member_or_raise_decoding_failure(code, data):
+    """Any word over the code's alphabet of length 0..2n+1: the decoder returns
+    a codeword of length n or raises DecodingFailure, never anything else."""
+    length = data.draw(st.integers(0, 2 * code.n + 1))
+    y = word(data.draw(st.lists(st.integers(0, code.q - 1), min_size=length, max_size=length)), code.q)
+    try:
+        x = code.decode(y)
+    except DecodingFailure:
+        return
+    assert len(x) == code.n and code.member(x)

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dupcodes.channel import apply_error, deletion_positions, error_positions, pal_dup, tandem_dup
+from dupcodes.transform import assemble, derive, integrate, trunk, zero_signature
 from dupcodes.words import (
     Word,
     format_word,
@@ -95,3 +97,43 @@ def test_parse_format_roundtrip(q, symbols):
     symbols = [s % q for s in symbols]
     x = word(symbols, q)
     assert parse_word(format_word(x), q) == x
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Word((0, 2), 2),
+        lambda: word([0, 3], 3),
+        lambda: parse_word("0120", 2),
+        lambda: parse_word("1,13", 13),
+        lambda: word((0, 1), 2).replace((0, 5)),
+        lambda: word((1, 1), 3).replace((-1, 1)),
+    ],
+    ids=["Word", "word", "parse_word", "parse_word-commas", "replace", "replace-negative"],
+)
+def test_public_constructors_refuse_out_of_range_symbols(build):
+    with pytest.raises(ValueError, match="outside alphabet"):
+        build()
+
+
+def _passes_symbol_check(x: Word):
+    assert type(x.symbols) is tuple and all(type(s) is int for s in x.symbols)
+    assert Word(x.symbols, x.q) == x  # the checking constructor accepts it
+
+
+@given(st.integers(2, 4), st.lists(st.integers(0, 3), max_size=10), st.integers(1, 3))
+def test_channel_and_transform_outputs_pass_the_symbol_check(q, symbols, ell):
+    """The package builds these words without the symbol check."""
+    x = word([s % q for s in symbols], q)
+    for dup in (tandem_dup(ell), pal_dup(ell)):
+        for p in error_positions(x, dup):
+            y = apply_error(x, dup, p)
+            _passes_symbol_check(y)
+            deletion = dup.inverse()
+            for r in deletion_positions(y, deletion):
+                _passes_symbol_check(apply_error(y, deletion, r))
+    if len(x) >= ell:
+        pair = derive(x, ell)
+        for z in (pair.u, pair.v, integrate(pair), trunk(pair.v, ell)):
+            _passes_symbol_check(z)
+        _passes_symbol_check(assemble(trunk(pair.v, ell), zero_signature(pair.v, ell), ell))

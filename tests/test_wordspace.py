@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from dupcodes.transform import derive, zero_signature
 from dupcodes.words import Word, run_profile
-from dupcodes.wordspace import all_words, backend, pal2_free_mask, run_stats, signature_scan
+from dupcodes.wordspace import all_words, backend, packed_keys, pal2_free_mask, run_stats, signature_scan
 
 
 def _scalar_signature(row, ell, q):
@@ -150,3 +150,28 @@ def test_kernels_match_scalar_on_random_rows(data, ell):
 
 def test_backend_name():
     assert backend() == "numpy"
+
+
+@pytest.mark.parametrize("n,q", [(0, 2), (1, 3), (6, 2), (4, 3), (3, 5)])
+def test_packed_keys_sort_as_the_rows(n, q):
+    arr = all_words(n, q)
+    keys = packed_keys(arr, q)
+    assert keys.dtype == np.int64
+    assert keys.tolist() == list(range(q**n))  # base-q value; all_words is lexicographic
+    shuffled = arr[np.random.default_rng(n).permutation(len(arr))]
+    assert sorted(map(tuple, shuffled.tolist())) == [tuple(r) for r in shuffled[np.argsort(packed_keys(shuffled, q))].tolist()]
+    prefix = np.arange(len(arr))[::-1] % 3
+    grouped = packed_keys(arr, q, prefix=prefix)
+    assert (grouped >> (q**n - 1).bit_length()).tolist() == prefix.tolist()
+    assert (grouped - (prefix.astype(np.int64) << (q**n - 1).bit_length())).tolist() == keys.tolist()
+
+
+def test_packed_keys_refuse_more_than_63_bits():
+    assert packed_keys(np.ones((1, 63), dtype=np.int8), 2).tolist() == [2**63 - 1]
+    with pytest.raises(ValueError, match="int64"):
+        packed_keys(np.zeros((0, 64), dtype=np.int8), 2)
+    with pytest.raises(ValueError, match="int64"):
+        packed_keys(np.zeros((2, 62), dtype=np.int8), 2, prefix=np.array([0, 2]))
+    assert packed_keys(np.zeros((2, 62), dtype=np.int8), 2, prefix=np.array([0, 1])).tolist() == [0, 2**62]
+    with pytest.raises(ValueError, match="int64"):
+        packed_keys(np.zeros((1, 40), dtype=np.int8), 3)
