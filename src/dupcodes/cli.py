@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bounds, channel, codes, formulas
 from .channel import ErrorKind
-from .words import Word, format_word, parse_word
+from .words import Word, _word_of_row, format_word, parse_word
 from .wordspace import MAX_ENUMERABLE
 
 _DNA = {"A": 0, "C": 1, "G": 2, "T": 3}
@@ -156,6 +156,8 @@ def cmd_sphere(args) -> int:
 def cmd_bound(args) -> int:
     try:
         n_values = _parse_n_values(args.n)
+        if not n_values:
+            raise ValueError(f"no lengths in --n {args.n}")
         if args.l < 1:
             raise ValueError(f"block length must be >= 1, got l={args.l}")
     except ValueError as exc:
@@ -332,23 +334,26 @@ def cmd_rates(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.trials < 0:
+        print(f"error: --trials must be >= 0, got {args.trials}", file=sys.stderr)
+        return 2
     rng = random.Random(args.seed)
     code = _best_code(args)
     if code is None:
         return 2
     try:
-        book = code.codebook(_limit(args))
+        book = code.codebook_rows(_limit(args))
     except ValueError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    if not book:
+    if not len(book):
         print("error: empty codebook", file=sys.stderr)
         return 2
     kinds = code.kinds
     successes = 0
     failure = None
     for _ in range(args.trials):
-        c = book[rng.randrange(len(book))]
+        c = _word_of_row(book[rng.randrange(len(book))], code.q)
         kind = kinds[0] if len(kinds) == 1 else kinds[rng.randrange(len(kinds))]
         y, p = channel.sample_single_error(c, kind, rng)
         try:
@@ -444,7 +449,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        if args.out is None or exc.filename != args.out:
+            raise
+        print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -33,12 +33,13 @@ nothing but this interface.
 
 `check_correction` verifies single-error correction on arrays: it takes a
 codebook as the int8 rows of the kernels, builds every single duplication
-with `channel.duplication_rows`, decides ball disjointness by sorting
-packed keys (`ball_clashes`) and replaces the enumeration of
-`oracle_decode` by looking up every valid deletion outcome among the
-codebook keys (`oracle_verdicts`). The scalar decoder still runs on every
+with `channel.duplication_rows`, and looks up the valid deletion outcomes
+of every received word among the sorted codebook keys (`oracle_verdicts`).
+That one lookup replaces the enumeration of `oracle_decode` and also
+decides ball disjointness: two balls intersect exactly when some received
+word reaches a second codeword. The scalar decoder still runs on every
 round trip. `oracle_decode` and `disjoint_ball_violation` stay as the
-Word-level routes that the tests compare the array routes against.
+Word-level routes that the tests compare the array route against.
 
 Codebook enumeration and parameter sweeps run on the wordspace kernels and
 are deterministic (lexicographic word order, smallest-residue tie breaks).
@@ -54,7 +55,6 @@ import numpy as np
 from .bounds import _binom, rll_weight_count
 from .channel import (
     ErrorKind,
-    apply_error,
     deletion_positions,
     deletion_rows,
     duplication_rows,
@@ -66,7 +66,7 @@ from .channel import (
     tandem_dup,
 )
 from .transform import DerivativePair, assemble, derive, integrate, trunk, zero_signature
-from .words import Word, _unchecked_word, _words_of_rows, run_profile
+from .words import Word, _unchecked_word, _word_of_row, _words_of_rows, run_profile
 from .wordspace import MAX_ENUMERABLE, all_words, packed_keys, pal2_free_mask, run_stats, signature_scan
 
 
@@ -126,7 +126,7 @@ class TandemVTCode:
         return c1_decode(y, self)
 
     def codebook(self, limit: int = MAX_ENUMERABLE) -> list[Word]:
-        return c1_codebook(self, limit)
+        return list(_words_of_rows(self.codebook_rows(limit), self.q))
 
     def codebook_rows(self, limit: int = MAX_ENUMERABLE) -> np.ndarray:
         return c1_codebook_rows(self, limit)
@@ -221,11 +221,6 @@ def c1_codebook_rows(code: TandemVTCode, limit: int = MAX_ENUMERABLE) -> np.ndar
     return arr[residues == wanted]
 
 
-def c1_codebook(code: TandemVTCode, limit: int = MAX_ENUMERABLE) -> list[Word]:
-    """All codewords in lexicographic order."""
-    return list(_words_of_rows(c1_codebook_rows(code, limit), code.q))
-
-
 # ---------------------------------------------------------------------------
 # Construction 2: binary, palindromic duplications of length 2
 # ---------------------------------------------------------------------------
@@ -272,7 +267,7 @@ class PalindromicL2Code:
         return c2_decode(y, self)
 
     def codebook(self, limit: int = MAX_ENUMERABLE) -> list[Word]:
-        return c2_codebook(self, limit)
+        return list(_words_of_rows(self.codebook_rows(limit), self.q))
 
     def codebook_rows(self, limit: int = MAX_ENUMERABLE) -> np.ndarray:
         return c2_codebook_rows(self, limit)
@@ -399,16 +394,6 @@ def c2_groups(n: int, limit: int = MAX_ENUMERABLE):
     return codes, arr, group
 
 
-def c2_codebooks(n: int, limit: int = MAX_ENUMERABLE) -> dict[PalindromicL2Code, list[Word]]:
-    """Every nonempty (a, b) code of length n with its codebook, in (a, b)
-    order; the codebooks partition the 2^n binary words."""
-    codes, arr, group = c2_groups(n, limit)
-    books: dict[PalindromicL2Code, list[Word]] = {code: [] for code in codes}
-    for g, x in zip(group.tolist(), _words_of_rows(arr, 2)):
-        books[codes[g]].append(x)
-    return books
-
-
 def c2_size_lower_bound(n: int) -> Fraction:
     """Pigeonhole guarantee 2^n / (5 (2n+1)) on the best (a, b) cardinality."""
     if n < 1:
@@ -421,11 +406,6 @@ def c2_codebook_rows(code: PalindromicL2Code, limit: int = MAX_ENUMERABLE) -> np
     arr = all_words(code.n, 2, limit=limit)
     _, len1, csum = run_stats(arr)
     return arr[(len1 % 5 == code.a) & (csum % (2 * code.n + 1) == code.b)]
-
-
-def c2_codebook(code: PalindromicL2Code, limit: int = MAX_ENUMERABLE) -> list[Word]:
-    """All codewords in lexicographic order."""
-    return list(_words_of_rows(c2_codebook_rows(code, limit), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +441,7 @@ class PalindromeFreeCode:
         return cpf_decode(y, self.n)
 
     def codebook(self, limit: int = MAX_ENUMERABLE) -> list[Word]:
-        return cpf_codebook(self.n, self.q, limit)
+        return list(_words_of_rows(self.codebook_rows(limit), self.q))
 
     def codebook_rows(self, limit: int = MAX_ENUMERABLE) -> np.ndarray:
         return cpf_codebook_rows(self.n, self.q, limit)
@@ -598,11 +578,6 @@ def cpf_codebook_rows(n: int, q: int, limit: int = MAX_ENUMERABLE) -> np.ndarray
     return arr[pal2_free_mask(arr)]
 
 
-def cpf_codebook(n: int, q: int, limit: int = MAX_ENUMERABLE) -> list[Word]:
-    """All 2-palindrome-free words of length n in lexicographic order."""
-    return list(_words_of_rows(cpf_codebook_rows(n, q, limit), q))
-
-
 # ---------------------------------------------------------------------------
 # generic machinery
 # ---------------------------------------------------------------------------
@@ -641,71 +616,59 @@ def disjoint_ball_violation(codebook, kind: ErrorKind, t: int):
     return None
 
 
-def ball_clashes(keys, owner, group) -> dict[int, tuple[int, int, int]]:
-    """Array twin of `disjoint_ball_violation` for t = 1 and one duplication
-    kind, over a batch of codebooks that one sort keeps apart.
+def oracle_verdicts(book_keys, order, group, received, owner, kind: ErrorKind, group_codes):
+    """Array twin of `oracle_decode` and `disjoint_ball_violation` over a
+    batch of codebooks: one lookup of the codewords that the single
+    deletions of the inverse kind of each distinct received word reach.
 
-    `keys` are the packed keys (group << bits) | key of the single
-    duplications of the codewords (`wordspace.packed_keys` with the owner's
-    group as prefix), in the order `channel.duplication_rows` gives them;
-    owner[r] is the codeword received word r comes from, and group[i] the
-    codebook of codeword i. The codewords of one codebook are distinct.
-    Every ball holds its codeword of length n and received words of length
-    n + ell, so two balls of one codebook intersect exactly when two of its
-    codewords reach the same received word: two equal keys of different
-    owners. Returns, for each group whose balls intersect, (i, j, r): the
-    first two codewords i < j whose balls hold the group's lexicographically
-    smallest shared word, received word r.
-    """
-    order = np.argsort(keys, kind="stable")  # equal keys keep their owners ascending
-    keys, owners = keys[order], owner[order]
-    hits = np.flatnonzero((keys[1:] == keys[:-1]) & (owners[1:] != owners[:-1]))
-    groups, first = np.unique(group[owners[hits]], return_index=True)
-    return {
-        int(g): (int(owners[h]), int(owners[h + 1]), int(order[h]))
-        for g, h in zip(groups.tolist(), hits[first].tolist())
-    }
-
-
-def oracle_verdicts(book, group, received, owner, kind: ErrorKind, group_codes) -> np.ndarray:
-    """Array twin of `oracle_decode` over a batch of codebooks: True for each
-    received row whose single deletions of the inverse kind reach exactly one
-    codeword of its owner's codebook, and that codeword is the owner.
-
-    book[i] is codeword i, of the code group_codes[group[i]]; `received` and
-    `owner` come from `channel.duplication_rows(book, kind)`. The deletions
-    run once per distinct received word, and a deletion outcome is a codeword
-    when its packed key is among the sorted keys of the codebook. The scalar
+    book_keys are the sorted packed keys (group << bits) | key of the
+    codewords, order[k] is the codeword of book_keys[k], and group[i] is the
+    index in group_codes of codeword i's code; `received` and `owner` come
+    from `channel.duplication_rows` on some of the codewords. The scalar
     `member` of the code is asked once per distinct (code, outcome) and must
-    agree with that lookup: a row with an outcome on which they disagree is
-    False.
+    agree with the lookup.
+
+    Returns (verdicts, clashes). verdicts[r] is True when the lowest
+    codeword that received row r reaches is its owner, it reaches no second
+    one, and `member` agrees on every outcome. Since `deletion_rows` inverts
+    `duplication_rows` exactly, a second codeword means that two balls hold
+    the received word, and it fails the rows of both owners. clashes maps
+    each group with such a word among the rows to (key, i, j, word) for the
+    one with the smallest key: the two lowest codewords i < j reaching it
+    and its symbols.
     """
     q = group_codes[0].q
     received_group = group[owner]
     received_keys = packed_keys(received, q, prefix=received_group)
-    _, distinct, word_of = np.unique(received_keys, return_index=True, return_inverse=True)
+    distinct_keys, distinct, word_of = np.unique(received_keys, return_index=True, return_inverse=True)
+    distinct_group = received_group[distinct]
     outcomes, source = deletion_rows(received[distinct], kind.inverse())
-    outcome_group = received_group[distinct][source]
+    outcome_group = distinct_group[source]
     keys = packed_keys(outcomes, q, prefix=outcome_group)
-    book_keys = packed_keys(book, q, prefix=group)
-    order = np.argsort(book_keys)
-    book_keys = book_keys[order]
     at = np.minimum(np.searchsorted(book_keys, keys), len(book_keys) - 1)
     found = book_keys[at] == keys
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     member = [
-        group_codes[g].member(_unchecked_word(tuple(outcomes[k].tolist()), q))
+        group_codes[g].member(_word_of_row(outcomes[k], q))
         for g, k in zip(outcome_group[first].tolist(), first.tolist())
     ]
     disagree = (np.array(member, dtype=bool) != found[first])[inverse]
-    # per distinct word: the lowest and highest codeword its deletions reach
-    lowest = np.full(len(distinct), len(book))
-    highest = np.full(len(distinct), -1)
+    spoiled = np.bincount(source[disagree], minlength=len(distinct)) > 0
+    # per distinct word: the lowest and second-lowest codeword its deletions reach
+    none = len(order)
+    lowest = np.full(len(distinct), none)
+    second = np.full(len(distinct), none)
     reached, by = order[at[found]], source[found]
     np.minimum.at(lowest, by, reached)
-    np.maximum.at(highest, by, reached)
-    spoiled = np.bincount(source[disagree], minlength=len(distinct)) > 0
-    return (lowest[word_of] == owner) & (highest[word_of] == owner) & ~spoiled[word_of]
+    other = reached != lowest[by]
+    np.minimum.at(second, by[other], reached[other])
+    verdicts = (lowest[word_of] == owner) & ((second == none) & ~spoiled)[word_of]
+    clash = np.flatnonzero(second < none)  # distinct words come in key order
+    groups, smallest = np.unique(distinct_group[clash], return_index=True)
+    return verdicts, {
+        g: (int(distinct_keys[d]), int(lowest[d]), int(second[d]), tuple(received[distinct[d]].tolist()))
+        for g, d in zip(groups.tolist(), clash[smallest].tolist())
+    }
 
 
 def _recovers(c: Word, decode, y: Word) -> bool:
@@ -726,46 +689,49 @@ def check_correction(group_codes, book, group=None) -> list[tuple[ErrorKind, dic
     book holds the codewords as int8 rows and group[i] (default 0) is the
     index in group_codes of the code that codeword i belongs to. Returns one
     (kind, clashes, broken) per kind: clashes maps each group whose balls
-    intersect to (first codeword, second codeword, shared word) as Words
-    (see `ball_clashes`), and broken[g] counts the round trips (codeword,
-    error) of group g that the code's decoder or `oracle_verdicts` does not
-    return to the codeword. The decoder runs on every round trip. Raises
-    ValueError when the packed keys do not fit int64.
+    intersect to (first codeword, second codeword, shared word) as Words,
+    the first two codewords i < j whose balls hold the group's
+    lexicographically smallest shared word; broken[g] counts the round trips
+    (codeword, error) of group g that the code's decoder or
+    `oracle_verdicts` does not return to the codeword. The decoder runs on
+    every round trip. Raises ValueError when the packed keys do not fit
+    int64.
 
-    Received words are built, checked and decoded one block of codewords
-    (about _BLOCK_ROWS received words) at a time, so memory stays bounded;
-    only their packed keys, which the disjointness sort needs all at once,
-    are kept for a whole kind. The member cross-check of `oracle_verdicts`
-    runs once per block.
+    The codebook keys are packed and sorted once. Received words are built,
+    looked up and decoded one block of codewords (about _BLOCK_ROWS
+    received words) at a time; only per-group counts and clashes outlive a
+    block.
     """
     q = group_codes[0].q
     if group is None:
         group = np.zeros(len(book), dtype=np.intp)
-    words = list(_words_of_rows(book, q))
-    decoders = [group_codes[g].decode for g in group.tolist()]  # per codeword
+    book_keys = packed_keys(book, q, prefix=group)
+    order = np.argsort(book_keys)
+    book_keys = book_keys[order]
     results = []
     for kind in group_codes[0].kinds:
         per_codeword = max(0, book.shape[1] - kind.ell + 1)  # received words i * per_codeword.. are codeword i's
         step = max(1, _BLOCK_ROWS // max(1, per_codeword))
-        keys, recovered = [], []
+        smallest = {}  # group -> (key, i, j, word) of its smallest shared word so far
+        broken = np.zeros(len(group_codes), dtype=np.int64)
         for start in range(0, max(1, len(book)), step):  # an empty book is one empty block
             stop = min(start + step, len(book))
             received, owner = duplication_rows(book[start:stop], kind)
             owner += start
-            keys.append(packed_keys(received, q, prefix=group[owner]))
-            verdicts = oracle_verdicts(book, group, received, owner, kind, group_codes)
+            verdicts, clashes = oracle_verdicts(book_keys, order, group, received, owner, kind, group_codes)
+            for g, clash in clashes.items():
+                smallest[g] = min(clash, smallest.get(g, clash))
             per_owner = received.reshape(stop - start, per_codeword, received.shape[1])
             decoded = [
-                _recovers(words[i], decoders[i], _unchecked_word(tuple(y), q))
-                for i, rows in zip(range(start, stop), per_owner)
+                _recovers(c, group_codes[g].decode, _unchecked_word(tuple(y), q))
+                for c, g, rows in zip(_words_of_rows(book[start:stop], q), group[start:stop].tolist(), per_owner)
                 for y in rows.tolist()
             ]
-            recovered.append(verdicts & np.array(decoded, dtype=bool))
-        owner = np.repeat(np.arange(len(book)), per_codeword)
+            failed = owner[~(verdicts & np.array(decoded, dtype=bool))]
+            broken += np.bincount(group[failed], minlength=len(group_codes))
         clashes = {
-            g: (words[i], words[j], apply_error(words[i], kind, r % per_codeword))
-            for g, (i, j, r) in ball_clashes(np.concatenate(keys), owner, group).items()
+            g: (_word_of_row(book[i], q), _word_of_row(book[j], q), _unchecked_word(y, q))
+            for g, (_, i, j, y) in sorted(smallest.items())
         }
-        broken = owner[~np.concatenate(recovered)]
-        results.append((kind, clashes, np.bincount(group[broken], minlength=len(group_codes))))
+        results.append((kind, clashes, broken))
     return results

@@ -66,6 +66,11 @@ def _unchecked_word(symbols: tuple[int, ...], q: int) -> Word:
     return w
 
 
+def _word_of_row(row, q: int) -> Word:
+    """The word of one integer row whose symbols lie in 0..q-1."""
+    return _unchecked_word(tuple(row.tolist()), q)
+
+
 _ROW_BLOCK = 4096  # rows converted to Python lists at a time
 
 

@@ -38,16 +38,15 @@ from dupcodes.channel import (
     tandem_duplicate,
 )
 from dupcodes.codes import (
+    PalindromeFreeCode,
     PalindromicL2Code,
     TandemVTCode,
     c1_best_params,
-    c1_codebook,
     c1_decode,
     c1_member,
     c1_size_lower_bound,
     c2_decode,
     c2_member,
-    cpf_codebook,
     cpf_count_closed,
     cpf_count_recursive,
     cpf_decode,
@@ -226,7 +225,7 @@ def test_criterion_06_construction1():
         for n in range(ell, 11):
             a, cardinality = c1_best_params(n, ell, 2)
             code = TandemVTCode(n, 2, ell, a)
-            book = c1_codebook(code)
+            book = code.codebook()
             assert len(book) == cardinality
             if cardinality < c1_size_lower_bound(n, ell, 2):
                 bad.append(("cardinality", n, ell))
@@ -331,7 +330,7 @@ def test_criterion_08_construction3_counting_and_decoder():
                 bad.append(("closed", q, n))
     for q in (2, 3):
         for n in range(1, 10):
-            book = cpf_codebook(n, q)
+            book = PalindromeFreeCode(n, q).codebook()
             for ell in range(2, n + 1):
                 if disjoint_ball_violation(book, pal_dup(ell), 1) is not None:
                     bad.append(("balls", q, n, ell))

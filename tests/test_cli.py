@@ -199,8 +199,8 @@ def test_verify_counts_decoding_failure_as_broken(monkeypatch, capsys, args, dec
     def fail(*_):
         raise codes.DecodingFailure("decoding failure: injected")
 
-    def oracle_rejects_every_row(book, group, received, *_):
-        return np.zeros(len(received), dtype=bool)
+    def oracle_rejects_every_row(book_keys, order, group, received, *_):
+        return np.zeros(len(received), dtype=bool), {}
 
     monkeypatch.setattr(codes, decoder, oracle_rejects_every_row if decoder == "oracle_verdicts" else fail)
     code, out, _ = run_cli(capsys, "verify", *args)
@@ -225,7 +225,7 @@ def test_verify_failure_counts_parameter_pairs_and_lengths(monkeypatch, capsys, 
     def fail(*_):
         raise codes.DecodingFailure("decoding failure: injected")
 
-    groups = len(codes.c2_codebooks(6))
+    groups = len(codes.c2_groups(6)[0])
     monkeypatch.setattr(codes, decoder, fail)
     code, out, _ = run_cli(capsys, "verify", *args)
     assert code == 1
@@ -280,6 +280,8 @@ def test_benchmark_self_test_passes():
         ("verify", "--code", "c2", "--n", "1", "--q", "2"),
         ("verify", "--code", "cpf", "--n", "1", "--q", "2"),
         ("verify", "--code", "cpf", "--n", "0", "--q", "2"),
+        ("bound", "--n", "5..3"),
+        ("simulate", "--code", "c1", "--n", "6", "--trials", "-3"),
     ],
     ids=[
         "simulate-cpf-n1",
@@ -291,12 +293,32 @@ def test_benchmark_self_test_passes():
         "verify-c2-n1",
         "verify-cpf-n1",
         "verify-cpf-n0",
+        "bound-empty-n-range",
+        "simulate-negative-trials",
     ],
 )
 def test_bad_input_refused_with_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sphere", "--word", "0101", "--kind", "tandem-dup", "--l", "1"),
+        ("bound", "--n", "4"),
+        ("bound", "--n", "5..3"),
+        ("verify", "--code", "c1", "--n", "5"),
+        ("rates", "--q", "2", "--n", "4"),
+        ("simulate", "--code", "c1", "--n", "6", "--trials", "5"),
+    ],
+    ids=["sphere", "bound", "bound-empty-n-range", "verify", "rates", "simulate"],
+)
+def test_out_into_a_missing_directory_refused_with_one_line(tmp_path, capsys, argv):
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "x.csv"))
+    assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
 
 

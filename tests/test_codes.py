@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,17 +14,14 @@ from dupcodes.codes import (
     PalindromicL2Code,
     TandemVTCode,
     c1_best_params,
-    c1_codebook,
     c1_decode,
     c1_member,
     c1_size_lower_bound,
     c2_best_params,
-    c2_codebook,
-    c2_codebooks,
     c2_decode,
+    c2_groups,
     c2_member,
     c2_size_lower_bound,
-    cpf_codebook,
     cpf_count_closed,
     cpf_count_recursive,
     cpf_decode,
@@ -78,7 +76,7 @@ def test_c1_decode_roundtrip_exhaustive_small():
     for n, ell, q in [(6, 2, 2), (6, 1, 2), (5, 1, 3)]:
         a, _ = c1_best_params(n, ell, q)
         code = TandemVTCode(n, q, ell, a)
-        book = c1_codebook(code)
+        book = code.codebook()
         kind = channel.tandem_dup(ell)
         for c in book:
             assert c1_decode(c, code) == c
@@ -109,7 +107,7 @@ def test_c1_best_params_cardinality_bounds():
         a, cardinality = c1_best_params(n, ell, q)
         assert cardinality >= c1_size_lower_bound(n, ell, q)
         code = TandemVTCode(n, q, ell, a)
-        assert len(c1_codebook(code)) == cardinality
+        assert len(code.codebook()) == cardinality
 
 
 def test_c1_best_params_matches_scalar_recount():
@@ -172,7 +170,7 @@ def test_c2_size_lower_bound_values():
     (a, b), best = c2_best_params(8)
     assert best >= math.ceil(Fraction(256, 85))  # >= 4
     code = PalindromicL2Code(8, a, b)
-    assert len(c2_codebook(code)) == best
+    assert len(code.codebook()) == best
 
 
 def test_cpf_member_examples():
@@ -186,7 +184,7 @@ def test_cpf_member_examples():
 def test_cpf_decode_roundtrip_and_errors():
     n = 7
     for q in (2, 3):
-        book = cpf_codebook(n, q)
+        book = PalindromeFreeCode(n, q).codebook()
         for c in book:
             assert cpf_decode(c, n) == c
             for ell in range(2, n + 1):
@@ -317,11 +315,12 @@ def test_c2_best_refuses_nonbinary():
 
 def test_c2_codebooks_partition_the_word_space():
     n = 7
-    groups = c2_codebooks(n)
-    assert sum(len(book) for book in groups.values()) == 2**n
-    for code, book in groups.items():
-        assert book == c2_codebook(code)
-    assert max(len(book) for book in groups.values()) == c2_best_params(n)[1]
+    group_codes, rows, group = c2_groups(n)
+    sizes = np.bincount(group, minlength=len(group_codes))
+    assert len(rows) == sizes.sum() == 2**n and sizes.min() > 0
+    for g, code in enumerate(group_codes):
+        assert [word(r, 2) for r in rows[group == g].tolist()] == code.codebook()
+    assert sizes.max() == c2_best_params(n)[1]
 
 
 def test_palindrome_free_member_refuses_other_lengths_and_alphabets():
@@ -336,7 +335,7 @@ def test_palindrome_free_member_refuses_other_lengths_and_alphabets():
 # small codes of every construction: each c1 (n, q, ell), every c2 (a, b) group, each cpf (n, q)
 _CONTRACT_CODES = (
     [TandemVTCode.best(n, q, ell) for q in (2, 3) for n in range(1, 7) for ell in range(1, min(n, 3) + 1)]
-    + [code for n in range(1, 8) for code in c2_codebooks(n)]
+    + [code for n in range(1, 8) for code in c2_groups(n)[0]]
     + [PalindromeFreeCode(n, q) for q in (2, 3) for n in range(0, 7)]
 )
 

@@ -1,10 +1,11 @@
 """The array verification core against the Word-level routes it replaced.
 
-`ball_clashes` must find a clash exactly where `disjoint_ball_violation`
-does, with a shared word that `error_ball` confirms, and `oracle_verdicts`
-must accept a received word exactly where `oracle_decode` returns its
-codeword. Exhaustive over small codes, per (a, b) group for c2, and over
-sets that correct nothing.
+The clashes of `check_correction` must appear exactly where
+`disjoint_ball_violation` finds one, and name the group's smallest shared
+word and the first two codewords whose balls (`error_ball`) hold it;
+`oracle_verdicts` must accept a received word exactly where `oracle_decode`
+returns its codeword. Exhaustive over small codes, per (a, b) group for c2,
+and over sets that correct nothing.
 """
 
 from dataclasses import dataclass
@@ -18,27 +19,26 @@ from dupcodes.codes import (
     DecodingFailure,
     PalindromeFreeCode,
     TandemVTCode,
-    ball_clashes,
     c2_groups,
     check_correction,
     disjoint_ball_violation,
     oracle_decode,
     oracle_verdicts,
 )
-from dupcodes.words import word
+from dupcodes.words import format_word, word
 from dupcodes.wordspace import all_words, packed_keys
 
 
 @dataclass(frozen=True)
 class WordSet:
     """Any set of words of length n, posing as a code that corrects single
-    tandem duplications of length 1: member is set membership, and decode
+    errors of one duplication kind: member is set membership, and decode
     returns the unique member that one deletion reaches."""
 
     n: int
     q: int
     words: frozenset
-    kinds = (channel.tandem_dup(1),)
+    kinds: tuple = (channel.tandem_dup(1),)
 
     def member(self, x):
         return x in self.words
@@ -47,34 +47,51 @@ class WordSet:
         return oracle_decode(y, self.n, self.kinds[0], self.member)
 
 
-def word_set(rows, q):
-    return WordSet(rows.shape[1], q, frozenset(word(r, q) for r in rows.tolist()))
+def word_set(rows, q, kind=channel.tandem_dup(1)):
+    return WordSet(rows.shape[1], q, frozenset(word(r, q) for r in rows.tolist()), (kind,))
 
 
-def compare_routes(group_codes, book, group, kind):
-    """Both routes on every group and every received row; returns the groups
-    with a clash."""
+def smallest_shared_word(members, kind):
+    """(first, second, y): the lexicographically smallest word y that two
+    balls hold and the first two members whose balls hold it, or None."""
+    holders = {}
+    for c in members:
+        for y in error_ball(c, kind, 1):
+            holders.setdefault(y, []).append(c)
+    shared = [y for y, cs in holders.items() if len(cs) > 1]
+    if not shared:
+        return None
+    y = min(shared, key=lambda w: w.symbols)
+    return holders[y][0], holders[y][1], y
+
+
+def compare_routes(group_codes, book, group):
+    """Both routes on every kind, every group and every received row;
+    returns the groups with a clash in some kind."""
     q, n = group_codes[0].q, book.shape[1]
-    received, owner = duplication_rows(book, kind)
-    clashes = ball_clashes(packed_keys(received, q, prefix=group[owner]), owner, group)
-    verdicts = oracle_verdicts(book, group, received, owner, kind, group_codes)
     words = [word(r, q) for r in book.tolist()]
-    for g in range(len(group_codes)):
-        members = [words[i] for i in np.flatnonzero(group == g)]
-        assert (g in clashes) == (disjoint_ball_violation(members, kind, 1) is not None), (g, kind)
-        if g in clashes:
-            i, j, r = clashes[g]
-            assert i < j and group[i] == group[j] == g
-            shared = word(received[r].tolist(), q)
-            assert shared in error_ball(words[i], kind, 1) & error_ball(words[j], kind, 1)
-    for r, y in enumerate(received.tolist()):
-        c = words[owner[r]]
-        try:
-            expected = oracle_decode(word(y, q), n, kind, group_codes[group[owner[r]]].member) == c
-        except DecodingFailure:
-            expected = False
-        assert verdicts[r] == expected, (kind, c, y)
-    return set(clashes)
+    book_keys = packed_keys(book, q, prefix=group)
+    order = np.argsort(book_keys)
+    clashing = set()
+    for kind, clashes, _ in check_correction(group_codes, book, group):
+        for g in range(len(group_codes)):
+            members = [words[i] for i in np.flatnonzero(group == g)]
+            assert (g in clashes) == (disjoint_ball_violation(members, kind, 1) is not None), (g, kind)
+            if g in clashes:
+                first, second, shared = clashes[g]
+                assert shared in error_ball(first, kind, 1) & error_ball(second, kind, 1)
+                assert clashes[g] == smallest_shared_word(members, kind), (g, kind)
+        clashing |= set(clashes)
+        received, owner = duplication_rows(book, kind)
+        verdicts, _ = oracle_verdicts(book_keys[order], order, group, received, owner, kind, group_codes)
+        for r, y in enumerate(received.tolist()):
+            c = words[owner[r]]
+            try:
+                expected = oracle_decode(word(y, q), n, kind, group_codes[group[owner[r]]].member) == c
+            except DecodingFailure:
+                expected = False
+            assert verdicts[r] == expected, (kind, c, y)
+    return clashing
 
 
 def one_group(book):
@@ -86,13 +103,13 @@ def test_c1_codes_agree_with_the_word_routes(q, ell):
     for n in range(ell, 9):
         code = TandemVTCode.best(n, q, ell)
         book = code.codebook_rows()
-        assert compare_routes([code], book, one_group(book), channel.tandem_dup(ell)) == set()
+        assert compare_routes([code], book, one_group(book)) == set()
 
 
 def test_every_c2_group_agrees_with_the_word_routes():
     for n in range(2, 10):
         group_codes, book, group = c2_groups(n)
-        assert compare_routes(group_codes, book, group, channel.pal_dup(2)) == set()
+        assert compare_routes(group_codes, book, group) == set()
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -100,8 +117,7 @@ def test_cpf_codes_agree_with_the_word_routes(q):
     for n in range(2, 8):
         code = PalindromeFreeCode(n, q)
         book = code.codebook_rows()
-        for kind in code.kinds:
-            assert compare_routes([code], book, one_group(book), kind) == set()
+        assert compare_routes([code], book, one_group(book)) == set()
 
 
 @pytest.mark.parametrize(
@@ -117,7 +133,7 @@ def test_cpf_codes_agree_with_the_word_routes(q):
 )
 def test_the_whole_space_clashes_on_both_routes(n, q, kind):
     book = all_words(n, q)
-    assert compare_routes([word_set(book, q)], book, one_group(book), kind) == {0}
+    assert compare_routes([word_set(book, q, kind)], book, one_group(book)) == {0}
 
 
 @pytest.mark.parametrize("n,q,ell", [(6, 2, 1), (7, 2, 2), (5, 3, 1)])
@@ -127,12 +143,11 @@ def test_c1_codebook_with_a_wrong_residue_clashes_on_both_routes(n, q, ell):
     code = TandemVTCode.best(n, q, ell)
     other = TandemVTCode(n, q, ell, code.a[:1] + ((code.a[1] + 1) % 3,) + code.a[2:])
     rows = np.unique(np.concatenate((code.codebook_rows(), other.codebook_rows())), axis=0)
-    kind = channel.tandem_dup(ell)
-    assert compare_routes([word_set(rows, q)], rows, one_group(rows), kind) == {0}
+    assert compare_routes([word_set(rows, q, channel.tandem_dup(ell))], rows, one_group(rows)) == {0}
     # groups of one batch stay apart: the two codes side by side clash nowhere
     book = np.concatenate((code.codebook_rows(), other.codebook_rows()))
     group = np.repeat([0, 1], [len(code.codebook_rows()), len(other.codebook_rows())])
-    assert compare_routes([code, other], book, group, kind) == set()
+    assert compare_routes([code, other], book, group) == set()
 
 
 def test_oracle_rejects_rows_where_member_and_codebook_disagree():
@@ -143,9 +158,13 @@ def test_oracle_rejects_rows_where_member_and_codebook_disagree():
     book = code.codebook_rows()
     kind = channel.tandem_dup(1)
     received, owner = duplication_rows(book, kind)
+    book_keys = packed_keys(book, 2)  # a lexicographic codebook: its keys are sorted
 
     def verdicts(members):
-        return oracle_verdicts(book, one_group(book), received, owner, kind, [WordSet(6, 2, frozenset(members))]).tolist()
+        got, _ = oracle_verdicts(
+            book_keys, np.arange(len(book)), one_group(book), received, owner, kind, [WordSet(6, 2, frozenset(members))]
+        )
+        return got.tolist()
 
     words = [word(r, 2) for r in book.tolist()]
     assert verdicts(words) == [True] * len(received)
@@ -174,3 +193,25 @@ def test_check_correction_block_by_block_matches_one_pass(monkeypatch, block_row
     for case, expected in zip(cases, one_pass):
         got = check_correction(*case)
         assert [(k, c, b.tolist()) for k, c, b in got] == [(k, c, b.tolist()) for k, c, b in expected]
+
+
+@pytest.mark.parametrize("block_rows", [1, 1 << 15])
+@pytest.mark.parametrize(
+    "codewords,report",
+    [
+        (("00100", "00110", "01100"), ("00100", "00110", "001100")),
+        (("1000", "1001", "1011", "1100"), ("1001", "1011", "10011")),
+    ],
+    ids=["three-codewords-reach-it", "a-larger-clash-comes-first"],
+)
+def test_a_clash_names_the_two_lowest_codewords_of_the_smallest_shared_word(monkeypatch, block_rows, codewords, report):
+    """Under single tandem duplications of length 1, all three codewords of
+    the first set reach 001100. In the second, codeword 1000 clashes with
+    1100 at 11000, which one codeword per block finds before the smaller
+    10011 that 1001 and 1011 share."""
+    book = np.array([[int(ch) for ch in text] for text in codewords], dtype=np.int8)
+    code = word_set(book, 2)
+    assert compare_routes([code], book, one_group(book)) == {0}
+    monkeypatch.setattr(codes, "_BLOCK_ROWS", block_rows)
+    [(_, clashes, _)] = check_correction([code], book)
+    assert {g: tuple(format_word(w) for w in clash) for g, clash in clashes.items()} == {0: report}
