@@ -5,12 +5,24 @@ count of run-length-limited words by weight, the distribution of tandem
 deletion sphere sizes, and a fractional transversal of the deletion
 hypergraph that weights irreducible words with 1 and words of length
 n - t*ell with the inverse of their own deletion sphere size. All bound
-arithmetic is exact rational (the transversal sums unit fractions); only
-redundancy columns are floats.
+arithmetic is exact rational; only redundancy columns are floats.
 
-Small instances are cross-checked here by two independent routes: a brute
-transversal feasibility check over the full word space, and an exact
-maximum-independent-set solve of the conflict graph.
+Small instances are cross-checked by two independent routes over the full
+word space, both built on one array incidence of the error hypergraph:
+`error_incidence` lists every distinct (centre, single-error outcome) pair
+of a batch of rows, from `channel.deletion_rows`/`duplication_rows`,
+`wordspace.packed_keys` and one sort, and `sphere_levels` repeats it level
+by level for radius t.
+
+- `transversal_check` checks that the explicit transversal is feasible,
+  exactly and in integers: each weight is scaled by D, the lcm of the
+  sphere sizes that occur, so a ball's weight is an int64 sum compared
+  with D (Python ints when D times the largest ball leaves int64).
+- `exact_optimum` solves maximum independent set on the conflict graph,
+  whose edges join the centres that share an outcome (`conflict_edges`).
+
+No Word is built on either route except the deficit words and the vertices
+of the branch and bound. `docs/decisions.md` (D3) records why.
 """
 
 import math
@@ -18,10 +30,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+
 from . import channel
-from .channel import ErrorKind, error_ball, error_sphere, tandem_del
+from .channel import ErrorKind, deletion_rows, duplication_rows, tandem_del
 from .words import Word, _words_of_rows
-from .wordspace import MAX_ENUMERABLE, all_words
+from .wordspace import MAX_ENUMERABLE, all_words, distinct, key_rows, packed_keys, runs_start
 
 
 def _binom(a: int, b: int) -> int:
@@ -164,38 +178,122 @@ def gsp_bound_tandem(n: int, ell: int, q: int) -> Fraction:
     return bound_report(n, ell, q).bound
 
 
+_BLOCK_OUTCOMES = 1 << 18  # single-error outcomes error_incidence holds as rows at a time
+_INT64_MAX = 2**63 - 1
+
+
+def error_incidence(rows, kind: ErrorKind, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every distinct (centre, outcome) pair of single errors of the kind on
+    a batch of words, as (centre, key).
+
+    rows is an (N, n) array of words over Z_q. centre[k] indexes it, and
+    key[k] is the packed key (`packed_keys`) of a word of length n +- ell
+    that one error turns row centre[k] into. Pairs come in (centre, key)
+    order, each once, so np.bincount(centre, minlength=N) is the sphere size
+    of every row. Rows are taken a block at a time: the outcomes of a block
+    (`deletion_rows` or `duplication_rows`) are packed behind their centre
+    as prefix, sorted once, and kept where they differ from their
+    predecessor.
+    """
+    rows = np.asarray(rows)
+    N, n = rows.shape
+    single = duplication_rows if kind.is_duplication else deletion_rows
+    length = n + kind.ell if kind.is_duplication else max(0, n - kind.ell)
+    width = (q**length - 1).bit_length()
+    step = max(1, _BLOCK_OUTCOMES // max(1, n - kind.ell + 1))
+    centres, keys = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for start in range(0, N, step):
+        outcomes, source = single(rows[start : start + step], kind)
+        packed = np.sort(packed_keys(outcomes, q, prefix=source))
+        packed = packed[runs_start(packed)]
+        centres.append((packed >> width) + start)
+        keys.append(packed & ((1 << width) - 1))
+    return np.concatenate(centres), np.concatenate(keys)
+
+
+def sphere_levels(rows, kind: ErrorKind, t: int, q: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The error spheres of radius 0..t around every row of a batch of
+    distinct words: levels[i] = (centre, key) holds every distinct pair of a
+    row and a word that exactly i errors of the kind reach from it, in
+    (centre, key) order, as `error_incidence` does for i = 1.
+
+    Level i + 1 composes level i with the single-error incidence of the
+    distinct words of level i: a row reaches every outcome of every word it
+    reaches, and the composed pairs are deduplicated.
+    """
+    if t < 0:
+        raise ValueError("error count t must be >= 0")
+    rows = np.asarray(rows)
+    N, n = rows.shape
+    levels = [(np.arange(N), packed_keys(rows, q))]
+    if t >= 1:
+        levels.append(error_incidence(rows, kind, q))
+    step = kind.ell if kind.is_duplication else -kind.ell
+    for i in range(1, t):
+        centre, key = levels[i]
+        words, _, word_of = distinct(key)
+        source, reached = error_incidence(key_rows(words, max(0, n + i * step), q), kind, q)
+        # pair k of level i fans out to the outcomes of its word w, the run of
+        # `reached` where source == w (the incidence comes in source order)
+        fan = np.bincount(source, minlength=len(words))
+        first = (np.cumsum(fan) - fan)[word_of]
+        fan = fan[word_of]
+        pick = np.arange(fan.sum()) + np.repeat(first - (np.cumsum(fan) - fan), fan)
+        centre, key = np.repeat(centre, fan), reached[pick]
+        order = np.lexsort((key, centre))
+        centre, key = centre[order], key[order]
+        keep = runs_start(centre) | runs_start(key)
+        levels.append((centre[keep], key[keep]))
+    return levels
+
+
+def _scaled_weights(sizes: np.ndarray, scale: int, last: bool, dtype) -> np.ndarray:
+    """The explicit transversal times `scale` on words with radius-t sphere
+    sizes `sizes`: scale on t-irreducible words, scale // size on the others
+    when they are words of the last level, 0 otherwise."""
+    weight = np.zeros(len(sizes), dtype=dtype)
+    weight[sizes == 0] = scale
+    if last:
+        hit = sizes > 0
+        weight[hit] = scale // sizes[hit].astype(dtype)
+    return weight
+
+
 def transversal_check(n: int, ell: int, t: int, q: int, limit: int = MAX_ENUMERABLE):
     """Verify the explicit fractional transversal on the full word space.
 
-    Builds T (1 on t-irreducible words, inverse deletion-sphere size on
-    non-irreducible words of length n - t*ell, 0 elsewhere) and checks that
-    every radius-t deletion ball of a length-n word carries weight >= 1.
-    Returns (ok, deficits) where deficits lists the violating words.
+    T is 1 on t-irreducible words, the inverse deletion-sphere size on
+    non-irreducible words of length n - t*ell, and 0 elsewhere; every
+    radius-t deletion ball of a length-n word must carry weight >= 1.
+    Returns (ok, deficits) where deficits lists the violating words in
+    lexicographic order.
+
+    Exact in integers: every weight is scaled by D, the lcm of the sphere
+    sizes that occur at length n - t*ell, and each ball's scaled sum is
+    compared with D. The sums are int64, or Python ints when D times the
+    largest ball does not fit int64.
     """
     if q**n > limit:
         raise ValueError(f"instance too large: q^n = {q**n} exceeds the guard {limit}")
     kind = tandem_del(ell)
-    weight_cache: dict[Word, Fraction] = {}
-
-    def weight(v: Word) -> Fraction:
-        got = weight_cache.get(v)
-        if got is None:
-            size = len(error_sphere(v, kind, t))
-            if size == 0:
-                got = Fraction(1)  # t-irreducible
-            elif len(v) == n - t * ell:
-                got = Fraction(1, size)
-            else:
-                got = Fraction(0)
-            weight_cache[v] = got
-        return got
-
-    deficits = []
-    for x in _words_of_rows(all_words(n, q, limit=limit), q):
-        total = sum((weight(v) for v in error_ball(x, kind, t)), Fraction(0))
-        if total < 1:
-            deficits.append(x)
-    return (not deficits, deficits)
+    rows = all_words(n, q, limit=limit)
+    N = len(rows)
+    levels = sphere_levels(rows, kind, t, q)
+    # per level: (centre, word index of each pair, radius-t sphere size of each word)
+    balls = [(levels[0][0], levels[0][0], np.bincount(levels[t][0], minlength=N))]
+    for i, (centre, key) in enumerate(levels[1:], start=1):
+        words, _, word_of = distinct(key)
+        spheres = sphere_levels(key_rows(words, max(0, n - i * ell), q), kind, t, q)[t][0]
+        balls.append((centre, word_of, np.bincount(spheres, minlength=len(words))))
+    occurring = np.flatnonzero(np.bincount(balls[t][2]))
+    scale = math.lcm(*occurring[occurring > 0].tolist())
+    largest = int(sum(np.bincount(centre, minlength=N) for centre, _, _ in balls).max())
+    dtype = object if scale * largest > _INT64_MAX else np.int64
+    total = np.zeros(N, dtype=dtype)
+    for i, (centre, word_of, sizes) in enumerate(balls):
+        np.add.at(total, centre, _scaled_weights(sizes, scale, i == t, dtype)[word_of])
+    deficits = np.flatnonzero(total < scale)
+    return (not len(deficits), list(_words_of_rows(rows[deficits], q)))
 
 
 def _max_independent_set(vertices: list[Word], adj: dict[Word, set[Word]]) -> int:
@@ -266,6 +364,31 @@ def _max_independent_set(vertices: list[Word], adj: dict[Word, set[Word]]) -> in
     return total
 
 
+def conflict_edges(rows, kind: ErrorKind, t: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edges (u, v), u < v, of the conflict graph on a batch of distinct
+    words: rows u and v whose radius-t balls share a word. Edges come in
+    (u, v) order, each once.
+
+    The words of one level of the balls (`sphere_levels`) have one length,
+    and levels differ in length, so two balls meet exactly where two centres
+    share an outcome key on some level i >= 1.
+    """
+    N = len(rows)
+    low, high = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for centre, key in sphere_levels(rows, kind, t, q)[1:]:
+        order = np.lexsort((centre, key))  # the centres reaching one word are neighbours
+        centre, key = centre[order], key[order]
+        for d in range(1, len(key)):
+            same = key[d:] == key[:-d]
+            if not same.any():  # no word is reached by more than d centres
+                break
+            low.append(centre[:-d][same])
+            high.append(centre[d:][same])
+    packed = np.sort(np.concatenate(low) * N + np.concatenate(high))
+    packed = packed[runs_start(packed)]
+    return packed // N, packed % N
+
+
 def exact_optimum(
     n: int,
     ell: int,
@@ -276,23 +399,18 @@ def exact_optimum(
 ) -> int:
     """Size of the largest t-error-correcting code of length n for the given
     error family, by exact maximum independent set over the conflict graph
-    (edges join words whose radius-t balls intersect)."""
+    (edges join words whose radius-t balls intersect, `conflict_edges`)."""
     if q**n > limit:
         raise ValueError(f"instance too large: q^n = {q**n} exceeds the guard {limit}")
     if t == 0:
         return q**n
-    kind = ErrorKind(family, ell)
-    vertices = list(_words_of_rows(all_words(n, q, limit=limit), q))
+    rows = all_words(n, q, limit=limit)
+    vertices = list(_words_of_rows(rows, q))
     adj: dict[Word, set[Word]] = {v: set() for v in vertices}
-    owners: dict[Word, list[Word]] = {}
-    for v in vertices:
-        for member in error_ball(v, kind, t):
-            owners.setdefault(member, []).append(v)
-    for centers in owners.values():
-        for i in range(len(centers)):
-            for k in range(i + 1, len(centers)):
-                adj[centers[i]].add(centers[k])
-                adj[centers[k]].add(centers[i])
+    low, high = conflict_edges(rows, ErrorKind(family, ell), t, q)
+    for u, v in zip(low.tolist(), high.tolist()):
+        adj[vertices[u]].add(vertices[v])
+        adj[vertices[v]].add(vertices[u])
     return _max_independent_set(vertices, adj)
 
 

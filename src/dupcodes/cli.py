@@ -9,8 +9,10 @@ enumerations refuse instances with q^n above 2^20 words unless --force.
 
 import argparse
 import csv
+import errno
 import json
 import math
+import os
 import random
 import sys
 
@@ -447,8 +449,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_refusal(path: str):
+    """Why --out cannot be written, when its directory is missing or is not
+    a directory; None otherwise. Checked before any work starts."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(parent):
+        return None
+    return os.strerror(errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    refusal = args.out and _out_refusal(args.out)
+    if refusal:
+        print(f"error: cannot write --out {args.out}: {refusal}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except OSError as exc:

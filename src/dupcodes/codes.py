@@ -67,7 +67,7 @@ from .channel import (
 )
 from .transform import DerivativePair, assemble, derive, integrate, trunk, zero_signature
 from .words import Word, _unchecked_word, _word_of_row, _words_of_rows, run_profile
-from .wordspace import MAX_ENUMERABLE, all_words, packed_keys, pal2_free_mask, run_stats, signature_scan
+from .wordspace import MAX_ENUMERABLE, all_words, distinct, packed_keys, pal2_free_mask, run_stats, signature_scan
 
 
 class DecodingFailure(Exception):
@@ -389,7 +389,7 @@ def c2_groups(n: int, limit: int = MAX_ENUMERABLE):
     each row the index in `codes` of the code it belongs to."""
     arr, keys = _c2_keys(n, limit)
     modulus = 2 * n + 1
-    present, group = np.unique(keys, return_inverse=True)
+    present, _, group = distinct(keys)
     codes = [PalindromicL2Code(n, key // modulus, key % modulus) for key in present.tolist()]
     return codes, arr, group
 
@@ -640,33 +640,33 @@ def oracle_verdicts(book_keys, order, group, received, owner, kind: ErrorKind, g
     q = group_codes[0].q
     received_group = group[owner]
     received_keys = packed_keys(received, q, prefix=received_group)
-    distinct_keys, distinct, word_of = np.unique(received_keys, return_index=True, return_inverse=True)
-    distinct_group = received_group[distinct]
-    outcomes, source = deletion_rows(received[distinct], kind.inverse())
+    distinct_keys, distinct_at, word_of = distinct(received_keys)
+    distinct_group = received_group[distinct_at]
+    outcomes, source = deletion_rows(received[distinct_at], kind.inverse())
     outcome_group = distinct_group[source]
     keys = packed_keys(outcomes, q, prefix=outcome_group)
     at = np.minimum(np.searchsorted(book_keys, keys), len(book_keys) - 1)
     found = book_keys[at] == keys
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    _, first, inverse = distinct(keys)
     member = [
         group_codes[g].member(_word_of_row(outcomes[k], q))
         for g, k in zip(outcome_group[first].tolist(), first.tolist())
     ]
     disagree = (np.array(member, dtype=bool) != found[first])[inverse]
-    spoiled = np.bincount(source[disagree], minlength=len(distinct)) > 0
+    spoiled = np.bincount(source[disagree], minlength=len(distinct_at)) > 0
     # per distinct word: the lowest and second-lowest codeword its deletions reach
     none = len(order)
-    lowest = np.full(len(distinct), none)
-    second = np.full(len(distinct), none)
+    lowest = np.full(len(distinct_at), none)
+    second = np.full(len(distinct_at), none)
     reached, by = order[at[found]], source[found]
     np.minimum.at(lowest, by, reached)
     other = reached != lowest[by]
     np.minimum.at(second, by[other], reached[other])
     verdicts = (lowest[word_of] == owner) & ((second == none) & ~spoiled)[word_of]
     clash = np.flatnonzero(second < none)  # distinct words come in key order
-    groups, smallest = np.unique(distinct_group[clash], return_index=True)
+    groups, smallest, _ = distinct(distinct_group[clash])
     return verdicts, {
-        g: (int(distinct_keys[d]), int(lowest[d]), int(second[d]), tuple(received[distinct[d]].tolist()))
+        g: (int(distinct_keys[d]), int(lowest[d]), int(second[d]), tuple(received[distinct_at[d]].tolist()))
         for g, d in zip(groups.tolist(), clash[smallest].tolist())
     }
 

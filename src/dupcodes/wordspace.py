@@ -16,7 +16,10 @@ and return per-row statistics as int64 arrays:
 
 packed_keys(words, q, prefix) turns each row into one int64 base-q key that
 sorts as the row does, so a batch of words can be sorted, deduplicated and
-looked up as integers.
+looked up as integers; key_rows(keys, n, q) turns keys back into rows.
+Deduplication is a sort and a compare of neighbours: runs_start marks the
+first of each run of equal values, and distinct(keys) is the package's
+np.unique built on it.
 
 Each kernel streams over symbol columns: it takes one column-major copy of
 the rows and runs the per-word left-to-right recursion for all rows at
@@ -184,6 +187,41 @@ def packed_keys(words, q: int, prefix=None) -> np.ndarray:
     if prefix is not None:
         keys |= np.asarray(prefix, dtype=np.int64) << width
     return keys
+
+
+def key_rows(keys, n: int, q: int) -> np.ndarray:
+    """The (N, n) int8 rows of base-q keys packed without prefix: the inverse
+    of `packed_keys`."""
+    rest = np.array(keys, dtype=np.int64)
+    rows = np.empty((len(rest), n), dtype=np.int8)
+    for j in range(n - 1, -1, -1):
+        rows[:, j] = rest % q
+        rest //= q
+    return rows
+
+
+def runs_start(ordered) -> np.ndarray:
+    """True where a 1-D array differs from its predecessor, and at index 0:
+    the first of each run of equal values, which in a sorted array marks
+    each distinct value once."""
+    ordered = np.asarray(ordered)
+    start = np.empty(len(ordered), dtype=np.bool_)
+    start[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=start[1:])
+    return start
+
+
+def distinct(keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct values of a 1-D integer array as (values, first, inverse):
+    values ascending, first[k] the index of the first occurrence of
+    values[k], and values[inverse[i]] == keys[i]. One stable sort."""
+    keys = np.asarray(keys)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    start = runs_start(ordered)
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(start) - 1
+    return ordered[start], order[start], inverse
 
 
 def backend() -> str:

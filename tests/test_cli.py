@@ -322,6 +322,30 @@ def test_out_into_a_missing_directory_refused_with_one_line(tmp_path, capsys, ar
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sphere", "--word", "0101", "--kind", "tandem-dup", "--l", "1"),
+        ("bound", "--n", "4"),
+        ("verify", "--code", "c1", "--n", "5"),
+        ("rates", "--q", "2", "--n", "4"),
+        ("simulate", "--code", "c1", "--n", "6", "--trials", "5"),
+    ],
+    ids=["sphere", "bound", "verify", "rates", "simulate"],
+)
+@pytest.mark.parametrize("parent", ["missing", "a-file"])
+def test_unwritable_out_refused_before_the_command_runs(tmp_path, capsys, argv, parent):
+    """A --out whose directory is missing or is a file is refused before any
+    report is printed, and nothing is written."""
+    (tmp_path / "a-file").write_text("")
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / parent / "x.json"))
+    assert code == 2
+    assert out == ""
+    reason = "No such file or directory" if parent == "missing" else "Not a directory"
+    assert err == f"error: cannot write --out {tmp_path / parent / 'x.json'}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file"]
+
+
 def test_rates_table(capsys):
     code, out, _ = run_cli(capsys, "rates", "--q", "2,3", "--n", "2,4,8,inf")
     assert code == 0

@@ -6,7 +6,17 @@ from hypothesis.extra.numpy import arrays
 
 from dupcodes.transform import derive, zero_signature
 from dupcodes.words import Word, run_profile
-from dupcodes.wordspace import all_words, backend, packed_keys, pal2_free_mask, run_stats, signature_scan
+from dupcodes.wordspace import (
+    all_words,
+    backend,
+    distinct,
+    key_rows,
+    packed_keys,
+    pal2_free_mask,
+    run_stats,
+    runs_start,
+    signature_scan,
+)
 
 
 def _scalar_signature(row, ell, q):
@@ -175,3 +185,20 @@ def test_packed_keys_refuse_more_than_63_bits():
     assert packed_keys(np.zeros((2, 62), dtype=np.int8), 2, prefix=np.array([0, 1])).tolist() == [0, 2**62]
     with pytest.raises(ValueError, match="int64"):
         packed_keys(np.zeros((1, 40), dtype=np.int8), 3)
+
+
+@pytest.mark.parametrize("n,q", [(0, 2), (1, 3), (6, 2), (4, 3), (3, 5)])
+def test_key_rows_inverts_packed_keys(n, q):
+    arr = all_words(n, q)
+    shuffled = arr[np.random.default_rng(n).permutation(len(arr))]
+    back = key_rows(packed_keys(shuffled, q), n, q)
+    assert back.dtype == np.int8 and back.tolist() == shuffled.tolist()
+
+
+@given(arrays(np.int64, st.integers(0, 60), elements=st.integers(-5, 5)))
+@settings(max_examples=200, deadline=None)
+def test_distinct_matches_np_unique(keys):
+    values, first, inverse = distinct(keys)
+    expected = np.unique(keys, return_index=True, return_inverse=True)
+    assert [values.tolist(), first.tolist(), inverse.tolist()] == [a.tolist() for a in expected]
+    assert runs_start(np.sort(keys)).sum() == len(values)
