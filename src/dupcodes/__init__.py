@@ -37,7 +37,7 @@ from .codes import (
     cpf_member,
     oracle_decode,
 )
-from .transform import DerivativePair, assemble, derive, integrate, trunk, zero_signature
+from .transform import DerivativePair, derive, zero_signature
 from .words import Word, format_word, parse_word, run_checksum, run_profile, word
 
 __version__ = "0.1.0"
@@ -66,10 +66,7 @@ __all__ = [
     "ball_intersection",
     "same_outcome_predicate",
     "derive",
-    "integrate",
-    "trunk",
     "zero_signature",
-    "assemble",
     "DerivativePair",
     "DecodingFailure",
     "TandemVTCode",

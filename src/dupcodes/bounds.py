@@ -21,8 +21,8 @@ by level for radius t.
 - `exact_optimum` solves maximum independent set on the conflict graph,
   whose edges join the centres that share an outcome (`conflict_edges`).
 
-No Word is built on either route except the deficit words and the vertices
-of the branch and bound. `docs/decisions.md` (D3) records why.
+No Word is built on either route except the deficit words; the branch and
+bound runs on the row indices. `docs/decisions.md` (D3) records why.
 """
 
 import math
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import channel
 from .channel import ErrorKind, deletion_rows, duplication_rows, tandem_del
-from .words import Word, _words_of_rows
+from .words import _words_of_rows
 from .wordspace import MAX_ENUMERABLE, all_words, distinct, key_rows, packed_keys, runs_start
 
 
@@ -296,15 +296,16 @@ def transversal_check(n: int, ell: int, t: int, q: int, limit: int = MAX_ENUMERA
     return (not len(deficits), list(_words_of_rows(rows[deficits], q)))
 
 
-def _max_independent_set(vertices: list[Word], adj: dict[Word, set[Word]]) -> int:
+def _max_independent_set(vertices, adj) -> int:
     """Exact maximum independent set size, branch and bound per connected
-    component with a greedy initial solution; lexicographic tie-breaking."""
+    component with a greedy initial solution. Vertices are ints, adj[u] is
+    the set of u's neighbours, and ties go to the smallest vertex."""
 
     def greedy(cand: frozenset) -> int:
         live = set(cand)
         size = 0
         while live:
-            v = min(live, key=lambda u: (len(adj[u] & live), u.symbols))
+            v = min(live, key=lambda u: (len(adj[u] & live), u))
             size += 1
             live -= {v}
             live -= adj[v]
@@ -340,12 +341,12 @@ def _max_independent_set(vertices: list[Word], adj: dict[Word, set[Word]]) -> in
             if not cand:
                 best = current
                 continue
-            v = max(cand, key=lambda u: (len(adj[u] & cand), u.symbols))
+            v = max(cand, key=lambda u: (len(adj[u] & cand), u))
             stack.append(reduce(set(cand) - {v}, current))
             stack.append(reduce(set(cand) - {v} - adj[v], current + 1))
         return best
 
-    seen: set[Word] = set()
+    seen: set[int] = set()
     total = 0
     for v in vertices:
         if v in seen:
@@ -405,13 +406,12 @@ def exact_optimum(
     if t == 0:
         return q**n
     rows = all_words(n, q, limit=limit)
-    vertices = list(_words_of_rows(rows, q))
-    adj: dict[Word, set[Word]] = {v: set() for v in vertices}
+    adj: list[set[int]] = [set() for _ in range(len(rows))]
     low, high = conflict_edges(rows, ErrorKind(family, ell), t, q)
     for u, v in zip(low.tolist(), high.tolist()):
-        adj[vertices[u]].add(vertices[v])
-        adj[vertices[v]].add(vertices[u])
-    return _max_independent_set(vertices, adj)
+        adj[u].add(v)
+        adj[v].add(u)
+    return _max_independent_set(range(len(rows)), adj)
 
 
 @dataclass(frozen=True)

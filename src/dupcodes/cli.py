@@ -77,6 +77,8 @@ def _write_machine(path: str, fmt: str | None, rows: list[dict]):
 
 def _sphere_formula(x: Word, kind: ErrorKind, t: int):
     """Closed-form size for the sphere when one exists, else None."""
+    if kind.family in (channel.TANDEM_DUP, channel.TANDEM_DEL) and len(x) < kind.ell:
+        return None  # the step derivative needs ell symbols
     if kind.family == channel.TANDEM_DUP:
         return formulas.tandem_dup_sphere_size(x, kind.ell, t)
     if kind.family == channel.TANDEM_DEL:

@@ -19,10 +19,13 @@
   transmitted word.
 
 The VT membership test uses the position-weighted checksum sum_k k*s_k
-mod (|s|+1). A plain coordinate sum cannot distinguish which entry was
-incremented (equal sums), so it could not drive the decoder; the weighted
-form makes the incremented coordinate uniquely recoverable, and the
-exhaustive correction tests pin this behaviour down.
+mod (|s|+1). A plain coordinate sum cannot tell which entry was
+incremented (equal sums), so it could not drive the decoder. With the
+weights, raising entry k moves the checksum by k, so its drift mod (|s|+1)
+names k (k -> k mod (|s|+1) is injective on 1..|s|). The decoder deletes
+ell zeros at the start of gap k of the difference tail, one tandem
+deletion of the received word, which lowers entry k and keeps the head and
+the trunk (`docs/decisions.md`, D4).
 
 Each construction class offers one interface: `best(n, q, ell, limit)`
 builds the code with the best parameters, `kinds` lists the error kinds it
@@ -63,9 +66,10 @@ from .channel import (
     pal_del,
     pal_dup,
     palindromic_delete,
+    tandem_delete,
     tandem_dup,
 )
-from .transform import DerivativePair, assemble, derive, integrate, trunk, zero_signature
+from .transform import derive, zero_signature
 from .words import Word, _unchecked_word, _word_of_row, _words_of_rows, run_profile
 from .wordspace import MAX_ENUMERABLE, all_words, distinct, packed_keys, pal2_free_mask, run_stats, signature_scan
 
@@ -146,10 +150,10 @@ def c1_member(x: Word, code: TandemVTCode) -> bool:
 def c1_decode(y: Word, code: TandemVTCode) -> Word:
     """Correct at most one tandem duplication of length ell.
 
-    A duplication increments one signature entry; the weighted checksum
-    drift identifies the unique coordinate whose decrement restores the
-    residue. The repaired signature is reassembled with the unchanged head
-    and trunk.
+    A duplication raises one signature entry k, and the checksum drifts by
+    k. The decoder deletes the first ell-block of gap k, where gap k of the
+    difference tail starts at index 0 (k = 1) or one past its (k-1)-th
+    nonzero.
     """
     n, ell = code.n, code.ell
     if y.q != code.q:
@@ -160,26 +164,16 @@ def c1_decode(y: Word, code: TandemVTCode) -> Word:
         raise DecodingFailure("decoding failure: received word is not a codeword")
     if len(y) != n + ell:
         raise DecodingFailure(f"decoding failure: length {len(y)} not in {{{n}, {n + ell}}}")
-    pair = derive(y, ell)
-    sig = list(zero_signature(pair.v, ell))
+    v = derive(y, ell).v
+    sig = zero_signature(v, ell)
     s = len(sig)
-    if not 1 <= s <= len(code.a):
+    if s > len(code.a):
         raise DecodingFailure("decoding failure: signature length outside the code's range")
-    residue = code.a[s - 1]
-    repaired = None
-    for k in range(s):
-        if sig[k] < 1:
-            continue
-        sig[k] -= 1
-        if vt_member(sig, residue):
-            if repaired is not None:
-                raise DecodingFailure("decoding failure: ambiguous signature coordinate")
-            repaired = tuple(sig)
-        sig[k] += 1
-    if repaired is None:
+    k = (sum(j * c for j, c in enumerate(sig, start=1)) - code.a[s - 1]) % (s + 1)
+    if k == 0 or sig[k - 1] == 0:
         raise DecodingFailure("decoding failure: no signature coordinate restores the residue")
-    v = assemble(trunk(pair.v, ell), repaired, ell)
-    result = integrate(DerivativePair(pair.u, v))
+    gap_start = 0 if k == 1 else [i for i, d in enumerate(v.symbols) if d][k - 2] + 1
+    result = tandem_delete(y, ell, gap_start)
     if not c1_member(result, code):
         raise DecodingFailure("decoding failure: repaired word is not a codeword")
     return result
@@ -438,6 +432,8 @@ class PalindromeFreeCode:
         return cpf_member(x)
 
     def decode(self, y: Word) -> Word:
+        if y.q != self.q:
+            raise ValueError(f"alphabet mismatch: word q={y.q}, code q={self.q}")
         return cpf_decode(y, self.n)
 
     def codebook(self, limit: int = MAX_ENUMERABLE) -> list[Word]:

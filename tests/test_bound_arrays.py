@@ -80,14 +80,14 @@ def word_conflict_graph(vertices, kind, t):
 
 
 def word_exact_optimum(n, ell, t, q, family=channel.TANDEM_DUP):
-    """The Word-level exact optimum: the owners' conflict graph, then the
-    same maximum independent set."""
+    """The Word-level exact optimum: the owners' conflict graph on the word
+    indices, then the same maximum independent set."""
     vertices = words_of_rows(all_words(n, q), q)
-    adj = {v: set() for v in vertices}
+    adj = [set() for _ in vertices]
     for a, b in word_conflict_graph(vertices, ErrorKind(family, ell), t):
-        adj[vertices[a]].add(vertices[b])
-        adj[vertices[b]].add(vertices[a])
-    return _max_independent_set(vertices, adj)
+        adj[a].add(b)
+        adj[b].add(a)
+    return _max_independent_set(range(len(vertices)), adj)
 
 
 def edge_set(rows, kind, t, q):

@@ -49,6 +49,16 @@ def test_sphere_pal_del_length3_example(capsys):
     assert "21012210" in out and "21011012" in out
 
 
+@pytest.mark.parametrize("kind", ["tandem-dup", "tandem-del"])
+@pytest.mark.parametrize("t,size", [("1", 0), ("0", 1)])
+def test_sphere_tandem_word_shorter_than_l_has_no_formula(capsys, kind, t, size):
+    """The step derivative needs l symbols: no closed form, no traceback."""
+    code, out, err = run_cli(capsys, "sphere", "--word", "01", "--kind", kind, "--l", "3", "--t", t)
+    assert code == 0 and err == ""
+    assert f"enumerated size: {size}" in out
+    assert "formula size:    n/a" in out
+
+
 def test_sphere_machine_output_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "sphere.json"
     code, _, _ = run_cli(

@@ -100,6 +100,35 @@ def test_c1_decode_failures():
         c1_decode(non_member, code)
 
 
+@pytest.mark.parametrize("q,max_n,ells", [(2, 8, (1, 2, 3)), (3, 5, (1, 2))])
+def test_c1_decode_equals_the_oracle_on_every_word(q, max_n, ells):
+    """Every word of length n + ell, not only the round trips: the decoder
+    returns c exactly when `oracle_decode` does and raises DecodingFailure
+    otherwise; a word of length n passes exactly when it is a codeword.
+    Checked at the best residues and at each residue shifted by one."""
+    for ell in ells:
+        for n in range(ell, max_n + 1):
+            best, _ = c1_best_params(n, ell, q)
+            shifted = tuple((r + 1) % (s + 1) for s, r in enumerate(best, start=1))
+            for a in (best, shifted):
+                code = TandemVTCode(n, q, ell, a)
+                member = code.member
+                for y in words_of(n, q):
+                    if member(y):
+                        assert c1_decode(y, code) == y
+                    else:
+                        with pytest.raises(DecodingFailure):
+                            c1_decode(y, code)
+                for y in words_of(n + ell, q):
+                    try:
+                        expected = oracle_decode(y, n, channel.tandem_dup(ell), member)
+                    except DecodingFailure:
+                        with pytest.raises(DecodingFailure):
+                            c1_decode(y, code)
+                        continue
+                    assert c1_decode(y, code) == expected, (code, y)
+
+
 def test_c1_best_params_cardinality_bounds():
     a, cardinality = c1_best_params(2, 2, 2)
     assert cardinality == 4  # whole space: single signature (0)
@@ -330,6 +359,15 @@ def test_palindrome_free_member_refuses_other_lengths_and_alphabets():
         code.member(word((0, 1), 2))
     with pytest.raises(ValueError, match="alphabet"):
         code.member(word((0, 1, 2, 2, 0), 3))
+
+
+def test_palindrome_free_decode_refuses_other_alphabets():
+    code = PalindromeFreeCode(4, 3)
+    assert code.decode(word((0, 1, 0, 1), 3)) == word((0, 1, 0, 1), 3)
+    with pytest.raises(ValueError, match="alphabet"):
+        code.decode(word((0, 1, 0, 1), 2))
+    with pytest.raises(ValueError, match="alphabet"):
+        code.decode(word((0, 1, 1, 0, 1, 1), 2))
 
 
 # small codes of every construction: each c1 (n, q, ell), every c2 (a, b) group, each cpf (n, q)

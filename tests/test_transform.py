@@ -1,19 +1,24 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from dupcodes.channel import tandem_delete, tandem_duplicate
-from dupcodes.transform import (
-    DerivativePair,
-    assemble,
-    derive,
-    integrate,
-    trunk,
-    zero_signature,
-)
+from dupcodes.transform import derive, zero_signature
 from dupcodes.words import parse_word, word
 
 from conftest import words_of
+
+
+def trunk(v, ell):
+    """v with every maximal zero-run of length m cut to m mod ell zeros."""
+    out, run = [], 0
+    for s in v.symbols + (None,):
+        if s == 0:
+            run += 1
+            continue
+        out.extend([0] * (run % ell))
+        run = 0
+        if s is not None:
+            out.append(s)
+    return tuple(out)
 
 
 def test_derive_examples():
@@ -30,37 +35,11 @@ def test_derive_examples():
         derive(word((0,), 2), 2)
 
 
-def test_integrate_examples():
-    pair = DerivativePair(word((2, 1), 3), parse_word("100020", 3))
-    assert integrate(pair) == parse_word("21010121", 3)
-    x = word((1, 0, 1), 2)
-    assert integrate(DerivativePair(x, word((), 2))) == x
-    assert integrate(DerivativePair(word((0,), 2), word((0, 0), 2))) == word((0, 0, 0), 2)
-
-
-def test_trunk_examples():
-    assert trunk(parse_word("100020", 3), 2) == parse_word("1020", 3)
-    v = word((1, 2, 1), 3)
-    assert trunk(v, 2) == v
-    assert trunk(word((0, 0), 3), 2) == word((), 3)
-
-
 def test_zero_signature_examples():
     assert zero_signature(parse_word("100020", 3), 2) == (0, 1, 0)
     assert zero_signature(parse_word("00100020", 3), 2) == (1, 1, 0)
     assert zero_signature(word((1, 2, 1), 3), 2) == (0, 0, 0, 0)
     assert zero_signature(word((), 3), 2) == (0,)
-
-
-def test_assemble_examples():
-    assert assemble(parse_word("1020", 3), (0, 1, 0), 2) == parse_word("100020", 3)
-    v = word((1, 2), 3)
-    assert assemble(v, (0, 0, 0), 2) == v
-    assert assemble(word((), 2), (3,), 2) == word((0,) * 6, 2)
-    with pytest.raises(ValueError, match="incompatible"):
-        assemble(word((1,), 2), (0,), 2)
-    with pytest.raises(ValueError, match="incompatible"):
-        assemble(word((0, 0, 1), 2), (0, 0), 2)  # trunk has a run of >= ell zeros
 
 
 def test_signature_length_and_mass_invariants():
@@ -72,22 +51,6 @@ def test_signature_length_and_mass_invariants():
                     wt = sum(1 for s in v if s != 0)
                     assert len(sig) == wt + 1
                     assert len(trunk(v, ell)) + ell * sum(sig) == n
-
-
-def test_roundtrip_exhaustive():
-    for q, max_n in ((2, 10), (3, 10)):
-        for n in range(0, max_n + 1):
-            for v in words_of(n, q):
-                for ell in (1, 2, 3):
-                    assert assemble(trunk(v, ell), zero_signature(v, ell), ell) == v
-
-
-@given(st.integers(2, 4), st.lists(st.integers(0, 3), min_size=1, max_size=24), st.integers(1, 4))
-def test_derive_integrate_roundtrip(q, symbols, ell):
-    x = word([s % q for s in symbols], q)
-    if len(x) < ell:
-        return
-    assert integrate(derive(x, ell)) == x
 
 
 def test_duplication_shifts_signature_by_unit():
@@ -132,4 +95,37 @@ def test_whole_word_duplication_signature():
     y = tandem_duplicate(x, 3, 0)
     pair = derive(y, 3)
     assert zero_signature(pair.v, 3) == (1,)
-    assert trunk(pair.v, 3) == word((), 2)
+    assert trunk(pair.v, 3) == ()
+
+
+def test_trunk_helper_examples():
+    assert trunk(parse_word("100020", 3), 2) == (1, 0, 2, 0)
+    assert trunk(word((1, 2, 1), 3), 2) == (1, 2, 1)
+    assert trunk(word((0, 0), 3), 2) == ()
+    assert trunk(word((0, 0, 0, 1, 0), 2), 2) == (0, 1, 0)
+
+
+def test_deleting_the_first_block_of_a_gap_lowers_that_entry_only():
+    """The c1 decoder's step: the tandem deletion at the index where gap k
+    of v starts removes ell zeros there, so entry k of the signature drops
+    by one while the head and the trunk stay."""
+    for q, max_n in ((2, 9), (3, 6)):
+        for n in range(1, max_n + 1):
+            for y in words_of(n, q):
+                for ell in (1, 2, 3):
+                    if n < ell:
+                        continue
+                    pair = derive(y, ell)
+                    v = pair.v.symbols
+                    sig = zero_signature(pair.v, ell)
+                    starts = [0] + [i + 1 for i, d in enumerate(v) if d]
+                    for k, start in enumerate(starts):
+                        if sig[k] == 0:
+                            continue
+                        x = derive(tandem_delete(y, ell, start), ell)
+                        assert x.u == pair.u
+                        assert x.v.symbols == v[:start] + v[start + ell :]
+                        lowered = list(sig)
+                        lowered[k] -= 1
+                        assert zero_signature(x.v, ell) == tuple(lowered)
+                        assert trunk(x.v, ell) == trunk(pair.v, ell)
