@@ -12,7 +12,6 @@ from .channel import (
     TANDEM_DEL,
     TANDEM_DUP,
     ErrorKind,
-    ErrorSphere,
     ball_intersection,
     balls_intersect,
     deletion_positions,
@@ -38,7 +37,7 @@ from .codes import (
     oracle_decode,
 )
 from .transform import DerivativePair, derive, zero_signature
-from .words import Word, format_word, parse_word, run_checksum, run_profile, word
+from .words import Word, format_word, parse_word, run_profile, word
 
 __version__ = "0.1.0"
 
@@ -48,9 +47,7 @@ __all__ = [
     "parse_word",
     "format_word",
     "run_profile",
-    "run_checksum",
     "ErrorKind",
-    "ErrorSphere",
     "TANDEM_DUP",
     "TANDEM_DEL",
     "PAL_DUP",

@@ -272,6 +272,12 @@ def transversal_check(n: int, ell: int, t: int, q: int, limit: int = MAX_ENUMERA
     sizes that occur at length n - t*ell, and each ball's scaled sum is
     compared with D. The sums are int64, or Python ints when D times the
     largest ball does not fit int64.
+
+    Level i of the balls is the whole word space of length m = n - i*ell
+    when m >= ell (duplicating the first block of a word i times gives a
+    length-n word whose ball holds it), and empty otherwise. So a word's key
+    is its index in all_words(m, q), and the sphere sizes of a level are
+    indexed by key.
     """
     if q**n > limit:
         raise ValueError(f"instance too large: q^n = {q**n} exceeds the guard {limit}")
@@ -279,19 +285,18 @@ def transversal_check(n: int, ell: int, t: int, q: int, limit: int = MAX_ENUMERA
     rows = all_words(n, q, limit=limit)
     N = len(rows)
     levels = sphere_levels(rows, kind, t, q)
-    # per level: (centre, word index of each pair, radius-t sphere size of each word)
-    balls = [(levels[0][0], levels[0][0], np.bincount(levels[t][0], minlength=N))]
-    for i, (centre, key) in enumerate(levels[1:], start=1):
-        words, _, word_of = distinct(key)
-        spheres = sphere_levels(key_rows(words, max(0, n - i * ell), q), kind, t, q)[t][0]
-        balls.append((centre, word_of, np.bincount(spheres, minlength=len(words))))
-    occurring = np.flatnonzero(np.bincount(balls[t][2]))
+    # radius-t sphere size of every word of each level's length, by key
+    sizes = [np.bincount(levels[t][0], minlength=N)]
+    for i in range(1, t + 1):
+        words = all_words(max(0, n - i * ell), q, limit=limit)
+        sizes.append(np.bincount(sphere_levels(words, kind, t, q)[t][0], minlength=len(words)))
+    occurring = np.flatnonzero(np.bincount(sizes[t]))
     scale = math.lcm(*occurring[occurring > 0].tolist())
-    largest = int(sum(np.bincount(centre, minlength=N) for centre, _, _ in balls).max())
+    largest = int(sum(np.bincount(centre, minlength=N) for centre, _ in levels).max())
     dtype = object if scale * largest > _INT64_MAX else np.int64
     total = np.zeros(N, dtype=dtype)
-    for i, (centre, word_of, sizes) in enumerate(balls):
-        np.add.at(total, centre, _scaled_weights(sizes, scale, i == t, dtype)[word_of])
+    for i, (centre, key) in enumerate(levels):
+        np.add.at(total, centre, _scaled_weights(sizes[i], scale, i == t, dtype)[key])
     deficits = np.flatnonzero(total < scale)
     return (not len(deficits), list(_words_of_rows(rows[deficits], q)))
 

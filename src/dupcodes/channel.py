@@ -5,11 +5,11 @@ ell symbols is repeated in place), palindromic duplication (the block is
 repeated reversed), and the two inverse deletions, which are defined only
 at positions where the required repeated/mirrored pattern is present.
 
-Error spheres (exactly t errors) and balls (at most t errors) are
-enumerated breadth first with set deduplication at each level; deletions
-with t >= 2 are applied sequentially on intermediate words. Memory use is
-O(|sphere| * n), which is fine at the enumerable scales this package
-targets.
+Error spheres (exactly t errors) and balls (at most t errors) are frozen
+sets of words, enumerated breadth first with set deduplication at each
+level; deletions with t >= 2 are applied sequentially on intermediate
+words. Memory use is O(|sphere| * n), which is fine at the enumerable
+scales this package targets.
 
 `duplication_rows` and `deletion_rows` are the batch twins of the single
 operations: they act on a batch of words given as the (N, n) int8 rows the
@@ -217,19 +217,6 @@ def deletion_rows(rows, kind: ErrorKind) -> tuple[np.ndarray, np.ndarray]:
     return outcomes, source
 
 
-@dataclass(frozen=True, slots=True)
-class ErrorSphere:
-    """All words reachable from the center by exactly t errors of one kind."""
-
-    center: Word
-    kind: ErrorKind
-    t: int
-    members: frozenset[Word]
-
-    def __len__(self):
-        return len(self.members)
-
-
 def _reach(x: Word, kind: ErrorKind, t: int, ball: bool) -> frozenset[Word]:
     """Breadth-first levels of single errors from x: the last level (exactly
     t errors) or, with ball, the union of all levels (at most t errors)."""
@@ -244,9 +231,10 @@ def _reach(x: Word, kind: ErrorKind, t: int, ball: bool) -> frozenset[Word]:
     return frozenset(reached)
 
 
-def error_sphere(x: Word, kind: ErrorKind, t: int) -> ErrorSphere:
-    """Sphere of radius exactly t; t=0 gives {x}. Deletion spheres may be empty."""
-    return ErrorSphere(x, kind, t, _reach(x, kind, t, ball=False))
+def error_sphere(x: Word, kind: ErrorKind, t: int) -> frozenset[Word]:
+    """The words exactly t errors reach from x; t=0 gives {x}. Deletion
+    spheres may be empty."""
+    return _reach(x, kind, t, ball=False)
 
 
 def error_ball(x: Word, kind: ErrorKind, t: int) -> frozenset[Word]:

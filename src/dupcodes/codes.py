@@ -179,12 +179,18 @@ def c1_decode(y: Word, code: TandemVTCode) -> Word:
     return result
 
 
+def _c1_keys(n: int, ell: int, q: int, limit: int):
+    """All words of length n over Z_q, and per word its signature length s
+    and VT residue mod (s+1), from one signature_scan."""
+    arr = all_words(n, q, limit=limit)
+    sig_len, _, csum = signature_scan(arr, ell)
+    return arr, sig_len, csum % (sig_len + 1)
+
+
 def c1_best_params(n: int, ell: int, q: int, limit: int = MAX_ENUMERABLE):
     """Best residue per signature length (ties to the smallest residue) and
     the resulting code cardinality, by a full scan of Z_q^n."""
-    arr = all_words(n, q, limit=limit)
-    sig_len, _, csum = signature_scan(arr, ell)
-    residues = csum % (sig_len + 1)
+    _, sig_len, residues = _c1_keys(n, ell, q, limit)
     # one count per (signature length s, residue); residues of length s lie in 0..s
     width = n - ell + 2
     counts = np.bincount(sig_len * width + residues, minlength=width * width)
@@ -208,9 +214,7 @@ def c1_size_lower_bound(n: int, ell: int, q: int) -> Fraction:
 
 def c1_codebook_rows(code: TandemVTCode, limit: int = MAX_ENUMERABLE) -> np.ndarray:
     """All codewords as int8 rows in lexicographic order."""
-    arr = all_words(code.n, code.q, limit=limit)
-    sig_len, _, csum = signature_scan(arr, code.ell)
-    residues = csum % (sig_len + 1)
+    arr, sig_len, residues = _c1_keys(code.n, code.ell, code.q, limit)
     wanted = np.asarray(code.a, dtype=np.int64)[sig_len - 1]
     return arr[residues == wanted]
 
@@ -397,9 +401,8 @@ def c2_size_lower_bound(n: int) -> Fraction:
 
 def c2_codebook_rows(code: PalindromicL2Code, limit: int = MAX_ENUMERABLE) -> np.ndarray:
     """All codewords as int8 rows in lexicographic order."""
-    arr = all_words(code.n, 2, limit=limit)
-    _, len1, csum = run_stats(arr)
-    return arr[(len1 % 5 == code.a) & (csum % (2 * code.n + 1) == code.b)]
+    arr, keys = _c2_keys(code.n, limit)
+    return arr[keys == code.a * (2 * code.n + 1) + code.b]
 
 
 # ---------------------------------------------------------------------------
@@ -557,17 +560,6 @@ def cpf_rate(q: int, n=None) -> float:
     return math.log(cpf_count_recursive(n, q), q) / n
 
 
-def cpf_rate_table(q_list, n_list) -> list[dict]:
-    """Flat rate table; entries {'q', 'n', 'rate'} with n None for the
-    asymptotic column."""
-    rows = []
-    for q in q_list:
-        for n in n_list:
-            key = None if (n is None or n == math.inf) else int(n)
-            rows.append({"q": q, "n": key, "rate": cpf_rate(q, key)})
-    return rows
-
-
 def cpf_codebook_rows(n: int, q: int, limit: int = MAX_ENUMERABLE) -> np.ndarray:
     """All 2-palindrome-free words of length n as int8 rows in lexicographic order."""
     arr = all_words(n, q, limit=limit)
@@ -591,7 +583,7 @@ def oracle_decode(y: Word, n: int, kind: ErrorKind, member) -> Word:
         raise ValueError(f"received length {len(y)} unreachable from n={n} by {kind}")
     t = (len(y) - n) // kind.ell
     del_kind = kind.inverse() if kind.is_duplication else kind
-    survivors = [w for w in error_sphere(y, del_kind, t).members if member(w)]
+    survivors = [w for w in error_sphere(y, del_kind, t) if member(w)]
     if not survivors:
         raise DecodingFailure("uncorrectable: no codeword reaches the received word")
     if len(survivors) > 1:

@@ -3,16 +3,14 @@
 Each function here has an enumeration counterpart in dupcodes.channel; the
 test suite keeps the two routes in exact agreement on exhaustive ranges.
 
-Column and row indices of the palindrome matrix are 1-based to match the
-position arithmetic of the deletion operations shifted by one: an all-zero
-column c corresponds to a length-ell palindromic deletion at prefix
-length c - 1.
+The palindromic deletion bound reads the paper's palindrome matrix without
+building it. Its column c (1-based) is all zero exactly when
+x_{c+2ell-r} = x_{c+r-1} for r = 1..ell, that is when the window
+x_{c+ell..c+2ell-1} mirrors the block x_{c..c+ell-1}: a length-ell
+palindromic deletion at prefix length p = c - 1.
 """
 
-from dataclasses import dataclass
 from math import comb
-
-import numpy as np
 
 from .transform import derive, zero_signature
 from .words import Word, run_profile
@@ -110,54 +108,15 @@ def pal_del_sphere_size_l2_binary(x: Word) -> int:
     return interior2 + prof.count_at_least(4)
 
 
-@dataclass(frozen=True)
-class PalindromeMatrix:
-    """Difference matrix whose all-zero columns mark length-ell palindromes.
-
-    Entry (r, c), both 1-based, equals x_{c+2ell-r} - x_{c+r-1} mod q; the
-    matrix has ell rows and n - 2ell + 1 columns.
-    """
-
-    entries: np.ndarray
-    ell: int
-
-    @property
-    def zero_columns(self) -> list[int]:
-        """1-based indices of all-zero columns."""
-        mask = ~self.entries.any(axis=0)
-        return [int(c) + 1 for c in np.nonzero(mask)[0]]
-
-    def zero_column_runs(self) -> int:
-        """Number of maximal blocks of consecutive all-zero columns."""
-        mask = ~self.entries.any(axis=0)
-        runs = 0
-        prev = False
-        for z in mask:
-            if z and not prev:
-                runs += 1
-            prev = z
-        return runs
-
-
-def palindrome_matrix(x: Word, ell: int) -> PalindromeMatrix:
-    """Build the ell x (n - 2ell + 1) palindrome-detection matrix of x."""
-    n = len(x)
-    if n < 2 * ell:
-        raise ValueError(f"need |x| >= 2*ell, got |x|={n}, ell={ell}")
-    s = x.symbols
-    cols = n - 2 * ell + 1
-    m = np.zeros((ell, cols), dtype=np.int64)
-    for r in range(1, ell + 1):
-        for c in range(1, cols + 1):
-            m[r - 1, c - 1] = (s[c + 2 * ell - r - 1] - s[c + r - 2]) % x.q
-    return PalindromeMatrix(m, ell)
-
-
 def pal_del_sphere_upper_bound(x: Word, ell: int) -> int:
     """Upper bound on the single palindromic deletion sphere size: the number
-    of runs of all-zero columns of the palindrome matrix. Adjacent zero
-    columns only occur inside one long run of equal symbols, whose deletions
-    all coincide, hence the grouping."""
-    if len(x) < 2 * ell:
-        return 0
-    return palindrome_matrix(x, ell).zero_column_runs()
+    of maximal runs of positions p whose window x_{p+ell+1..p+2ell} mirrors
+    the block x_{p+1..p+ell}. Adjacent such positions only occur inside one
+    long run of equal symbols, whose deletions all coincide, hence the
+    grouping."""
+    s = x.symbols
+    mirrored = [
+        all(s[p + 2 * ell - r] == s[p + r - 1] for r in range(1, ell + 1))
+        for p in range(len(s) - 2 * ell + 1)
+    ]
+    return sum(1 for p, hit in enumerate(mirrored) if hit and not (p and mirrored[p - 1]))

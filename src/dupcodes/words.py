@@ -42,10 +42,6 @@ class Word:
     def __str__(self):
         return format_word(self)
 
-    def replace(self, symbols) -> "Word":
-        """New word over the same alphabet with different symbols."""
-        return Word(tuple(symbols), self.q)
-
 
 _new_word = object.__new__
 _set_symbols = Word.symbols.__set__
@@ -57,8 +53,8 @@ def _unchecked_word(symbols: tuple[int, ...], q: int) -> Word:
     word or are reduced mod q; `symbols` must already be a tuple of ints.
 
     Only the package's own operations call this: every word that enters from
-    outside goes through the checking constructor (`Word`, `word`,
-    `parse_word`, `Word.replace`).
+    outside goes through a checking constructor (`Word`, `word` or
+    `parse_word`).
     """
     w = _new_word(Word)
     _set_symbols(w, symbols)
@@ -151,11 +147,3 @@ def run_profile(x: Word) -> RunProfile:
     if len(x) == 0:
         raise ValueError("empty input: run profile needs at least one symbol")
     return RunProfile(tuple(sum(1 for _ in grp) for _, grp in groupby(x.symbols)))
-
-
-def run_checksum(x: Word) -> int:
-    """Unreduced run-length checksum C(x) = sum_j j * r_j(x).
-
-    Callers that need the residue reduce modulo 2n+1 themselves.
-    """
-    return run_profile(x).checksum()

@@ -11,7 +11,7 @@ and return per-row statistics as int64 arrays:
       length wt_H(v)+1 of the ell-zero-signature of the difference tail,
       its number of positive entries, and the position-weighted checksum
       sum_k k * sigma_k (unreduced).
-  run_stats(words) -> (run_count, len1_runs, run_checksum)
+  run_stats(words) -> (run_count, len1_runs, checksum)
   pal2_free_mask(words) -> bool mask of words with no a b b a window
 
 packed_keys(words, q, prefix) turns each row into one int64 base-q key that
@@ -126,7 +126,7 @@ def _close_zero_runs(ending, zeros, gap, ell, weight, checksum, scratch):
 
 
 def run_stats(words):
-    """(run_count, len1_runs, run_checksum) of every row; the checksum is
+    """(run_count, len1_runs, checksum) of every row; the checksum is
     sum_k k * (length of run k), the sum over positions of their run index."""
     cols = _columns(words)
     n, N = cols.shape

@@ -113,7 +113,7 @@ def test_incidence_lists_every_sphere_member_once(family, q, n_max):
             expected = [
                 (i, key_of(v))
                 for i, x in enumerate(words_of_rows(rows, q))
-                for v in sorted(error_sphere(x, kind, 1).members, key=lambda w: w.symbols)
+                for v in sorted(error_sphere(x, kind, 1), key=lambda w: w.symbols)
             ]
             assert list(zip(centre.tolist(), key.tolist())) == expected, (kind, n)
 
@@ -128,7 +128,7 @@ def test_sphere_levels_match_error_spheres_of_every_radius(family):
             expected = [
                 (i, key_of(v))
                 for i, x in enumerate(words_of_rows(rows, q))
-                for v in sorted(error_sphere(x, kind, t).members, key=lambda w: w.symbols)
+                for v in sorted(error_sphere(x, kind, t), key=lambda w: w.symbols)
             ]
             assert list(zip(centre.tolist(), key.tolist())) == expected, (kind, n, t)
 
@@ -167,8 +167,8 @@ def test_transversal_check_agrees_with_the_fraction_sum(q, n_max, t):
 
 
 def lower_last_level_weight(monkeypatch, index):
-    """Make transversal_check give weight 0 to the last level's index-th
-    distinct word (words in key order)."""
+    """Make transversal_check give weight 0 to the last level's word of key
+    `index`, its index in lexicographic order."""
     real = bounds._scaled_weights
 
     def lowered(sizes, scale, last, dtype):
@@ -185,7 +185,7 @@ def reached_words(n, ell, t, q):
     lexicographic order."""
     reached = set()
     for x in words_of_rows(all_words(n, q), q):
-        reached |= error_sphere(x, tandem_del(ell), t).members
+        reached |= error_sphere(x, tandem_del(ell), t)
     return sorted(reached, key=lambda w: w.symbols)
 
 

@@ -82,7 +82,7 @@ def test_gsp_bound_equals_brute_transversal_sum():
         vertices = set()
         for x in words_of(n, q):
             vertices.add(x)
-            vertices |= error_sphere(x, kind, 1).members
+            vertices |= error_sphere(x, kind, 1)
         total = Fraction(0)
         for v in vertices:
             size = len(error_sphere(v, kind, 1))

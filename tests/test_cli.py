@@ -196,6 +196,22 @@ def test_simulate_golden_output(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "n,report",
+    [
+        ("2", ["cpf n=2 q=2: count 4", "ok   recursion matches enumeration",
+               "ok   decoder corrects every duplication of every length 2..2"]),
+        ("3", ["cpf n=3 q=2: count 8", "ok   recursion matches enumeration", "ok   closed form matches",
+               "ok   decoder corrects every duplication of every length 2..3"]),
+    ],
+)
+def test_verify_cpf_claims_the_closed_form_only_where_it_runs(capsys, n, report):
+    """The palindrome-free closed form starts at n = 3."""
+    code, out, err = run_cli(capsys, "verify", "--code", "cpf", "--n", n, "--q", "2")
+    assert code == 0 and err == ""
+    assert out == "\n".join(report + ["PASS"]) + "\n"
+
+
+@pytest.mark.parametrize(
     "args,decoder",
     [
         (("--code", "c1", "--n", "6", "--l", "2", "--q", "2"), "c1_decode"),
@@ -267,6 +283,30 @@ def test_verify_refuses_keys_wider_than_int64(monkeypatch, capsys):
     assert err.startswith("refused: ") and "int64" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "args,decoder",
+    [
+        (("--code", "c1", "--n", "8", "--l", "1", "--q", "2"), "c1_decode"),
+        (("--code", "c2", "--n", "9", "--q", "2"), "c2_decode"),
+        (("--code", "cpf", "--n", "8", "--q", "3"), "cpf_decode"),
+    ],
+    ids=["c1", "c2", "cpf"],
+)
+def test_simulate_counts_decoding_failure_as_a_failed_trial(monkeypatch, capsys, args, decoder):
+    """simulate reaches each decoder through its module-level name: a decoder
+    that always fails loses every trial that had an error to correct."""
+
+    def fail(*_):
+        raise codes.DecodingFailure("decoding failure: injected")
+
+    monkeypatch.setattr(codes, decoder, fail)
+    code, out, err = run_cli(capsys, "simulate", *args, "--trials", "30", "--seed", "7")
+    assert code == 1
+    successes, trials = out.split()[0].split("/")
+    assert int(trials) == 30 and int(successes) < 30
+    assert err.startswith("counterexample: ")
+
+
 def test_benchmark_self_test_passes():
     """perfbench/selftest.py: every benchmark output check accepts the real
     answer and rejects each corruption, including a wrong decoder in verify."""
@@ -312,6 +352,39 @@ def test_bad_input_refused_with_one_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "n,ell,short",
+    [("1..4", "2", "1"), ("0..5", "3", "0, 1, 2"), ("6,2,8", "3", "2")],
+    ids=["range", "range-from-0", "list"],
+)
+def test_bound_refuses_lengths_below_l_naming_both_flags(capsys, n, ell, short):
+    code, out, err = run_cli(capsys, "bound", "--n", n, "--l", ell)
+    assert code == 2 and out == ""
+    assert err == f"error: --n lengths below --l {ell}: {short}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sphere", "--word", "0101", "--kind", "tandem-dup", "--l", "1", "--seed", "1"),
+        ("bound", "--n", "4", "--seed", "1"),
+        ("verify", "--code", "c1", "--n", "5", "--seed", "1"),
+        ("rates", "--q", "2", "--n", "4", "--seed", "1"),
+        ("sphere", "--word", "0101", "--kind", "tandem-dup", "--l", "1", "--force"),
+        ("rates", "--q", "2", "--n", "4", "--force"),
+    ],
+    ids=["sphere-seed", "bound-seed", "verify-seed", "rates-seed", "sphere-force", "rates-force"],
+)
+def test_flags_a_subcommand_does_not_read_are_refused(capsys, argv):
+    """--seed belongs to simulate only, --force to bound, verify and simulate."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    flag = "--seed" if "--seed" in argv else "--force"
+    assert exc.value.code == 2 and out == ""
+    assert f"unrecognized arguments: {' '.join(argv[argv.index(flag):])}" in err
 
 
 @pytest.mark.parametrize(
@@ -362,6 +435,22 @@ def test_rates_table(capsys):
     assert "0.896" in out  # (2, 4)
     assert "0.973" in out  # (3, 4)
     assert "0.551" in out  # asymptotic rate for q = 2 (3-decimal print)
+
+
+def test_rates_keeps_repeated_rows_and_columns(tmp_path, capsys):
+    out_path = tmp_path / "rates.json"
+    code, out, err = run_cli(capsys, "rates", "--q", "2,3,2", "--n", "4,inf,4", "--out", str(out_path))
+    assert code == 0 and err == ""
+    assert out == (
+        "q\\n       4     inf       4\n"
+        "2      0.896   0.551   0.896\n"
+        "3      0.973   0.890   0.973\n"
+        "2      0.896   0.551   0.896\n"
+    )
+    rows = json.load(open(out_path))
+    assert [(r["q"], r["n"]) for r in rows] == [(q, n) for q in (2, 3, 2) for n in (4, "inf", 4)]
+    for r in rows:
+        assert r["rate"] == pytest.approx(codes.cpf_rate(r["q"], None if r["n"] == "inf" else r["n"]), abs=1e-6)
 
 
 def test_rates_machine_output(tmp_path, capsys):

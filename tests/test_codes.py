@@ -28,7 +28,6 @@ from dupcodes.codes import (
     cpf_lambda,
     cpf_member,
     cpf_rate,
-    cpf_rate_table,
     disjoint_ball_violation,
     oracle_decode,
     vt_member,
@@ -262,9 +261,7 @@ def test_cpf_rates():
     assert cpf_rate(2, 2) == 1
     assert cpf_rate(5, 16) == pytest.approx(0.979, abs=5e-4)
     assert cpf_rate(2, 8) == pytest.approx(math.log2(56) / 8, abs=1e-12)
-    rows = cpf_rate_table([2], [2, None])
-    assert rows[0] == {"q": 2, "n": 2, "rate": 1.0}
-    assert rows[1]["n"] is None
+    assert cpf_rate(2, None) == cpf_rate(2, math.inf) == math.log(cpf_lambda(2), 2)
 
 
 def test_palindrome_free_cascade():

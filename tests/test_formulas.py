@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dupcodes.channel import error_ball, error_sphere, pal_del, pal_dup, tandem_del, tandem_dup
+from dupcodes.channel import deletion_positions, error_ball, error_sphere, pal_del, pal_dup, tandem_del, tandem_dup
 from dupcodes.formulas import (
     pal_del_sphere_size_l1,
     pal_del_sphere_size_l2_binary,
@@ -9,7 +9,6 @@ from dupcodes.formulas import (
     pal_dup_sphere_size_l1,
     pal_dup_sphere_size_l2,
     pal_dup_sphere_upper_bound,
-    palindrome_matrix,
     tandem_del_sphere_size,
     tandem_dup_sphere_size,
 )
@@ -66,20 +65,33 @@ def test_pal_dup_upper_bound_examples():
     assert pal_dup_sphere_upper_bound(parse_word("11110220", 3), 2) == 5
 
 
+def palindrome_matrix(x, ell):
+    """The paper's ell x (n - 2ell + 1) palindrome matrix: entry (r, c), both
+    1-based, is x_{c+2ell-r} - x_{c+r-1} mod q."""
+    s = x.symbols
+    cols = range(1, len(s) - 2 * ell + 2)
+    return np.array([[(s[c + 2 * ell - r - 1] - s[c + r - 2]) % x.q for c in cols] for r in range(1, ell + 1)])
+
+
+def zero_column_runs(m):
+    zero = ~m.any(axis=0)
+    return sum(1 for c, z in enumerate(zero) if z and not (c and zero[c - 1]))
+
+
 def test_palindrome_matrix_example():
+    # all-zero columns 2 and 6 of the paper's matrix: the window mirrors the
+    # block at prefix lengths 1 and 5, two runs
     x = parse_word("21011012210", 3)
-    m = palindrome_matrix(x, 3)
-    expected = np.array(
-        [
-            [1, 0, 2, 1, 0, 0],
-            [0, 0, 0, 1, 2, 0],
-            [1, 0, 2, 1, 1, 0],
-        ]
-    )
-    assert m.entries.shape == (3, 6)
-    assert (m.entries == expected).all()
-    assert m.zero_columns == [2, 6]
-    assert m.zero_column_runs() == 2
+    assert deletion_positions(x, pal_del(3)) == [1, 5]
+    assert pal_del_sphere_upper_bound(x, 3) == 2
+
+
+def test_pal_del_upper_bound_counts_the_zero_column_runs_of_the_palindrome_matrix():
+    for q, max_n in ((2, 10), (3, 7)):
+        for n in range(0, max_n + 1):
+            for x in words_of(n, q):
+                for ell in range(1, n // 2 + 1):
+                    assert pal_del_sphere_upper_bound(x, ell) == zero_column_runs(palindrome_matrix(x, ell)), (x, ell)
 
 
 def test_pal_del_upper_bound_examples():
@@ -88,8 +100,7 @@ def test_pal_del_upper_bound_examples():
     assert len(error_sphere(x, pal_del(3), 1)) == 2
     assert pal_del_sphere_upper_bound(word((0, 1, 0, 1), 2), 2) == 0
     assert pal_del_sphere_upper_bound(word((0,) * 5, 2), 2) == 1
-    with pytest.raises(ValueError):
-        palindrome_matrix(word((0, 1), 2), 2)
+    assert pal_del_sphere_upper_bound(word((0, 1), 2), 2) == 0  # no window fits
 
 
 def test_exactness_small_exhaustive():

@@ -8,7 +8,6 @@ from dupcodes.words import (
     Word,
     format_word,
     parse_word,
-    run_checksum,
     run_profile,
     word,
 )
@@ -42,9 +41,9 @@ def test_run_counts_example():
 
 
 def test_run_checksum_examples():
-    assert run_checksum(word((0, 1, 0, 1, 1, 0, 0, 1), 2)) == 30
-    assert run_checksum(word((1,), 2)) == 1
-    assert run_checksum(word((0, 0, 0), 2)) == 3
+    assert run_profile(word((0, 1, 0, 1, 1, 0, 0, 1), 2)).checksum() == 30
+    assert run_profile(word((1,), 2)).checksum() == 1
+    assert run_profile(word((0, 0, 0), 2)).checksum() == 3
 
 
 def test_run_statistics_identities_exhaustive():
@@ -55,7 +54,7 @@ def test_run_statistics_identities_exhaustive():
                 assert sum(prof.lengths) == n
                 assert sum(i * prof.count_of_length(i) for i in range(1, n + 1)) == n
                 assert sum(prof.count_of_length(i) for i in range(1, n + 1)) == prof.num_runs
-                assert run_checksum(x) <= prof.num_runs * n
+                assert prof.checksum() <= prof.num_runs * n
 
 
 def test_run_profile_alphabet_permutation_invariant():
@@ -106,10 +105,9 @@ def test_parse_format_roundtrip(q, symbols):
         lambda: word([0, 3], 3),
         lambda: parse_word("0120", 2),
         lambda: parse_word("1,13", 13),
-        lambda: word((0, 1), 2).replace((0, 5)),
-        lambda: word((1, 1), 3).replace((-1, 1)),
+        lambda: Word((-1, 1), 3),
     ],
-    ids=["Word", "word", "parse_word", "parse_word-commas", "replace", "replace-negative"],
+    ids=["Word", "word", "parse_word", "parse_word-commas", "Word-negative"],
 )
 def test_public_constructors_refuse_out_of_range_symbols(build):
     with pytest.raises(ValueError, match="outside alphabet"):
