@@ -194,21 +194,44 @@ def error_incidence(rows, kind: ErrorKind, q: int) -> tuple[np.ndarray, np.ndarr
     (`deletion_rows` or `duplication_rows`) are packed behind their centre
     as prefix, sorted once, and kept where they differ from their
     predecessor.
+
+    One block's pairs are the output as they are. With more blocks, each
+    block's pairs go straight into output allocated for one pair per row and
+    error position. Only the pairs are written, so the pages past them need
+    not become resident, and the arrays are trimmed in place at the end: no
+    second copy of the pairs is ever held.
     """
     rows = np.asarray(rows)
     N, n = rows.shape
     single = duplication_rows if kind.is_duplication else deletion_rows
     length = n + kind.ell if kind.is_duplication else max(0, n - kind.ell)
     width = (q**length - 1).bit_length()
+    mask = (1 << width) - 1
     step = max(1, _BLOCK_OUTCOMES // max(1, n - kind.ell + 1))
-    centres, keys = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for start in range(0, N, step):
+
+    def block_pairs(start):
         outcomes, source = single(rows[start : start + step], kind)
         packed = np.sort(packed_keys(outcomes, q, prefix=source))
-        packed = packed[runs_start(packed)]
-        centres.append((packed >> width) + start)
-        keys.append(packed & ((1 << width) - 1))
-    return np.concatenate(centres), np.concatenate(keys)
+        return packed[runs_start(packed)]
+
+    if N <= step:
+        packed = block_pairs(0)
+        key = packed & mask
+        return np.right_shift(packed, width, out=packed), key
+    positions = max(0, n - kind.ell + 1 if kind.is_duplication else n - 2 * kind.ell + 1)
+    centre = np.empty(N * positions, dtype=np.int64)
+    key = np.empty(N * positions, dtype=np.int64)
+    filled = 0
+    for start in range(0, N, step):
+        packed = block_pairs(start)
+        at = slice(filled, filled + len(packed))
+        np.right_shift(packed, width, out=centre[at])
+        centre[at] += start
+        np.bitwise_and(packed, mask, out=key[at])
+        filled += len(packed)
+    centre.resize(filled, refcheck=False)
+    key.resize(filled, refcheck=False)
+    return centre, key
 
 
 def sphere_levels(rows, kind: ErrorKind, t: int, q: int) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -77,8 +77,8 @@ def _write_machine(path: str, fmt: str | None, rows: list[dict]):
 
 def _sphere_formula(x: Word, kind: ErrorKind, t: int):
     """Closed-form size for the sphere when one exists, else None."""
-    if kind.family in (channel.TANDEM_DUP, channel.TANDEM_DEL) and len(x) < kind.ell:
-        return None  # the step derivative needs ell symbols
+    if len(x) == 0 or kind.is_tandem and len(x) < kind.ell:
+        return None  # the step derivative needs ell symbols, a run profile one
     if kind.family == channel.TANDEM_DUP:
         return formulas.tandem_dup_sphere_size(x, kind.ell, t)
     if kind.family == channel.TANDEM_DEL:
@@ -275,8 +275,14 @@ CONSTRUCTIONS = {
 
 def _best_code(args):
     """The best code of --code for the flags, or None after a one-line refusal:
-    the construction refuses the flags, or no duplication it corrects fits in
-    a word of length n."""
+    --n is below 1 or below the --l that c1 reads, the construction refuses
+    the flags, or no duplication it corrects fits in a word of length n."""
+    if args.n < 1:
+        print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)
+        return None
+    if args.code == "c1" and args.n < args.l:  # c2 and cpf do not read --l
+        print(f"error: --n {args.n} below --l {args.l}", file=sys.stderr)
+        return None
     try:
         code = CONSTRUCTIONS[args.code][0].best(args.n, args.q, args.l, limit=_limit(args))
     except ValueError as exc:

@@ -34,6 +34,11 @@ corrects, and `member(x)`, `decode(y)`, `codebook(limit)` and
 the public API. `check_correction` and the CLI's simulation loop use
 nothing but this interface.
 
+Members and decoders read the syndrome in one pass over the symbol tuple
+(`_c1_syndrome`, `_c2_syndrome`, `_has_mirrored_pair`), once per received
+word and repaired candidate, and build a Word only for the word they return
+(`docs/decisions.md`, D5).
+
 `check_correction` verifies single-error correction on arrays: it takes a
 codebook as the int8 rows of the kernels, builds every single duplication
 with `channel.duplication_rows`, and looks up the valid deletion outcomes
@@ -56,21 +61,8 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import _binom, rll_weight_count
-from .channel import (
-    ErrorKind,
-    deletion_positions,
-    deletion_rows,
-    duplication_rows,
-    error_ball,
-    error_sphere,
-    pal_del,
-    pal_dup,
-    palindromic_delete,
-    tandem_delete,
-    tandem_dup,
-)
-from .transform import derive, zero_signature
-from .words import Word, _unchecked_word, _word_of_row, _words_of_rows, run_profile
+from .channel import ErrorKind, deletion_rows, duplication_rows, error_ball, error_sphere, pal_dup, tandem_dup
+from .words import Word, _unchecked_word, _word_of_row, _words_of_rows
 from .wordspace import MAX_ENUMERABLE, all_words, distinct, packed_keys, pal2_free_mask, run_stats, signature_scan
 
 
@@ -83,13 +75,19 @@ class DecodingFailure(Exception):
 # ---------------------------------------------------------------------------
 
 
-def vt_member(s, a: int) -> bool:
-    """Weighted VT test on an integer vector: sum_k k*s_k = a mod (|s|+1)."""
-    s = tuple(s)
-    if any(c < 0 for c in s):
-        raise ValueError("signature entries must be nonnegative")
-    checksum = sum(k * c for k, c in enumerate(s, start=1))
-    return checksum % (len(s) + 1) == a
+def _c1_syndrome(s: tuple[int, ...], ell: int):
+    """(nonzero, sig, checksum) of the ell-step difference tail of the
+    symbols s (|s| >= ell): its nonzero positions, where s[i] != s[i+ell],
+    its zero-signature and sum_k k*sig_k."""
+    nonzero = [i for i in range(len(s) - ell) if s[i] != s[i + ell]]
+    sig = [(end - start - 1) // ell for start, end in zip([-1] + nonzero, nonzero + [len(s) - ell])]
+    return nonzero, sig, sum(k * c for k, c in enumerate(sig, start=1))
+
+
+def _c1_holds(s: tuple[int, ...], code: "TandemVTCode") -> bool:
+    """The VT residue test on the symbols of a length-n word."""
+    _, sig, checksum = _c1_syndrome(s, code.ell)
+    return checksum % (len(sig) + 1) == code.a[len(sig) - 1]
 
 
 @dataclass(frozen=True)
@@ -143,8 +141,7 @@ def c1_member(x: Word, code: TandemVTCode) -> bool:
         raise ValueError(f"alphabet mismatch: word q={x.q}, code q={code.q}")
     if len(x) != code.n:
         raise ValueError(f"length mismatch: |x|={len(x)}, code n={code.n}")
-    sig = zero_signature(derive(x, code.ell).v, code.ell)
-    return vt_member(sig, code.a[len(sig) - 1])
+    return _c1_holds(x.symbols, code)
 
 
 def c1_decode(y: Word, code: TandemVTCode) -> Word:
@@ -158,25 +155,27 @@ def c1_decode(y: Word, code: TandemVTCode) -> Word:
     n, ell = code.n, code.ell
     if y.q != code.q:
         raise ValueError(f"alphabet mismatch: word q={y.q}, code q={code.q}")
-    if len(y) == n:
-        if c1_member(y, code):
+    s = y.symbols
+    if len(s) == n:
+        if _c1_holds(s, code):
             return y
         raise DecodingFailure("decoding failure: received word is not a codeword")
-    if len(y) != n + ell:
-        raise DecodingFailure(f"decoding failure: length {len(y)} not in {{{n}, {n + ell}}}")
-    v = derive(y, ell).v
-    sig = zero_signature(v, ell)
-    s = len(sig)
-    if s > len(code.a):
+    if len(s) != n + ell:
+        raise DecodingFailure(f"decoding failure: length {len(s)} not in {{{n}, {n + ell}}}")
+    nonzero, sig, checksum = _c1_syndrome(s, ell)
+    size = len(sig)
+    if size > len(code.a):
         raise DecodingFailure("decoding failure: signature length outside the code's range")
-    k = (sum(j * c for j, c in enumerate(sig, start=1)) - code.a[s - 1]) % (s + 1)
+    k = (checksum - code.a[size - 1]) % (size + 1)
     if k == 0 or sig[k - 1] == 0:
         raise DecodingFailure("decoding failure: no signature coordinate restores the residue")
-    gap_start = 0 if k == 1 else [i for i, d in enumerate(v.symbols) if d][k - 2] + 1
-    result = tandem_delete(y, ell, gap_start)
-    if not c1_member(result, code):
+    p = 0 if k == 1 else nonzero[k - 2] + 1
+    if s[p : p + ell] != s[p + ell : p + 2 * ell]:
+        raise DecodingFailure(f"decoding failure: no tandem repeat at p={p}")
+    repaired = s[: p + ell] + s[p + 2 * ell :]
+    if not _c1_holds(repaired, code):
         raise DecodingFailure("decoding failure: repaired word is not a codeword")
-    return result
+    return _unchecked_word(repaired, code.q)
 
 
 def _c1_keys(n: int, ell: int, q: int, limit: int):
@@ -271,16 +270,27 @@ class PalindromicL2Code:
         return c2_codebook_rows(self, limit)
 
 
+def _c2_syndrome(s: tuple[int, ...]):
+    """(starts, ones, checksum) of the nonempty symbols s: the start of every
+    run, the number of length-1 runs and the run checksum sum_j j*r_j, which
+    is |s| per run less each run start."""
+    starts = [0] + [i for i in range(1, len(s)) if s[i] != s[i - 1]]
+    lengths = [end - start for start, end in zip(starts, starts[1:] + [len(s)])]
+    return starts, lengths.count(1), len(s) * len(starts) - sum(starts)
+
+
+def _c2_holds(s: tuple[int, ...], code: "PalindromicL2Code") -> bool:
+    """The (a, b) syndrome test on the symbols of a length-n binary word."""
+    _, ones, checksum = _c2_syndrome(s)
+    return ones % 5 == code.a and checksum % (2 * code.n + 1) == code.b
+
+
 def c2_member(x: Word, code: PalindromicL2Code) -> bool:
     if x.q != 2:
         raise ValueError("binary only: the run-profile construction requires q = 2")
     if len(x) != code.n:
         raise ValueError(f"length mismatch: |x|={len(x)}, code n={code.n}")
-    prof = run_profile(x)
-    return (
-        prof.count_of_length(1) % 5 == code.a
-        and prof.checksum() % (2 * code.n + 1) == code.b
-    )
+    return _c2_holds(x.symbols, code)
 
 
 def c2_decode(y: Word, code: PalindromicL2Code) -> Word:
@@ -297,29 +307,19 @@ def c2_decode(y: Word, code: PalindromicL2Code) -> Word:
         raise ValueError("binary only: the run-profile construction requires q = 2")
     n = code.n
     modulus = 2 * n + 1
-    if len(y) == n:
-        if c2_member(y, code):
+    s = y.symbols
+    if len(s) == n:
+        if _c2_holds(s, code):
             return y
         raise DecodingFailure("decoding failure: received word is not a codeword")
-    if len(y) != n + 2:
-        raise DecodingFailure(f"decoding failure: length {len(y)} not in {{{n}, {n + 2}}}")
+    if len(s) != n + 2:
+        raise DecodingFailure(f"decoding failure: length {len(s)} not in {{{n}, {n + 2}}}")
 
-    prof = run_profile(y)
-    lengths = prof.lengths
-    r = prof.num_runs
-    starts = [0]
-    for length in lengths[:-1]:
-        starts.append(starts[-1] + length)
-    # suffix[k] = total length of runs k..r (1-based)
-    suffix = [0] * (r + 2)
-    for k in range(r, 0, -1):
-        suffix[k] = suffix[k + 1] + lengths[k - 1]
-
-    delta = (prof.count_of_length(1) - code.a) % 5
-    drift = (prof.checksum() - code.b) % modulus
-
-    def run_end(j: int) -> int:  # deletion position at the boundary after run j
-        return starts[j - 1] + lengths[j - 1] - 1
+    starts, ones, checksum = _c2_syndrome(s)
+    r = len(starts)
+    delta = (ones - code.a) % 5
+    drift = (checksum - code.b) % modulus
+    # run j < r ends at starts[j] - 1; runs j+1..r hold len(s) - starts[j] symbols
 
     candidates: list[int] = []
     if delta == 0:
@@ -330,34 +330,34 @@ def c2_decode(y: Word, code: PalindromicL2Code) -> Word:
             if 1 <= j <= r:
                 candidates.append(starts[j - 1])
         elif drift == (2 * r - 1) % modulus:
-            candidates.append(len(y) - 4)
+            candidates.append(len(s) - 4)
     elif delta in (4, 3):
         # one or two length-1 runs absorbed right of the site; drift 2j+3
         if drift % 2 == 1:
             j = (drift - 3) // 2
             if 1 <= j <= r - 2:
-                candidates.append(run_end(j))
+                candidates.append(starts[j] - 1)
     elif delta == 2:
         # two new length-1 runs: interior ab|ba pattern, or ab|b at the end
         for j in range(1, r - 3):
-            if (2 * j + 5 + 2 * suffix[j + 4]) % modulus == drift:
-                candidates.append(run_end(j))
+            if (2 * j + 5 + 2 * (len(s) - starts[j + 3])) % modulus == drift:
+                candidates.append(starts[j] - 1)
         if r >= 4 and drift == (2 * r - 1) % modulus:
-            candidates.append(run_end(r - 3))
+            candidates.append(starts[r - 3] - 1)
     else:  # delta == 1: duplication before a longer run of the second symbol
         for j in range(1, r - 2):
-            if (2 * j + 3 + 2 * suffix[j + 3]) % modulus == drift:
-                candidates.append(run_end(j))
+            if (2 * j + 3 + 2 * (len(s) - starts[j + 2])) % modulus == drift:
+                candidates.append(starts[j] - 1)
 
-    survivors: set[Word] = set()
+    survivors: set[tuple[int, ...]] = set()
     for p in candidates:
-        if not 0 <= p <= len(y) - 4 or y[p] != y[p + 3] or y[p + 1] != y[p + 2]:
+        if not 0 <= p <= len(s) - 4 or s[p] != s[p + 3] or s[p + 1] != s[p + 2]:
             continue  # the window is not a mirrored pair: a rejected candidate run
-        candidate = palindromic_delete(y, 2, p)
-        if c2_member(candidate, code):
-            survivors.add(candidate)
+        repaired = s[: p + 2] + s[p + 4 :]
+        if _c2_holds(repaired, code):
+            survivors.add(repaired)
     if len(survivors) == 1:
-        return survivors.pop()
+        return _unchecked_word(survivors.pop(), 2)
     raise DecodingFailure(
         f"decoding failure: {len(survivors)} consistent preimages (case {delta}, drift {drift})"
     )
@@ -446,13 +446,15 @@ class PalindromeFreeCode:
         return cpf_codebook_rows(self.n, self.q, limit)
 
 
+def _has_mirrored_pair(s: tuple[int, ...]) -> bool:
+    """True iff the symbols s contain a window a b b a (a = b allowed)."""
+    return any(s[p + 1] == s[p + 2] and s[p] == s[p + 3] for p in range(len(s) - 3))
+
+
 def cpf_member(x: Word) -> bool:
     """True iff x contains no window a b b a (equivalently, no length-2
     palindromic deletion is possible). Words of length <= 3 always qualify."""
-    s = x.symbols
-    return not any(
-        s[p] == s[p + 3] and s[p + 1] == s[p + 2] for p in range(len(s) - 3)
-    )
+    return not _has_mirrored_pair(x.symbols)
 
 
 def cpf_decode(y: Word, n: int) -> Word:
@@ -463,22 +465,24 @@ def cpf_decode(y: Word, n: int) -> Word:
     are outside this code's error model: a word of length n + 1 raises
     DecodingFailure.
     """
-    ell = len(y) - n
+    s = y.symbols
+    ell = len(s) - n
     if ell < 0:
         raise DecodingFailure("decoding failure: received word shorter than the code length")
     if ell == 0:
-        if cpf_member(y):
+        if not _has_mirrored_pair(s):
             return y
         raise DecodingFailure("decoding failure: received word is not palindrome-free")
     if ell == 1:
         raise DecodingFailure("decoding failure: duplication length 1 is outside this code's model (lengths 2..n)")
-    survivors: set[Word] = set()
-    for p in deletion_positions(y, pal_del(ell)):
-        candidate = palindromic_delete(y, ell, p)
-        if cpf_member(candidate):
-            survivors.add(candidate)
+    survivors: set[tuple[int, ...]] = set()
+    for p in range(len(s) - 2 * ell + 1):
+        if s[p + ell : p + 2 * ell] == s[p : p + ell][::-1]:  # the window mirrors the block
+            repaired = s[: p + ell] + s[p + 2 * ell :]
+            if not _has_mirrored_pair(repaired):
+                survivors.add(repaired)
     if len(survivors) == 1:
-        return survivors.pop()
+        return _unchecked_word(survivors.pop(), y.q)
     raise DecodingFailure(f"decoding failure: {len(survivors)} palindrome-free preimages")
 
 

@@ -10,7 +10,7 @@ import pytest
 from dupcodes import codes
 from dupcodes.channel import error_ball, tandem_dup
 from dupcodes.cli import main
-from dupcodes.words import parse_word
+from dupcodes.words import Word, parse_word
 from dupcodes.wordspace import all_words
 
 
@@ -57,6 +57,16 @@ def test_sphere_tandem_word_shorter_than_l_has_no_formula(capsys, kind, t, size)
     assert code == 0 and err == ""
     assert f"enumerated size: {size}" in out
     assert "formula size:    n/a" in out
+
+
+@pytest.mark.parametrize("kind,ell", [("pal-dup", "1"), ("pal-del", "1"), ("pal-del", "2")])
+def test_sphere_of_the_empty_word_has_no_formula(capsys, kind, ell):
+    """The run-profile closed forms need one symbol: no closed form, no traceback."""
+    code, out, err = run_cli(capsys, "sphere", "--word", "", "--kind", kind, "--l", ell)
+    assert code == 0 and err == ""
+    assert "enumerated size: 0" in out
+    assert "formula size:    n/a" in out
+    assert "(empty sphere)" in out
 
 
 def test_sphere_machine_output_roundtrip(tmp_path, capsys):
@@ -307,6 +317,48 @@ def test_simulate_counts_decoding_failure_as_a_failed_trial(monkeypatch, capsys,
     assert err.startswith("counterexample: ")
 
 
+def wrong_word(y, code):
+    """The benchmark self-test's wrong decoder: a constant word of the code's
+    length that never equals the codeword, whose first symbol every error
+    keeps. cpf_decode takes the code length itself."""
+    n = code if isinstance(code, int) else code.n
+    return Word((0,) * n, y.q) if y.symbols[0] else Word((1,) * n, y.q)
+
+
+@pytest.mark.parametrize(
+    "decoder,args",
+    [
+        ("c1_decode", ("--code", "c1", "--n", "6", "--l", "2", "--q", "2")),
+        ("c2_decode", ("--code", "c2", "--n", "8", "--q", "2")),
+        ("cpf_decode", ("--code", "cpf", "--n", "6", "--q", "3")),
+    ],
+    ids=["c1", "c2", "cpf"],
+)
+def test_a_wrong_word_from_any_decoder_fails_verify_and_simulate(monkeypatch, capsys, decoder, args):
+    """verify and simulate reach every decoder through its module-level name,
+    with one Word per call: a decoder that returns a wrong Word breaks the
+    verify report and loses simulate trials."""
+    calls = []
+
+    def recorded(y, code):
+        assert isinstance(y, Word)
+        calls.append(y)
+        return wrong_word(y, code)
+
+    monkeypatch.setattr(codes, decoder, recorded)
+    code, out, _ = run_cli(capsys, "verify", *args)
+    assert code == 1 and calls
+    lines = out.splitlines()
+    assert lines[-1] == "FAIL"
+    assert any(line.startswith("FAIL ") and "broken" in line for line in lines)
+    calls.clear()
+    code, out, err = run_cli(capsys, "simulate", *args, "--trials", "20", "--seed", "3")
+    assert code == 1 and len(calls) == 20
+    successes, trials = out.split()[0].split("/")
+    assert int(trials) == 20 and int(successes) < 20
+    assert err.startswith("counterexample: ")
+
+
 def test_benchmark_self_test_passes():
     """perfbench/selftest.py: every benchmark output check accepts the real
     answer and rejects each corruption, including a wrong decoder in verify."""
@@ -363,6 +415,29 @@ def test_bound_refuses_lengths_below_l_naming_both_flags(capsys, n, ell, short):
     code, out, err = run_cli(capsys, "bound", "--n", n, "--l", ell)
     assert code == 2 and out == ""
     assert err == f"error: --n lengths below --l {ell}: {short}\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("--code", "c1", "--n", "2", "--l", "3"), "error: --n 2 below --l 3"),
+        (("--code", "c1", "--n", "0"), "error: --n must be >= 1, got 0"),
+        (("--code", "c2", "--n", "0"), "error: --n must be >= 1, got 0"),
+        (("--code", "cpf", "--n", "-1", "--q", "3"), "error: --n must be >= 1, got -1"),
+    ],
+    ids=["c1-n-below-l", "c1-n0", "c2-n0", "cpf-negative-n"],
+)
+def test_verify_and_simulate_refuse_a_short_length_naming_the_flags(monkeypatch, capsys, command, args, message):
+    """Refused before any word space is enumerated."""
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("a word space was enumerated")
+
+    monkeypatch.setattr(codes, "all_words", no_work)
+    code, out, err = run_cli(capsys, command, *args)
+    assert code == 2 and out == ""
+    assert err == message + "\n"
 
 
 @pytest.mark.parametrize(

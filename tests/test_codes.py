@@ -30,20 +30,11 @@ from dupcodes.codes import (
     cpf_rate,
     disjoint_ball_violation,
     oracle_decode,
-    vt_member,
 )
 from dupcodes.transform import derive, zero_signature
-from dupcodes.words import parse_word, word
+from dupcodes.words import parse_word, run_profile, word
 
 from conftest import words_of
-
-
-def test_vt_member_examples():
-    assert vt_member((0, 1, 0), 2)
-    assert vt_member((0, 0, 0, 0), 0)
-    assert not vt_member((0, 1, 0), 0)
-    with pytest.raises(ValueError):
-        vt_member((0, -1), 0)
 
 
 def test_tandem_vt_code_validation():
@@ -128,6 +119,63 @@ def test_c1_decode_equals_the_oracle_on_every_word(q, max_n, ells):
                     assert c1_decode(y, code) == expected, (code, y)
 
 
+def _assert_decoder_equals_the_oracle(decode, member, n, q, lengths, kind_of_length):
+    """decode(y) against `oracle_decode` on every word y of the lengths,
+    with an independent membership test: the same codeword, or
+    DecodingFailure where no single error of kind_of_length(|y|) reaches a
+    unique codeword (kind None: no such error reaches length |y|)."""
+    for m in lengths:
+        kind = kind_of_length(m)
+        for y in words_of(m, q):
+            expected = None
+            if kind is not None:
+                try:
+                    expected = oracle_decode(y, n, kind, member)
+                except DecodingFailure:
+                    pass
+            if expected is None:
+                with pytest.raises(DecodingFailure):
+                    decode(y)
+            else:
+                assert decode(y) == expected, (n, y)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_c2_decode_equals_the_oracle_on_every_word(n):
+    """Every (a, b) code of length n and every word of length n-1..n+3."""
+    modulus = 2 * n + 1
+
+    def kind_of_length(m):
+        return channel.pal_dup(2) if m in (n, n + 2) else None
+
+    for code in c2_groups(n)[0]:
+
+        def member(w):
+            prof = run_profile(w)
+            return (prof.count_of_length(1) % 5, prof.checksum() % modulus) == (code.a, code.b)
+
+        _assert_decoder_equals_the_oracle(code.decode, member, n, 2, range(n - 1, n + 4), kind_of_length)
+
+
+@pytest.mark.parametrize("q,max_n", [(2, 6), (3, 4)])
+def test_cpf_decode_equals_the_oracle_on_every_word(q, max_n):
+    """Every word of length n-1..2n+1: a duplication of length 2..n, or of
+    length above n that no deletion undoes; a word of length n passes
+    exactly when it has no a b b a window."""
+
+    def member(w):
+        s = w.symbols
+        return all(s[p : p + 2] != s[p + 2 : p + 4][::-1] for p in range(len(s) - 3))
+
+    for n in range(1, max_n + 1):
+        code = PalindromeFreeCode(n, q)
+
+        def kind_of_length(m):
+            return channel.pal_dup(max(2, m - n)) if m == n or m >= n + 2 else None
+
+        _assert_decoder_equals_the_oracle(code.decode, member, n, q, range(max(0, n - 1), 2 * n + 2), kind_of_length)
+
+
 def test_c1_best_params_cardinality_bounds():
     a, cardinality = c1_best_params(2, 2, 2)
     assert cardinality == 4  # whole space: single signature (0)
@@ -180,8 +228,6 @@ def test_c2_decode_identity_and_roundtrip_exhaustive():
     for n in (6, 7):
         modulus = 2 * n + 1
         for x in words_of(n, 2):
-            from dupcodes.words import run_profile
-
             prof = run_profile(x)
             code = PalindromicL2Code(n, prof.count_of_length(1) % 5, prof.checksum() % modulus)
             assert c2_decode(x, code) == x
