@@ -458,7 +458,11 @@ def redundancy_table(n_values, ell: int, q: int, limit: int = MAX_ENUMERABLE) ->
     the achieved redundancy of the VT-style tandem construction at its best
     residues, the run-profile palindromic construction guarantee
     log2(n) + log2(10), and the reference burst-insertion redundancy
-    log2(n) + log2(log2(n)) + 1."""
+    log2(n) + log2(log2(n)) + 1.
+
+    Every column is exact counting or a closed form; no word space is read.
+    The c1 cardinality comes from `codes.c1_best_params`, which still
+    refuses the instances that `all_words` refuses (`limit`)."""
     from .codes import c1_best_params  # deferred: codes depends on this module
 
     rows = []

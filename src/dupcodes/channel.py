@@ -324,8 +324,17 @@ def sample_single_error(x: Word, kind: ErrorKind, rng) -> tuple[Word, int]:
     """Apply one uniformly random error of the kind; returns (word, position).
 
     Provided for channel simulation only. Raises ValueError when no position
-    admits the error (possible for deletion kinds).
+    admits the error. A duplication draws its position with the one
+    `rng.randrange` call that indexing `error_positions` would make, so a
+    seeded rng gives the same sequence, and builds the word itself.
     """
+    if kind.is_duplication:
+        s, ell = x.symbols, kind.ell
+        if len(s) < ell:
+            raise ValueError(f"no position in {x} admits {kind}")
+        p = rng.randrange(len(s) - ell + 1)
+        block = s[p : p + ell] if kind.family == TANDEM_DUP else s[p : p + ell][::-1]
+        return _unchecked_word(s[: p + ell] + block + s[p + ell :], x.q), p
     positions = error_positions(x, kind)
     if not positions:
         raise ValueError(f"no position in {x} admits {kind}")

@@ -275,12 +275,16 @@ CONSTRUCTIONS = {
 
 def _best_code(args):
     """The best code of --code for the flags, or None after a one-line refusal:
-    --n is below 1 or below the --l that c1 reads, the construction refuses
-    the flags, or no duplication it corrects fits in a word of length n."""
+    --n is below 1, the --l that c1 reads is below 1 or above --n, the
+    construction refuses the flags, or no duplication it corrects fits in a
+    word of length n."""
     if args.n < 1:
         print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)
         return None
-    if args.code == "c1" and args.n < args.l:  # c2 and cpf do not read --l
+    if args.code == "c1" and args.l < 1:  # c2 and cpf do not read --l
+        print(f"error: block length must be >= 1, got l={args.l}", file=sys.stderr)
+        return None
+    if args.code == "c1" and args.n < args.l:
         print(f"error: --n {args.n} below --l {args.l}", file=sys.stderr)
         return None
     try:

@@ -49,8 +49,13 @@ word reaches a second codeword. The scalar decoder still runs on every
 round trip. `oracle_decode` and `disjoint_ball_violation` stay as the
 Word-level routes that the tests compare the array route against.
 
-Codebook enumeration and parameter sweeps run on the wordspace kernels and
-are deterministic (lexicographic word order, smallest-residue tie breaks).
+Codebooks are enumerated with the wordspace kernels, in lexicographic word
+order. The best parameters are counted instead (`_c1_counts`, `_c2_counts`,
+`docs/decisions.md` D6): an exact integer table per (signature length,
+residue) or (a, b), built from the compositions that determine the
+syndrome, with no scan of Z_q^n. Ties go to the smallest residue, and to
+the smallest (a, b). The scans `_c1_keys` and `_c2_keys` stay for the
+codebooks and as the tests' independent route to the same tables.
 """
 
 import cmath
@@ -63,7 +68,16 @@ import numpy as np
 from .bounds import _binom, rll_weight_count
 from .channel import ErrorKind, deletion_rows, duplication_rows, error_ball, error_sphere, pal_dup, tandem_dup
 from .words import Word, _unchecked_word, _word_of_row, _words_of_rows
-from .wordspace import MAX_ENUMERABLE, all_words, distinct, packed_keys, pal2_free_mask, run_stats, signature_scan
+from .wordspace import (
+    MAX_ENUMERABLE,
+    all_words,
+    distinct,
+    packed_keys,
+    pal2_free_mask,
+    require_enumerable,
+    run_stats,
+    signature_scan,
+)
 
 
 class DecodingFailure(Exception):
@@ -186,14 +200,54 @@ def _c1_keys(n: int, ell: int, q: int, limit: int):
     return arr, sig_len, csum % (sig_len + 1)
 
 
+def _count_dtype(total: int):
+    """int64 when every count, at most `total`, fits; else exact Python ints."""
+    return np.int64 if total <= np.iinfo(np.int64).max else object
+
+
+def _c1_counts(n: int, ell: int, q: int, limit: int = MAX_ENUMERABLE) -> np.ndarray:
+    """counts[s-1, r]: the words of length n over Z_q whose zero-signature
+    has length s and VT residue r, for s = 1..n-ell+1 and r = 0..n-ell+1
+    (zero for r > s). Counted, not scanned (`docs/decisions.md`, D6): a tail
+    with w nonzeros has w+1 zero gaps g_k = ell*j_k + e_k, and the table
+    factors into A (the j, with their weighted sum mod w+2) and B (the e)."""
+    total = require_enumerable(n, q, limit)
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    m = n - ell
+    if m < 0:
+        raise ValueError("ell exceeds word length")
+    dtype = _count_dtype(total)
+    counts = np.zeros((m + 1, m + 2), dtype=dtype)
+    # B[E]: (e_1..e_{w+1}) in 0..ell-1 summing to E <= m-w, the coefficients
+    # of (1 + x + ... + x^(ell-1))^(w+1); one factor more per w
+    B = np.zeros(m + 1, dtype=dtype)
+    B[0] = 1
+    for w in range(m + 1):
+        B = B[: m - w + 1]
+        prefix = np.cumsum(B)
+        B[ell:] = prefix[ell:] - prefix[:-ell]
+        B[:ell] = prefix[:ell]
+        size, top = w + 2, (m - w) // ell
+        # A[J, r]: (j_1..j_{w+1}) summing to J with sum_k k*j_k = r mod w+2,
+        # one part k at a time: A[J] += roll(A[J-1], k)
+        A = np.zeros((top + 1, size), dtype=dtype)
+        A[0, 0] = 1
+        for k in range(1, w + 2):
+            for J in range(1, top + 1):
+                A[J, k:] += A[J - 1, : size - k]
+                A[J, :k] += A[J - 1, size - k :]
+        counts[w, :size] = B[m - w - ell * np.arange(top + 1)] @ A
+        counts[w] *= q**ell * (q - 1) ** w
+    return counts
+
+
 def c1_best_params(n: int, ell: int, q: int, limit: int = MAX_ENUMERABLE):
     """Best residue per signature length (ties to the smallest residue) and
-    the resulting code cardinality, by a full scan of Z_q^n."""
-    _, sig_len, residues = _c1_keys(n, ell, q, limit)
-    # one count per (signature length s, residue); residues of length s lie in 0..s
-    width = n - ell + 2
-    counts = np.bincount(sig_len * width + residues, minlength=width * width)
-    counts = counts.reshape(width, width)[1:]
+    the resulting code cardinality, from the exact count `_c1_counts`.
+    Refuses (ValueError) the instances `all_words` refuses, ell < 1 and
+    ell > n."""
+    counts = _c1_counts(n, ell, q, limit)
     best = counts.argmax(axis=1)  # first maximum: the smallest residue wins ties
     return tuple(int(r) for r in best), int(counts.max(axis=1).sum())
 
@@ -372,13 +426,35 @@ def _c2_keys(n: int, limit: int):
     return arr, (len1 % 5) * modulus + (csum % modulus)
 
 
+def _c2_counts(n: int, limit: int = MAX_ENUMERABLE) -> np.ndarray:
+    """counts[a, b]: the binary words of length n with a length-1 runs mod 5
+    and run checksum b mod 2n+1. Counted over run compositions, not scanned
+    (`docs/decisions.md`, D6): the first symbol gives a factor 2, a run that
+    starts at position p adds n-p to the checksum, and a run of length 1
+    adds one to the length-1-run count."""
+    total = require_enumerable(n, 2, limit)
+    if n < 1:
+        raise ValueError("run statistics need nonempty words")
+    dtype = _count_dtype(total)
+    # covered: run compositions of positions 0..p-1, by (length-1 runs mod 5,
+    # checksum mod 2n+1); longer: the runs started before p, each of which
+    # can end at p with length >= 2
+    covered = np.zeros((5, 2 * n + 1), dtype=dtype)
+    covered[0, 0] = 1
+    longer = np.zeros_like(covered)
+    for p in range(n):
+        started = np.roll(covered, n - p, axis=1)  # a run starts at p
+        covered = np.roll(started, 1, axis=0) + longer  # it ends at p, or one started earlier does
+        longer += started
+    return 2 * covered
+
+
 def c2_best_params(n: int, limit: int = MAX_ENUMERABLE):
-    """Best (a, b) pair (lexicographic tie-break) and its cardinality."""
-    _, keys = _c2_keys(n, limit)
-    modulus = 2 * n + 1
-    counts = np.bincount(keys, minlength=5 * modulus)
-    idx = int(np.argmax(counts))
-    return (idx // modulus, idx % modulus), int(counts[idx])
+    """Best (a, b) pair (lexicographic tie-break) and its cardinality, from
+    the exact count `_c2_counts`."""
+    counts = _c2_counts(n, limit)
+    a, b = np.unravel_index(int(np.argmax(counts)), counts.shape)
+    return (int(a), int(b)), int(counts[a, b])
 
 
 def c2_groups(n: int, limit: int = MAX_ENUMERABLE):

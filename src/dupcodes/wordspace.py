@@ -1,8 +1,10 @@
 """Batch scans over complete word spaces Z_q^n.
 
-Codebook enumeration, parameter sweeps, and bound tabulation all reduce to
-computing a handful of per-word statistics across every word of a given
-length. These scans are the hot loops of the package.
+Codebook enumeration and the exhaustive checks reduce to computing a
+handful of per-word statistics across every word of a given length. These
+scans are the hot loops of the package. The best code parameters and the
+bound tables are counted without a scan; `require_enumerable` gives them
+the refusals of `all_words`.
 
 Kernels take an (N, n) array of words (one row per word, any memory order)
 and return per-row statistics as int64 arrays:
@@ -33,12 +35,10 @@ import numpy as np
 MAX_ENUMERABLE = 1 << 20  # default guard on q**n for full-space enumeration
 
 
-def all_words(n: int, q: int, limit: int = MAX_ENUMERABLE) -> np.ndarray:
-    """All q**n words of length n as an (q**n, n) int8 array, lexicographic.
-
-    Refuses spaces larger than `limit` words; pass a larger limit (or rely
-    on the CLI --force flag) to override.
-    """
+def require_enumerable(n: int, q: int, limit: int = MAX_ENUMERABLE) -> int:
+    """q**n, after refusing (ValueError) the spaces that `all_words` refuses:
+    n < 0, q < 2, q > 127 (int8 rows) and more than `limit` words. The
+    counting routes that read no word space refuse the same instances."""
     if n < 0 or q < 2:
         raise ValueError("need n >= 0 and q >= 2")
     if q > 127:
@@ -48,6 +48,16 @@ def all_words(n: int, q: int, limit: int = MAX_ENUMERABLE) -> np.ndarray:
         raise ValueError(
             f"instance too large: q^n = {q}^{n} = {total} words exceeds the guard {limit}"
         )
+    return total
+
+
+def all_words(n: int, q: int, limit: int = MAX_ENUMERABLE) -> np.ndarray:
+    """All q**n words of length n as an (q**n, n) int8 array, lexicographic.
+
+    Refuses spaces larger than `limit` words; pass a larger limit (or rely
+    on the CLI --force flag) to override.
+    """
+    total = require_enumerable(n, q, limit)
     out = np.empty((total, n), dtype=np.int8)
     symbols = np.arange(q, dtype=np.int8)[:, None]
     for j in range(n):

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from dupcodes.channel import (
     palindromic_delete,
     palindromic_duplicate,
     same_outcome_predicate,
+    sample_single_error,
     tandem_del,
     tandem_delete,
     tandem_dup,
@@ -228,3 +231,25 @@ def test_batch_twins_refuse_the_other_direction():
         duplication_rows(rows, tandem_del(1))
     with pytest.raises(ValueError, match="deletion kind"):
         deletion_rows(rows, pal_dup(2))
+
+
+def test_sample_single_error_duplications_follow_the_position_list():
+    """A seeded rng gives the same (word, position) sequence, and leaves the
+    rng in the same state, as drawing from `error_positions` and applying
+    the error with `apply_error`."""
+    kinds = [tandem_dup(ell) for ell in (1, 2, 3)] + [pal_dup(ell) for ell in (1, 2, 3)]
+    words = [word(s, 3) for s in ((0,), (1, 2), (0, 1, 2), (2, 2, 0, 1, 1), (0, 1, 2, 0, 1, 2, 2))]
+    for seed in range(3):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            for kind in kinds:
+                for x in words:
+                    if len(x) < kind.ell:
+                        with pytest.raises(ValueError, match="no position"):
+                            sample_single_error(x, kind, fast)
+                        assert error_positions(x, kind) == []
+                        continue
+                    positions = error_positions(x, kind)
+                    p = positions[slow.randrange(len(positions))]
+                    assert sample_single_error(x, kind, fast) == (apply_error(x, kind, p), p)
+        assert fast.getstate() == slow.getstate()

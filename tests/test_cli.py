@@ -425,8 +425,10 @@ def test_bound_refuses_lengths_below_l_naming_both_flags(capsys, n, ell, short):
         (("--code", "c1", "--n", "0"), "error: --n must be >= 1, got 0"),
         (("--code", "c2", "--n", "0"), "error: --n must be >= 1, got 0"),
         (("--code", "cpf", "--n", "-1", "--q", "3"), "error: --n must be >= 1, got -1"),
+        (("--code", "c1", "--n", "3", "--l", "0"), "error: block length must be >= 1, got l=0"),
+        (("--code", "c1", "--n", "3", "--l", "-1"), "error: block length must be >= 1, got l=-1"),
     ],
-    ids=["c1-n-below-l", "c1-n0", "c2-n0", "cpf-negative-n"],
+    ids=["c1-n-below-l", "c1-n0", "c2-n0", "cpf-negative-n", "c1-l0", "c1-negative-l"],
 )
 def test_verify_and_simulate_refuse_a_short_length_naming_the_flags(monkeypatch, capsys, command, args, message):
     """Refused before any word space is enumerated."""
@@ -438,6 +440,14 @@ def test_verify_and_simulate_refuse_a_short_length_naming_the_flags(monkeypatch,
     code, out, err = run_cli(capsys, command, *args)
     assert code == 2 and out == ""
     assert err == message + "\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_codes_that_do_not_read_l_accept_any_l(capsys, command):
+    """Only c1 reads --l, so only c1 refuses a block length below 1."""
+    for args in (("--code", "c2", "--n", "5"), ("--code", "cpf", "--n", "4", "--q", "3")):
+        code, out, err = run_cli(capsys, command, *args, "--l", "0")
+        assert (code, err) == (0, "") and out
 
 
 @pytest.mark.parametrize(
