@@ -19,10 +19,12 @@ by level for radius t.
   sphere sizes that occur, so a ball's weight is an int64 sum compared
   with D (Python ints when D times the largest ball leaves int64).
 - `exact_optimum` solves maximum independent set on the conflict graph,
-  whose edges join the centres that share an outcome (`conflict_edges`).
+  whose edges join the centres that share an outcome (`conflict_edges`),
+  by a branch and bound on the bitsets of each connected component.
 
 No Word is built on either route except the deficit words; the branch and
-bound runs on the row indices. `docs/decisions.md` (D3) records why.
+bound runs on the row indices. `docs/decisions.md` records why (D3) and
+how the branch and bound cuts and branches (D7).
 """
 
 import math
@@ -35,7 +37,15 @@ import numpy as np
 from . import channel
 from .channel import ErrorKind, deletion_rows, duplication_rows, tandem_del
 from .words import _words_of_rows
-from .wordspace import MAX_ENUMERABLE, all_words, distinct, key_rows, packed_keys, runs_start
+from .wordspace import (
+    MAX_ENUMERABLE,
+    all_words,
+    distinct,
+    key_rows,
+    packed_keys,
+    require_enumerable,
+    runs_start,
+)
 
 
 def _binom(a: int, b: int) -> int:
@@ -91,19 +101,20 @@ def deletion_histogram(n: int, ell: int, q: int) -> dict[int, int]:
     entries with zero count are omitted for i >= 1."""
     if n < ell:
         return {0: q**n}
-    hist = {0: irreducible_count(n, ell, q)}
+    # rll[nu][w]: tails of length n - (nu+1)*ell with weight w, each counted once
+    rll = [
+        [rll_weight_count(n - (nu + 1) * ell, ell - 1, w, q) for w in range(n - (nu + 1) * ell + 1)]
+        for nu in range(n // ell)
+    ]
+    hist = {0: q**ell * sum(rll[0])}
     for i in range(1, n // ell + 1):
-        total = 0
-        for nu in range(i, n // ell):
-            for w in range(i - 1, n - (nu + 1) * ell + 1):
-                total += (
-                    q**ell
-                    * rll_weight_count(n - (nu + 1) * ell, ell - 1, w, q)
-                    * _binom(w + 1, i)
-                    * _binom(nu - 1, i - 1)
-                )
+        total = sum(
+            rll[nu][w] * _binom(w + 1, i) * _binom(nu - 1, i - 1)
+            for nu in range(i, n // ell)
+            for w in range(i - 1, len(rll[nu]))
+        )
         if total:
-            hist[i] = total
+            hist[i] = q**ell * total
     return hist
 
 
@@ -155,11 +166,8 @@ def bound_report(n: int, ell: int, q: int) -> BoundReport:
     instances (irreducible_counts records 0 there).
     """
     t = 1
-    irr = tuple(
-        irreducible_count(n - i * ell, ell, q) if (i == 0 or n >= (i + 1) * ell) else 0
-        for i in range(t + 1)
-    )
     hist = deletion_histogram(n - t * ell, ell, q) if n >= (t + 1) * ell else {}
+    irr = (irreducible_count(n, ell, q), hist.get(0, 0))
     bound = Fraction(sum(irr))
     for i, cnt in hist.items():
         if i >= 1:
@@ -302,8 +310,7 @@ def transversal_check(n: int, ell: int, t: int, q: int, limit: int = MAX_ENUMERA
     is its index in all_words(m, q), and the sphere sizes of a level are
     indexed by key.
     """
-    if q**n > limit:
-        raise ValueError(f"instance too large: q^n = {q**n} exceeds the guard {limit}")
+    require_enumerable(n, q, limit)
     kind = tandem_del(ell)
     rows = all_words(n, q, limit=limit)
     N = len(rows)
@@ -324,73 +331,94 @@ def transversal_check(n: int, ell: int, t: int, q: int, limit: int = MAX_ENUMERA
     return (not len(deficits), list(_words_of_rows(rows[deficits], q)))
 
 
-def _max_independent_set(vertices, adj) -> int:
-    """Exact maximum independent set size, branch and bound per connected
-    component with a greedy initial solution. Vertices are ints, adj[u] is
-    the set of u's neighbours, and ties go to the smallest vertex."""
+def _component_labels(N: int, low, high) -> np.ndarray:
+    """A label per vertex of the graph on 0..N-1 with edges (low[k],
+    high[k]), equal exactly within each connected component: every edge
+    lowers both ends to the smaller label, and every label then takes its
+    own label's label, until nothing changes."""
+    label = np.arange(N)
+    while True:
+        hook = np.minimum(label[low], label[high])
+        lowered = label.copy()
+        np.minimum.at(lowered, low, hook)
+        np.minimum.at(lowered, high, hook)
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, label):
+            return label
+        label = lowered
 
-    def greedy(cand: frozenset) -> int:
-        live = set(cand)
-        size = 0
-        while live:
-            v = min(live, key=lambda u: (len(adj[u] & live), u))
-            size += 1
-            live -= {v}
-            live -= adj[v]
-        return size
 
-    def reduce(cand: set, current: int) -> tuple[frozenset, int]:
-        # vertices of degree <= 1 can always join an optimal solution
-        changed = True
-        while changed:
-            changed = False
-            for v in list(cand):
-                if v not in cand:
-                    continue
-                nb = adj[v] & cand
-                if len(nb) == 0:
-                    cand.discard(v)
-                    current += 1
-                    changed = True
-                elif len(nb) == 1:
-                    cand.discard(v)
-                    cand.discard(next(iter(nb)))
-                    current += 1
-                    changed = True
-        return frozenset(cand), current
+def _component_mis(nbr: list[int]) -> int:
+    """Exact maximum independent set size of one graph whose vertex v has
+    the neighbour bitset nbr[v], by branch and bound over candidate bitsets
+    on an explicit stack.
 
-    def component_best(comp: frozenset) -> int:
-        best = greedy(comp)
-        stack = [reduce(set(comp), 0)]
-        while stack:
-            cand, current = stack.pop()
-            if current + len(cand) <= best:
-                continue
-            if not cand:
-                best = current
-                continue
-            v = max(cand, key=lambda u: (len(adj[u] & cand), u))
-            stack.append(reduce(set(cand) - {v}, current))
-            stack.append(reduce(set(cand) - {v} - adj[v], current + 1))
-        return best
-
-    seen: set[int] = set()
-    total = 0
-    for v in vertices:
-        if v in seen:
+    A node holds the candidates, the size of the set taken so far and a
+    bound on the size it can reach. Candidates of degree 0 or 1 join the set
+    (some optimum holds them). A greedy clique cover of the rest, built from
+    the lowest bit up, bounds the rest: an independent set takes at most one
+    vertex of each clique, so at most k from the first k cliques. The node
+    branches only on the vertices past its first best - size cliques. The
+    child of vertex v takes v, and its candidates are the non-neighbours of
+    v that the cover reached before v. `docs/decisions.md` (D7) gives the
+    reasons.
+    """
+    best = 0
+    stack = [((1 << len(nbr)) - 1, 0, len(nbr))]
+    while stack:
+        cand, size, bound = stack.pop()
+        if bound <= best:
             continue
-        comp = []
-        frontier = [v]
-        seen.add(v)
-        while frontier:
-            u = frontier.pop()
-            comp.append(u)
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        total += component_best(frozenset(comp))
-    return total
+        taken = True
+        while taken:  # reduce until a pass takes nothing
+            taken = False
+            rest = cand
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                near = nbr[low.bit_length() - 1] & cand
+                if near.bit_count() <= 1:
+                    cand &= ~(low | near)
+                    rest &= ~near
+                    size += 1
+                    taken = True
+        if not cand:
+            best = max(best, size)
+            continue
+        room, uncovered, cliques, before = best - size, cand, 0, 0
+        while uncovered:
+            cliques += 1
+            clique = uncovered
+            while clique:
+                low = clique & -clique
+                v = low.bit_length() - 1
+                uncovered ^= low
+                clique &= nbr[v]
+                if cliques > room:  # the last child pushed is searched first
+                    stack.append((before & ~nbr[v], size + 1, size + cliques))
+                before |= low
+    return best
+
+
+def _max_independent_set(N: int, low, high) -> int:
+    """Exact maximum independent set size of the graph on 0..N-1 with edges
+    (low[k], high[k]): the sum over its connected components. Bit i of a
+    component's bitsets is its i-th vertex in order of ascending degree, so
+    a bitset takes one bit per vertex of its own component."""
+    if not len(low):
+        return N
+    degree = np.bincount(low, minlength=N) + np.bincount(high, minlength=N)
+    _, _, part = distinct(_component_labels(N, low, high))
+    sizes = np.bincount(part)
+    by_part = np.lexsort((degree, part))  # component by component, ascending degree
+    local = np.empty(N, dtype=np.int64)  # rank of each vertex within its component
+    local[by_part] = np.arange(N) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    nbr = [[0] * size for size in sizes.tolist()]
+    for c, u, v in zip(part[low].tolist(), local[low].tolist(), local[high].tolist()):
+        nbr[c][u] |= 1 << v
+        nbr[c][v] |= 1 << u
+    # a vertex alone in its component joins every maximum set
+    return int(np.count_nonzero(sizes == 1)) + sum(_component_mis(bits) for bits in nbr if len(bits) > 1)
 
 
 def conflict_edges(rows, kind: ErrorKind, t: int, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -429,17 +457,11 @@ def exact_optimum(
     """Size of the largest t-error-correcting code of length n for the given
     error family, by exact maximum independent set over the conflict graph
     (edges join words whose radius-t balls intersect, `conflict_edges`)."""
-    if q**n > limit:
-        raise ValueError(f"instance too large: q^n = {q**n} exceeds the guard {limit}")
+    total = require_enumerable(n, q, limit)
     if t == 0:
-        return q**n
+        return total
     rows = all_words(n, q, limit=limit)
-    adj: list[set[int]] = [set() for _ in range(len(rows))]
-    low, high = conflict_edges(rows, ErrorKind(family, ell), t, q)
-    for u, v in zip(low.tolist(), high.tolist()):
-        adj[u].add(v)
-        adj[v].add(u)
-    return _max_independent_set(range(len(rows)), adj)
+    return _max_independent_set(len(rows), *conflict_edges(rows, ErrorKind(family, ell), t, q))
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,21 @@
 `error_incidence` and `sphere_levels` must list exactly the members of
 `error_sphere`; `transversal_check` must report the same deficit words as a
 `Fraction` sum over `error_ball`, also when a weight is lowered; the edges of
-`conflict_edges` must be the pairs of words whose balls intersect; and the
+`conflict_edges` must be the pairs of words whose balls intersect; the
 sphere-size count of the incidence must equal the closed-form
-`deletion_histogram` at sizes where the Word loop is too slow.
+`deletion_histogram` at sizes where the Word loop is too slow; and the
+bitset branch and bound of `exact_optimum` must equal the set-based search
+it replaced and brute force over every vertex subset.
 """
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dupcodes import bounds, channel
 from dupcodes.bounds import (
@@ -79,15 +84,117 @@ def word_conflict_graph(vertices, kind, t):
     return {(a, b) for centres in owners.values() for a, b in combinations(centres, 2)}
 
 
-def word_exact_optimum(n, ell, t, q, family=channel.TANDEM_DUP):
-    """The Word-level exact optimum: the owners' conflict graph on the word
-    indices, then the same maximum independent set."""
-    vertices = words_of_rows(all_words(n, q), q)
-    adj = [set() for _ in vertices]
-    for a, b in word_conflict_graph(vertices, ErrorKind(family, ell), t):
+def set_max_independent_set(vertices, adj) -> int:
+    """The set-based maximum independent set search that `exact_optimum`
+    used before its bitset branch and bound: per connected component, a
+    greedy initial solution, then branch and bound pruned by
+    current + len(cand). Vertices are ints, adj[u] is the set of u's
+    neighbours."""
+
+    def greedy(cand: frozenset) -> int:
+        live = set(cand)
+        size = 0
+        while live:
+            v = min(live, key=lambda u: (len(adj[u] & live), u))
+            size += 1
+            live -= {v}
+            live -= adj[v]
+        return size
+
+    def reduce(cand: set, current: int) -> tuple[frozenset, int]:
+        # vertices of degree <= 1 can always join an optimal solution
+        changed = True
+        while changed:
+            changed = False
+            for v in list(cand):
+                if v not in cand:
+                    continue
+                nb = adj[v] & cand
+                if len(nb) == 0:
+                    cand.discard(v)
+                    current += 1
+                    changed = True
+                elif len(nb) == 1:
+                    cand.discard(v)
+                    cand.discard(next(iter(nb)))
+                    current += 1
+                    changed = True
+        return frozenset(cand), current
+
+    def component_best(comp: frozenset) -> int:
+        best = greedy(comp)
+        stack = [reduce(set(comp), 0)]
+        while stack:
+            cand, current = stack.pop()
+            if current + len(cand) <= best:
+                continue
+            if not cand:
+                best = current
+                continue
+            v = max(cand, key=lambda u: (len(adj[u] & cand), u))
+            stack.append(reduce(set(cand) - {v}, current))
+            stack.append(reduce(set(cand) - {v} - adj[v], current + 1))
+        return best
+
+    seen: set[int] = set()
+    total = 0
+    for v in vertices:
+        if v in seen:
+            continue
+        comp = []
+        frontier = [v]
+        seen.add(v)
+        while frontier:
+            u = frontier.pop()
+            comp.append(u)
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        total += component_best(frozenset(comp))
+    return total
+
+
+def adjacency(N, edges):
+    adj = [set() for _ in range(N)]
+    for a, b in edges:
         adj[a].add(b)
         adj[b].add(a)
-    return _max_independent_set(range(len(vertices)), adj)
+    return adj
+
+
+def word_exact_optimum(n, ell, t, q, family=channel.TANDEM_DUP):
+    """The Word-level exact optimum: the owners' conflict graph on the word
+    indices, then the set-based search."""
+    vertices = words_of_rows(all_words(n, q), q)
+    adj = adjacency(len(vertices), word_conflict_graph(vertices, ErrorKind(family, ell), t))
+    return set_max_independent_set(range(len(vertices)), adj)
+
+
+def solve(N, edges):
+    """`_max_independent_set` on an edge list."""
+    low = np.array([a for a, _ in edges], dtype=np.int64)
+    high = np.array([b for _, b in edges], dtype=np.int64)
+    return _max_independent_set(N, low, high)
+
+
+def brute_force_max_independent_set(N, edges):
+    """The largest independent set over all 2^N vertex subsets; a subset is
+    independent when its lowest vertex has no neighbour in the rest and the
+    rest is independent."""
+    nbr = [0] * N
+    for a, b in edges:
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
+    independent = bytearray(1 << N)
+    independent[0] = 1
+    best = 0
+    for subset in range(1, 1 << N):
+        rest = subset & (subset - 1)
+        if independent[rest] and not nbr[(subset ^ rest).bit_length() - 1] & rest:
+            independent[subset] = 1
+            best = max(best, subset.bit_count())
+    return best
 
 
 def edge_set(rows, kind, t, q):
@@ -265,9 +372,26 @@ def test_conflict_edges_equal_the_owners_graph_at_radius_two_and_three(family):
 
 # exact_optimum(n, l, 1, 2) on every bound-check instance, as the Word route gave it
 BOUND_CHECK_OPTIMA = {
-    (1, 1): 2, (2, 1): 4, (3, 1): 6, (4, 1): 10, (5, 1): 16, (6, 1): 28, (7, 1): 44, (8, 1): 76,
+    (1, 1): 2, (2, 1): 4, (3, 1): 6, (4, 1): 10, (5, 1): 16, (6, 1): 28, (7, 1): 44, (8, 1): 76, (9, 1): 128,
     (2, 2): 4, (3, 2): 8, (4, 2): 16, (5, 2): 28, (6, 2): 48, (7, 2): 84, (8, 2): 148, (9, 2): 260,
 }
+
+# exact_optimum(n, l, t, 2, family) at radius 2 and for palindromic duplications,
+# as the set-based search also gives it on the same conflict graph
+FURTHER_OPTIMA = {
+    (channel.TANDEM_DUP, 6, 1, 2): 18,
+    (channel.TANDEM_DUP, 7, 1, 2): 26,
+    (channel.TANDEM_DUP, 8, 1, 2): 42,
+    (channel.TANDEM_DUP, 8, 2, 2): 132,
+    (channel.TANDEM_DUP, 10, 2, 1): 460,
+    (channel.PAL_DUP, 8, 2, 1): 126,
+    (channel.PAL_DUP, 9, 2, 1): 216,
+    (channel.PAL_DUP, 9, 1, 1): 128,
+}
+
+# exact_optimum(10, l, 1, 2, family) past the reach of the set-based search; both
+# branching rules of docs/decisions.md (D7) give them, and milp found codes this large
+BEYOND_THE_SET_SEARCH = {(channel.TANDEM_DUP, 1): 232, (channel.PAL_DUP, 2): 368}
 
 
 @pytest.mark.parametrize("n,ell", sorted(BOUND_CHECK_OPTIMA))
@@ -277,7 +401,84 @@ def test_exact_optimum_keeps_the_bound_check_values(n, ell):
         assert word_exact_optimum(n, ell, 1, 2) == BOUND_CHECK_OPTIMA[n, ell]
 
 
+@pytest.mark.parametrize("family,n,ell,t", sorted(FURTHER_OPTIMA))
+def test_exact_optimum_keeps_the_radius_two_and_palindromic_values(family, n, ell, t):
+    assert exact_optimum(n, ell, t, 2, family) == FURTHER_OPTIMA[family, n, ell, t]
+    if family == channel.TANDEM_DUP or n <= 8:  # the set search takes seconds on pal-dup n = 9
+        rows = all_words(n, 2)
+        N = len(rows)
+        edges = zip(*(e.tolist() for e in conflict_edges(rows, ErrorKind(family, ell), t, 2)))
+        assert set_max_independent_set(range(N), adjacency(N, edges)) == FURTHER_OPTIMA[family, n, ell, t]
+
+
+@pytest.mark.parametrize("family,ell", sorted(BEYOND_THE_SET_SEARCH))
+def test_exact_optimum_keeps_the_values_at_n_10(family, ell):
+    assert exact_optimum(10, ell, 1, 2, family) == BEYOND_THE_SET_SEARCH[family, ell]
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_exact_optimum_agrees_with_the_word_route(family):
     for q, n, ell, t in [(2, 6, 1, 1), (2, 6, 2, 2), (3, 4, 1, 1), (2, 5, 1, 2)]:
         assert exact_optimum(n, ell, t, q, family) == word_exact_optimum(n, ell, t, q, family), (q, n, ell, t)
+
+
+# ---------------------------------------------------------------------------
+# the bitset branch and bound on its own
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def graphs(draw, max_vertices=14):
+    """A graph on at most max_vertices vertices as (N, edges): a set of
+    vertex pairs, or the complement of one, so both sparse and dense
+    graphs come up."""
+    N = draw(st.integers(0, max_vertices))
+    pairs = list(combinations(range(N), 2))
+    if not pairs:
+        return N, []
+    chosen = draw(st.sets(st.sampled_from(pairs)))
+    if draw(st.booleans()):
+        chosen = set(pairs) - chosen
+    return N, sorted(chosen)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs())
+def test_max_independent_set_equals_brute_force(graph):
+    N, edges = graph
+    assert solve(N, edges) == brute_force_max_independent_set(N, edges)
+    assert solve(N, [(b, a) for a, b in edges]) == solve(N, edges)
+
+
+def path(N, start=0):
+    return [(v, v + 1) for v in range(start, start + N - 1)]
+
+
+# an outer 5-cycle, five spokes and an inner pentagram
+PETERSEN = path(5) + [(0, 4)] + [(v, v + 5) for v in range(5)] + [(5 + v, 5 + (v + 2) % 5) for v in range(5)]
+
+
+@pytest.mark.parametrize(
+    "N,edges,expected",
+    [
+        (0, [], 0),  # the empty graph
+        (5, [], 5),  # isolated vertices only
+        (7, list(combinations(range(7), 2)), 1),  # complete graph
+        (5, path(5) + [(0, 4)], 2),  # a 5-cycle: no vertex of degree <= 1
+        # two triangles, a path of 4 and two isolated vertices
+        (12, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)] + path(4, 6), 6),
+        (10, PETERSEN, 4),
+    ],
+    ids=["empty", "isolated", "complete", "cycle", "disconnected", "petersen"],
+)
+def test_max_independent_set_edge_cases(N, edges, expected):
+    assert solve(N, edges) == expected == brute_force_max_independent_set(N, edges)
+    assert set_max_independent_set(range(N), adjacency(N, edges)) == expected
+
+
+def test_max_independent_set_beyond_the_recursion_limit():
+    """Answers larger than the recursion limit need no recursion: a path of
+    2,501 vertices holds 1,251, and closing it into a cycle 1,250."""
+    assert 1251 > sys.getrecursionlimit()
+    assert solve(2501, path(2501)) == 1251
+    assert solve(2501, path(2501) + [(0, 2500)]) == 1250

@@ -15,6 +15,7 @@ from dupcodes.bounds import (
     transversal_check,
 )
 from dupcodes.channel import error_sphere, tandem_del
+from dupcodes.wordspace import all_words
 
 from conftest import rll_weight_oracle, words_of
 
@@ -107,6 +108,15 @@ def test_exact_optimum_examples():
     assert dup == dele
     with pytest.raises(ValueError, match="guard"):
         exact_optimum(30, 1, 1, 4)
+
+
+@pytest.mark.parametrize("check", [exact_optimum, transversal_check])
+def test_bound_checks_refuse_with_the_enumeration_guard_text(check):
+    text = r"^instance too large: q\^n = 4\^30 = 1152921504606846976 words exceeds the guard 1048576$"
+    with pytest.raises(ValueError, match=text):
+        check(30, 1, 1, 4)
+    with pytest.raises(ValueError, match=text):
+        all_words(30, 4)
 
 
 def test_exact_optimum_palindromic_kind():
