@@ -126,7 +126,6 @@ class BoundReport:
     ell: int
     q: int
     t: int
-    irreducible_counts: tuple[int, ...]  # at lengths n, n-ell, ..., n-t*ell
     histogram: dict[int, int]  # sphere-size histogram at length n-t*ell
     bound: Fraction
 
@@ -163,16 +162,15 @@ def bound_report(n: int, ell: int, q: int) -> BoundReport:
     deletion hypergraph's actual vertex set: words of length n - i*ell only
     exist as vertices when a chain of i deletions can reach them, i.e. when
     n >= (i+1)*ell, so shorter-length terms drop out on degenerate
-    instances (irreducible_counts records 0 there).
+    instances.
     """
     t = 1
     hist = deletion_histogram(n - t * ell, ell, q) if n >= (t + 1) * ell else {}
-    irr = (irreducible_count(n, ell, q), hist.get(0, 0))
-    bound = Fraction(sum(irr))
+    bound = Fraction(irreducible_count(n, ell, q) + hist.get(0, 0))
     for i, cnt in hist.items():
         if i >= 1:
             bound += Fraction(cnt, i)
-    return BoundReport(n, ell, q, t, irr, hist, bound)
+    return BoundReport(n, ell, q, t, hist, bound)
 
 
 def gsp_bound_tandem(n: int, ell: int, q: int) -> Fraction:
@@ -310,7 +308,6 @@ def transversal_check(n: int, ell: int, t: int, q: int, limit: int = MAX_ENUMERA
     is its index in all_words(m, q), and the sphere sizes of a level are
     indexed by key.
     """
-    require_enumerable(n, q, limit)
     kind = tandem_del(ell)
     rows = all_words(n, q, limit=limit)
     N = len(rows)
@@ -369,19 +366,16 @@ def _component_mis(nbr: list[int]) -> int:
         cand, size, bound = stack.pop()
         if bound <= best:
             continue
-        taken = True
-        while taken:  # reduce until a pass takes nothing
-            taken = False
-            rest = cand
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                near = nbr[low.bit_length() - 1] & cand
-                if near.bit_count() <= 1:
-                    cand &= ~(low | near)
-                    rest &= ~near
-                    size += 1
-                    taken = True
+        rest = cand
+        while rest:  # reduce; a vertex whose degree drops is looked at again
+            low = rest & -rest
+            rest ^= low
+            near = nbr[low.bit_length() - 1] & cand
+            if near.bit_count() <= 1:
+                cand &= ~(low | near)
+                size += 1
+                if near:  # the neighbour leaves, and its own neighbours lose a degree
+                    rest = (rest & ~near) | (nbr[near.bit_length() - 1] & cand)
         if not cand:
             best = max(best, size)
             continue
@@ -457,9 +451,8 @@ def exact_optimum(
     """Size of the largest t-error-correcting code of length n for the given
     error family, by exact maximum independent set over the conflict graph
     (edges join words whose radius-t balls intersect, `conflict_edges`)."""
-    total = require_enumerable(n, q, limit)
     if t == 0:
-        return total
+        return require_enumerable(n, q, limit)
     rows = all_words(n, q, limit=limit)
     return _max_independent_set(len(rows), *conflict_edges(rows, ErrorKind(family, ell), t, q))
 
@@ -475,22 +468,22 @@ class RedundancyRow:
     burst_redundancy: float
 
 
-def redundancy_table(n_values, ell: int, q: int, limit: int = MAX_ENUMERABLE) -> list[RedundancyRow]:
+def redundancy_table(n_values, ell: int, q: int) -> list[RedundancyRow]:
     """Redundancy comparison per length n: the sphere-packing lower bound,
     the achieved redundancy of the VT-style tandem construction at its best
     residues, the run-profile palindromic construction guarantee
     log2(n) + log2(10), and the reference burst-insertion redundancy
     log2(n) + log2(log2(n)) + 1.
 
-    Every column is exact counting or a closed form; no word space is read.
-    The c1 cardinality comes from `codes.c1_best_params`, which still
-    refuses the instances that `all_words` refuses (`limit`)."""
+    Every column is exact counting or a closed form; no word space is read,
+    so no q^n guard applies (`docs/decisions.md`, D8). The c1 cardinality
+    comes from `codes.c1_best_params`."""
     from .codes import c1_best_params  # deferred: codes depends on this module
 
     rows = []
     for n in n_values:
         report = bound_report(n, ell, q)
-        _, cardinality = c1_best_params(n, ell, q, limit=limit)
+        _, cardinality = c1_best_params(n, ell, q)
         c1_red = n * math.log2(q) - math.log2(cardinality)
         c2_red = math.log2(n) + math.log2(10)
         burst = math.log2(n) + math.log2(math.log2(n)) + 1 if n >= 2 else float("nan")

@@ -3,8 +3,9 @@
 Human-readable reports go to stdout; --out writes machine output (JSON or
 CSV per --format, default inferred from the file extension). Floats are
 emitted with 6 significant digits and '.' decimals, rationals as "p/q", so
-identical flags and seed give byte-identical machine output. Full-space
-enumerations refuse instances with q^n above 2^20 words unless --force.
+identical flags and seed give byte-identical machine output. verify and
+simulate enumerate a codebook from all q^n words, so they refuse q^n above
+2^20 words unless --force; bound counts and reads no word space.
 """
 
 import argparse
@@ -21,7 +22,7 @@ import numpy as np
 from . import bounds, channel, codes, formulas
 from .channel import ErrorKind
 from .words import Word, _word_of_row, format_word, parse_word
-from .wordspace import MAX_ENUMERABLE
+from .wordspace import MAX_ENUMERABLE, require_enumerable
 
 _DNA = {"A": 0, "C": 1, "G": 2, "T": 3}
 
@@ -64,10 +65,12 @@ def _write_machine(path: str, fmt: str | None, rows: list[dict]):
             json.dump(rows, fh, indent=2, sort_keys=True)
             fh.write("\n")
     else:
+        # a CSV cell is flat: a dict (bound's histogram) is written as its JSON text
+        flat = [{k: (json.dumps(v) if isinstance(v, dict) else v) for k, v in row.items()} for row in rows]
         with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+            writer = csv.DictWriter(fh, fieldnames=list(flat[0].keys()))
             writer.writeheader()
-            writer.writerows(rows)
+            writer.writerows(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +175,7 @@ def cmd_bound(args) -> int:
         return 2
     rows = []
     try:
-        table = bounds.redundancy_table(n_values, args.l, args.q, limit=_limit(args))
+        table = bounds.redundancy_table(n_values, args.l, args.q)
     except ValueError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
@@ -192,14 +195,7 @@ def cmd_bound(args) -> int:
         row["burst_redundancy_bits"] = _f6(red.burst_redundancy)
         rows.append(row)
     if args.out:
-        if args.format == "csv" or (args.format is None and args.out.endswith(".csv")):
-            flat = [
-                {k: (json.dumps(v) if isinstance(v, dict) else v) for k, v in row.items()}
-                for row in rows
-            ]
-            _write_machine(args.out, "csv", flat)
-        else:
-            _write_machine(args.out, "json", rows)
+        _write_machine(args.out, args.format, rows)
     return 0
 
 
@@ -276,8 +272,10 @@ CONSTRUCTIONS = {
 def _best_code(args):
     """The best code of --code for the flags, or None after a one-line refusal:
     --n is below 1, the --l that c1 reads is below 1 or above --n, the
-    construction refuses the flags, or no duplication it corrects fits in a
-    word of length n."""
+    q^n words that the codebook is enumerated from are more than the guard
+    allows, the construction refuses the flags, or no duplication it
+    corrects fits in a word of length n. The guard comes before `best`,
+    so a huge --n is refused before any parameter table is counted."""
     if args.n < 1:
         print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)
         return None
@@ -288,7 +286,8 @@ def _best_code(args):
         print(f"error: --n {args.n} below --l {args.l}", file=sys.stderr)
         return None
     try:
-        code = CONSTRUCTIONS[args.code][0].best(args.n, args.q, args.l, limit=_limit(args))
+        require_enumerable(args.n, args.q, _limit(args))
+        code = CONSTRUCTIONS[args.code][0].best(args.n, args.q, args.l)
     except ValueError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return None
@@ -420,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default=None)
 
     def guarded(p):
-        """The subcommands that enumerate a whole word space."""
+        """The subcommands that enumerate a codebook from a whole word space."""
         common(p)
         p.add_argument("--force", action="store_true", help="override the q^n enumeration guard")
 
@@ -437,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="length or range, e.g. 8 or 2..10 or 4,6,8")
     p.add_argument("--l", type=int, default=1)
     p.add_argument("--q", type=int, default=2)
-    guarded(p)
+    common(p)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("verify", help="exhaustively verify a construction")

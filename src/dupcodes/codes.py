@@ -27,8 +27,8 @@ ell zeros at the start of gap k of the difference tail, one tandem
 deletion of the received word, which lowers entry k and keeps the head and
 the trunk (`docs/decisions.md`, D4).
 
-Each construction class offers one interface: `best(n, q, ell, limit)`
-builds the code with the best parameters, `kinds` lists the error kinds it
+Each construction class offers one interface: `best(n, q, ell)` builds
+the code with the best parameters, `kinds` lists the error kinds it
 corrects, and `member(x)`, `decode(y)`, `codebook(limit)` and
 `codebook_rows(limit)` delegate to the module functions below, which stay
 the public API. `check_correction` and the CLI's simulation loop use
@@ -55,7 +55,10 @@ order. The best parameters are counted instead (`_c1_counts`, `_c2_counts`,
 residue) or (a, b), built from the compositions that determine the
 syndrome, with no scan of Z_q^n. Ties go to the smallest residue, and to
 the smallest (a, b). The scans `_c1_keys` and `_c2_keys` stay for the
-codebooks and as the tests' independent route to the same tables.
+codebooks and as the tests' independent route to the same tables. Only
+the codebook routes enumerate Z_q^n, so only they take the `limit` on q^n
+of `all_words`. `best` and the counts refuse only what they cannot count
+(`docs/decisions.md`, D8).
 """
 
 import cmath
@@ -74,7 +77,6 @@ from .wordspace import (
     distinct,
     packed_keys,
     pal2_free_mask,
-    require_enumerable,
     run_stats,
     signature_scan,
 )
@@ -127,8 +129,8 @@ class TandemVTCode:
                 raise ValueError(f"residue a_{s}={res} outside 0..{s}")
 
     @classmethod
-    def best(cls, n: int, q: int, ell: int, limit: int = MAX_ENUMERABLE) -> "TandemVTCode":
-        a, _ = c1_best_params(n, ell, q, limit=limit)
+    def best(cls, n: int, q: int, ell: int) -> "TandemVTCode":
+        a, _ = c1_best_params(n, ell, q)
         return cls(n, q, ell, a)
 
     @property
@@ -205,19 +207,20 @@ def _count_dtype(total: int):
     return np.int64 if total <= np.iinfo(np.int64).max else object
 
 
-def _c1_counts(n: int, ell: int, q: int, limit: int = MAX_ENUMERABLE) -> np.ndarray:
+def _c1_counts(n: int, ell: int, q: int) -> np.ndarray:
     """counts[s-1, r]: the words of length n over Z_q whose zero-signature
     has length s and VT residue r, for s = 1..n-ell+1 and r = 0..n-ell+1
     (zero for r > s). Counted, not scanned (`docs/decisions.md`, D6): a tail
     with w nonzeros has w+1 zero gaps g_k = ell*j_k + e_k, and the table
     factors into A (the j, with their weighted sum mod w+2) and B (the e)."""
-    total = require_enumerable(n, q, limit)
+    if q < 2:
+        raise ValueError("q must be >= 2")
     if ell < 1:
         raise ValueError("ell must be >= 1")
     m = n - ell
     if m < 0:
         raise ValueError("ell exceeds word length")
-    dtype = _count_dtype(total)
+    dtype = _count_dtype(q**n)
     counts = np.zeros((m + 1, m + 2), dtype=dtype)
     # B[E]: (e_1..e_{w+1}) in 0..ell-1 summing to E <= m-w, the coefficients
     # of (1 + x + ... + x^(ell-1))^(w+1); one factor more per w
@@ -242,12 +245,11 @@ def _c1_counts(n: int, ell: int, q: int, limit: int = MAX_ENUMERABLE) -> np.ndar
     return counts
 
 
-def c1_best_params(n: int, ell: int, q: int, limit: int = MAX_ENUMERABLE):
+def c1_best_params(n: int, ell: int, q: int):
     """Best residue per signature length (ties to the smallest residue) and
     the resulting code cardinality, from the exact count `_c1_counts`.
-    Refuses (ValueError) the instances `all_words` refuses, ell < 1 and
-    ell > n."""
-    counts = _c1_counts(n, ell, q, limit)
+    Refuses (ValueError) q < 2, ell < 1 and ell > n."""
+    counts = _c1_counts(n, ell, q)
     best = counts.argmax(axis=1)  # first maximum: the smallest residue wins ties
     return tuple(int(r) for r in best), int(counts.max(axis=1).sum())
 
@@ -295,12 +297,12 @@ class PalindromicL2Code:
             raise ValueError(f"b must be in 0..{2 * self.n}")
 
     @classmethod
-    def best(cls, n: int, q: int, ell: int, limit: int = MAX_ENUMERABLE) -> "PalindromicL2Code":
+    def best(cls, n: int, q: int, ell: int) -> "PalindromicL2Code":
         """Best (a, b) code of length n; q must be 2, and ell is ignored
         (the duplication length is always 2)."""
         if q != 2:
             raise ValueError("binary only: the run-profile construction requires q = 2")
-        (a, b), _ = c2_best_params(n, limit=limit)
+        (a, b), _ = c2_best_params(n)
         return cls(n, a, b)
 
     @property
@@ -426,16 +428,15 @@ def _c2_keys(n: int, limit: int):
     return arr, (len1 % 5) * modulus + (csum % modulus)
 
 
-def _c2_counts(n: int, limit: int = MAX_ENUMERABLE) -> np.ndarray:
+def _c2_counts(n: int) -> np.ndarray:
     """counts[a, b]: the binary words of length n with a length-1 runs mod 5
     and run checksum b mod 2n+1. Counted over run compositions, not scanned
     (`docs/decisions.md`, D6): the first symbol gives a factor 2, a run that
     starts at position p adds n-p to the checksum, and a run of length 1
     adds one to the length-1-run count."""
-    total = require_enumerable(n, 2, limit)
     if n < 1:
         raise ValueError("run statistics need nonempty words")
-    dtype = _count_dtype(total)
+    dtype = _count_dtype(2**n)
     # covered: run compositions of positions 0..p-1, by (length-1 runs mod 5,
     # checksum mod 2n+1); longer: the runs started before p, each of which
     # can end at p with length >= 2
@@ -449,10 +450,10 @@ def _c2_counts(n: int, limit: int = MAX_ENUMERABLE) -> np.ndarray:
     return 2 * covered
 
 
-def c2_best_params(n: int, limit: int = MAX_ENUMERABLE):
+def c2_best_params(n: int):
     """Best (a, b) pair (lexicographic tie-break) and its cardinality, from
     the exact count `_c2_counts`."""
-    counts = _c2_counts(n, limit)
+    counts = _c2_counts(n)
     a, b = np.unravel_index(int(np.argmax(counts)), counts.shape)
     return (int(a), int(b)), int(counts[a, b])
 
@@ -495,8 +496,8 @@ class PalindromeFreeCode:
     q: int
 
     @classmethod
-    def best(cls, n: int, q: int, ell: int, limit: int = MAX_ENUMERABLE) -> "PalindromeFreeCode":
-        """The code is unique for (n, q); ell and limit are ignored."""
+    def best(cls, n: int, q: int, ell: int) -> "PalindromeFreeCode":
+        """The code is unique for (n, q); ell is ignored."""
         return cls(n, q)
 
     @property

@@ -3,8 +3,9 @@
 Codebook enumeration and the exhaustive checks reduce to computing a
 handful of per-word statistics across every word of a given length. These
 scans are the hot loops of the package. The best code parameters and the
-bound tables are counted without a scan; `require_enumerable` gives them
-the refusals of `all_words`.
+bound tables are counted without a scan, so they take no `limit`: the
+guard on q^n sits where a word space is built, in `all_words`
+(`docs/decisions.md`, D8).
 
 Kernels take an (N, n) array of words (one row per word, any memory order)
 and return per-row statistics as int64 arrays:
@@ -37,8 +38,8 @@ MAX_ENUMERABLE = 1 << 20  # default guard on q**n for full-space enumeration
 
 def require_enumerable(n: int, q: int, limit: int = MAX_ENUMERABLE) -> int:
     """q**n, after refusing (ValueError) the spaces that `all_words` refuses:
-    n < 0, q < 2, q > 127 (int8 rows) and more than `limit` words. The
-    counting routes that read no word space refuse the same instances."""
+    n < 0, q < 2, q > 127 (int8 rows) and more than `limit` words. Callers
+    that enumerate a space later check it here first."""
     if n < 0 or q < 2:
         raise ValueError("need n >= 0 and q >= 2")
     if q > 127:

@@ -10,6 +10,7 @@ bitset branch and bound of `exact_optimum` must equal the set-based search
 it replaced and brute force over every vertex subset.
 """
 
+import random
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -482,3 +483,10 @@ def test_max_independent_set_beyond_the_recursion_limit():
     assert 1251 > sys.getrecursionlimit()
     assert solve(2501, path(2501)) == 1251
     assert solve(2501, path(2501) + [(0, 2500)]) == 1250
+
+
+def test_max_independent_set_of_a_path_in_permuted_order():
+    """A path whose vertex order runs across it: the reduction looks again at
+    the neighbours of every vertex it removes, so it peels the whole path."""
+    label = random.Random(13).sample(range(2501), 2501)
+    assert solve(2501, [tuple(sorted((label[u], label[v]))) for u, v in path(2501)]) == 1251

@@ -112,10 +112,44 @@ def test_bound_single_rational(capsys):
     assert "4/1" in out  # transversal weight on the degenerate instance
 
 
-def test_bound_guard_refusal(capsys):
-    code, _, err = run_cli(capsys, "bound", "--n", "30", "--l", "1", "--q", "4")
-    assert code == 2
-    assert "refused" in err and "guard" in err
+@pytest.mark.parametrize(
+    "argv,rows",
+    [
+        (("--n", "30", "--l", "1", "--q", "4"), ["30"]),
+        (("--n", "40", "--l", "1", "--q", "4"), ["40"]),  # past 2^63 words: Python-int tables
+        (("--n", "5", "--q", "200"), ["5"]),  # past the int8 rows of all_words
+        (("--n", "20..22", "--q", "2"), ["20", "21", "22"]),
+    ],
+    ids=["q4-n30", "q4-n40", "q200", "q2-past-2^20"],
+)
+def test_bound_has_no_word_space_guard(capsys, argv, rows):
+    """bound counts every column and enumerates no word space, so it prints
+    the rows that a q^n guard would refuse."""
+    code, out, err = run_cli(capsys, "bound", *argv)
+    assert code == 0 and err == ""
+    assert [line.split()[0] for line in out.splitlines()[1:]] == rows
+
+
+@pytest.mark.parametrize(
+    "command,args",
+    [
+        ("verify", ("--code", "c1", "--n", "21")),
+        ("simulate", ("--code", "c2", "--n", "21")),
+    ],
+    ids=["verify-c1", "simulate-c2"],
+)
+def test_verify_and_simulate_refuse_past_the_guard_before_counting(monkeypatch, capsys, command, args):
+    """verify and simulate enumerate their codebook from all q^n words: past
+    the guard they are refused before any parameter table is counted."""
+
+    def no_count(*_args, **_kwargs):
+        raise AssertionError("a parameter table was counted")
+
+    monkeypatch.setattr(codes, "_c1_counts", no_count)
+    monkeypatch.setattr(codes, "_c2_counts", no_count)
+    code, out, err = run_cli(capsys, command, *args)
+    assert code == 2 and out == ""
+    assert err == "refused: instance too large: q^n = 2^21 = 2097152 words exceeds the guard 1048576\n"
 
 
 def test_bound_json_roundtrip(tmp_path, capsys):
@@ -459,11 +493,13 @@ def test_codes_that_do_not_read_l_accept_any_l(capsys, command):
         ("rates", "--q", "2", "--n", "4", "--seed", "1"),
         ("sphere", "--word", "0101", "--kind", "tandem-dup", "--l", "1", "--force"),
         ("rates", "--q", "2", "--n", "4", "--force"),
+        ("bound", "--n", "4", "--force"),
     ],
-    ids=["sphere-seed", "bound-seed", "verify-seed", "rates-seed", "sphere-force", "rates-force"],
+    ids=["sphere-seed", "bound-seed", "verify-seed", "rates-seed", "sphere-force", "rates-force", "bound-force"],
 )
 def test_flags_a_subcommand_does_not_read_are_refused(capsys, argv):
-    """--seed belongs to simulate only, --force to bound, verify and simulate."""
+    """--seed belongs to simulate only, --force to verify and simulate, the
+    two subcommands that enumerate a codebook from a whole word space."""
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     out, err = capsys.readouterr()

@@ -67,21 +67,21 @@ def test_c1_counts_past_the_guard(q, ell):
     for n in sorted({ell, 21, 30, 40}):
         if q**n > sys.maxsize:
             continue
-        counted = _c1_counts(n, ell, q, limit=sys.maxsize)
+        counted = _c1_counts(n, ell, q)
         assert int(counted.sum()) == q**n
-        _, cardinality = c1_best_params(n, ell, q, limit=sys.maxsize)
+        _, cardinality = c1_best_params(n, ell, q)
         assert cardinality >= c1_size_lower_bound(n, ell, q)
 
 
 def test_counts_beyond_int64_stay_exact():
-    """Past 2^63 words (a limit above sys.maxsize) the tables hold Python ints."""
-    counted = _c1_counts(40, 2, 4, limit=4**40)
+    """Past 2^63 words the tables hold Python ints."""
+    counted = _c1_counts(40, 2, 4)
     assert counted.dtype == object and sum(counted.ravel().tolist()) == 4**40
-    assert c1_best_params(40, 2, 4, limit=4**40)[1] >= c1_size_lower_bound(40, 2, 4)
+    assert c1_best_params(40, 2, 4)[1] >= c1_size_lower_bound(40, 2, 4)
     for n in (62, 63, 80):
-        counted = _c2_counts(n, limit=2**n)
+        counted = _c2_counts(n)
         assert sum(counted.ravel().tolist()) == 2**n
-        assert c2_best_params(n, limit=2**n)[1] >= c2_size_lower_bound(n)
+        assert c2_best_params(n)[1] >= c2_size_lower_bound(n)
 
 
 def test_best_params_and_the_bound_table_never_enumerate(monkeypatch):
@@ -99,17 +99,32 @@ def test_best_params_and_the_bound_table_never_enumerate(monkeypatch):
     assert [row.n for row in rows] == list(range(2, 21))
 
 
-@pytest.mark.parametrize("n,q", [(30, 4), (21, 2), (1, 300), (3, 1), (-1, 2)])
-def test_counts_refuse_what_all_words_refuses(n, q):
-    with pytest.raises(ValueError) as scanned:
+@pytest.mark.parametrize("n,q", [(30, 4), (21, 2), (1, 300)])
+def test_counts_take_the_spaces_that_all_words_refuses(n, q):
+    """The counts read no word space, so no q^n guard or int8 row limits them."""
+    with pytest.raises(ValueError):
         all_words(n, q)
-    with pytest.raises(ValueError) as counted:
-        c1_best_params(n, 1, q)
-    assert str(counted.value) == str(scanned.value)
+    assert c1_best_params(n, 1, q)[1] >= c1_size_lower_bound(n, 1, q)
     if q == 2:
-        with pytest.raises(ValueError) as counted:
-            c2_best_params(n)
-        assert str(counted.value) == str(scanned.value)
+        assert c2_best_params(n)[1] >= c2_size_lower_bound(n)
+
+
+@pytest.mark.parametrize(
+    "count,args,message",
+    [
+        (c1_best_params, (5, 1, 1), "q must be >= 2"),
+        (c1_best_params, (5, 1, 0), "q must be >= 2"),
+        (c1_best_params, (3, 1, -2), "q must be >= 2"),
+        (c2_best_params, (-1,), "run statistics need nonempty words"),
+    ],
+    ids=["c1-q1", "c1-q0", "c1-negative-q", "c2-negative-n"],
+)
+def test_counts_refuse_only_what_they_cannot_count(count, args, message):
+    """Beside a block length outside 1..n and n = 0 (below), the counts
+    refuse only an alphabet below 2 and a negative length."""
+    with pytest.raises(ValueError) as refused:
+        count(*args)
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("n,ell", [(5, 0), (5, -1), (3, 4), (0, 1)])
