@@ -1,11 +1,14 @@
 """Counting formulas and the generalized sphere-packing upper bound.
 
-The bound for single tandem duplications rests on three ingredients: the
-count of run-length-limited words by weight, the distribution of tandem
-deletion sphere sizes, and a fractional transversal of the deletion
+The bound for single tandem duplications rests on the distribution of
+tandem deletion sphere sizes and a fractional transversal of the deletion
 hypergraph that weights irreducible words with 1 and words of length
-n - t*ell with the inverse of their own deletion sphere size. All bound
-arithmetic is exact rational; only redundancy columns are floats.
+n - t*ell with the inverse of their own deletion sphere size. The sphere
+sizes, the irreducible count and the run-length-limited count by weight
+are all read off one table of difference tails, `transform._gap_table`,
+which also holds the c1 residue counts of `codes` (`docs/decisions.md`,
+D9). All bound arithmetic is exact rational; only redundancy columns are
+floats.
 
 Small instances are cross-checked by two independent routes over the full
 word space, both built on one array incidence of the error hypergraph:
@@ -36,6 +39,8 @@ import numpy as np
 
 from . import channel
 from .channel import ErrorKind, deletion_rows, duplication_rows, tandem_del
+from .codes import c1_best_params
+from .transform import _gap_table
 from .words import _words_of_rows
 from .wordspace import (
     MAX_ENUMERABLE,
@@ -48,74 +53,57 @@ from .wordspace import (
 )
 
 
-def _binom(a: int, b: int) -> int:
-    if a < 0 or b < 0:
-        return 0
-    return comb(a, b)
-
-
 def rll_weight_count(n_prime: int, ell_prime: int, weight: int, q: int) -> int:
     """Number of words in Z_q^{n'} with every zero-run <= ell' and Hamming
-    weight omega, by the closed form (piecewise in omega and n' vs ell')."""
+    weight omega: the gap table entry T[omega, 0] for blocks of ell' + 1
+    (`transform._gap_table`, whose tails of length n' have no whole block
+    in any gap), and 0 outside the table."""
     if q < 2:
         raise ValueError("q must be >= 2")
-    if n_prime < 0 or ell_prime < 0 or weight < 0:
+    if ell_prime < 0 or not 0 <= weight <= n_prime:
         return 0
-    if n_prime <= ell_prime:
-        return (q - 1) ** weight * _binom(n_prime, weight)
-    if weight == 0:
-        return 0
-    if weight == 1:
-        return (q - 1) * max(0, 2 * (ell_prime + 1) - n_prime)
-    total = 0
-    for p in range(ell_prime + 1):
-        for j in range(weight):
-            total += (
-                (-1) ** j
-                * _binom(weight - 1, j)
-                * (
-                    _binom(n_prime - p - 1 - j * (ell_prime + 1), weight - 1)
-                    - _binom(n_prime - p - 1 - (j + 1) * (ell_prime + 1), weight - 1)
-                )
-            )
-    return (q - 1) ** weight * total
+    return int(_gap_table(n_prime + ell_prime + 1, ell_prime + 1, q)[weight, 0])
 
 
 def irreducible_count(n: int, ell: int, q: int) -> int:
     """Words of length n admitting no tandem deletion of length ell.
 
     These are exactly the words whose difference tail has no run of ell
-    zeros, i.e. q^ell choices of head times the run-length-limited count of
-    the tail.
+    zeros, i.e. q^ell choices of head times the tails with no whole block
+    in any gap, column J = 0 of the gap table; all q^n words when n < ell.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    table = _gap_table(n, ell, q)  # refuses q < 2, ell < 1 and n < 0
     if n < ell:
         return q**n
-    return q**ell * sum(rll_weight_count(n - ell, ell - 1, w, q) for w in range(n - ell + 1))
+    return q**ell * int(table[:, 0].sum())
 
 
 def deletion_histogram(n: int, ell: int, q: int) -> dict[int, int]:
     """Map sphere size i -> number of words of length n with single tandem
     deletion sphere size i. The i = 0 entry is the irreducible count;
-    entries with zero count are omitted for i >= 1."""
+    entries with zero count are omitted for i >= 1.
+
+    The sphere size is the number of gaps of the tail that hold a whole
+    block, the positive j_k. The block vectors with w+1 parts, sum J and
+    exactly i positive parts number C(w+1, i) C(J-1, i-1), so
+
+        hist[i] = q^ell * sum_{w, J} T[w, J] C(w+1, i) C(J-1, i-1)
+
+    over the gap table T (`transform._gap_table`, `docs/decisions.md` D9).
+    Only i <= J is summed, so every partial sum counts words and stays in
+    the table's dtype."""
+    table = _gap_table(n, ell, q)  # refuses q < 2, ell < 1 and n < 0
     if n < ell:
         return {0: q**n}
-    # rll[nu][w]: tails of length n - (nu+1)*ell with weight w, each counted once
-    rll = [
-        [rll_weight_count(n - (nu + 1) * ell, ell - 1, w, q) for w in range(n - (nu + 1) * ell + 1)]
-        for nu in range(n // ell)
-    ]
-    hist = {0: q**ell * sum(rll[0])}
-    for i in range(1, n // ell + 1):
-        total = sum(
-            rll[nu][w] * _binom(w + 1, i) * _binom(nu - 1, i - 1)
-            for nu in range(i, n // ell)
-            for w in range(i - 1, len(rll[nu]))
-        )
-        if total:
-            hist[i] = q**ell * total
-    return hist
+    m, top = n - ell, table.shape[1] - 1
+    choose = np.array([[comb(w + 1, i) for i in range(top + 1)] for w in range(m + 1)], dtype=table.dtype)
+    total = np.zeros(top + 1, dtype=table.dtype)
+    total[0] = table[:, 0].sum()
+    for J in range(1, top + 1):
+        rows = m - ell * J + 1  # the weights w that leave room for J blocks
+        parts = np.array([comb(J - 1, i - 1) for i in range(1, J + 1)], dtype=table.dtype)
+        total[1 : J + 1] += parts * (table[:rows, J] @ choose[:rows, 1 : J + 1])
+    return {i: q**ell * int(count) for i, count in enumerate(total) if count or i == 0}
 
 
 @dataclass(frozen=True)
@@ -330,19 +318,22 @@ def transversal_check(n: int, ell: int, t: int, q: int, limit: int = MAX_ENUMERA
 
 def _component_labels(N: int, low, high) -> np.ndarray:
     """A label per vertex of the graph on 0..N-1 with edges (low[k],
-    high[k]), equal exactly within each connected component: every edge
-    lowers both ends to the smaller label, and every label then takes its
-    own label's label, until nothing changes."""
+    high[k]), equal exactly within each connected component: the smallest
+    vertex of the component. Labels form a forest whose roots label
+    themselves. Each round hooks the larger root of every edge under its
+    smaller root, then shortcuts every label to its root (label =
+    label[label] until nothing changes), until every edge joins one root."""
     label = np.arange(N)
     while True:
-        hook = np.minimum(label[low], label[high])
-        lowered = label.copy()
-        np.minimum.at(lowered, low, hook)
-        np.minimum.at(lowered, high, hook)
-        lowered = lowered[lowered]
-        if np.array_equal(lowered, label):
+        root_low, root_high = label[low], label[high]
+        if np.array_equal(root_low, root_high):
             return label
-        label = lowered
+        np.minimum.at(label, np.maximum(root_low, root_high), np.minimum(root_low, root_high))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
 
 
 def _component_mis(nbr: list[int]) -> int:
@@ -478,8 +469,6 @@ def redundancy_table(n_values, ell: int, q: int) -> list[RedundancyRow]:
     Every column is exact counting or a closed form; no word space is read,
     so no q^n guard applies (`docs/decisions.md`, D8). The c1 cardinality
     comes from `codes.c1_best_params`."""
-    from .codes import c1_best_params  # deferred: codes depends on this module
-
     rows = []
     for n in n_values:
         report = bound_report(n, ell, q)

@@ -62,7 +62,7 @@ def _write_machine(path: str, fmt: str | None, rows: list[dict]):
         fmt = "csv" if path.endswith(".csv") else "json"
     if fmt == "json":
         with open(path, "w") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
+            json.dump(rows, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     else:
         # a CSV cell is flat: a dict (bound's histogram) is written as its JSON text
@@ -192,7 +192,9 @@ def cmd_bound(args) -> int:
         row["bound"] = _fraction_str(report.bound)
         row["c1_redundancy_bits"] = _f6(red.c1_redundancy)
         row["c2_redundancy_bits"] = _f6(red.c2_redundancy)
-        row["burst_redundancy_bits"] = _f6(red.burst_redundancy)
+        # undefined below n = 2: nan on stdout, null in JSON, an empty CSV cell
+        burst = red.burst_redundancy
+        row["burst_redundancy_bits"] = None if math.isnan(burst) else _f6(burst)
         rows.append(row)
     if args.out:
         _write_machine(args.out, args.format, rows)

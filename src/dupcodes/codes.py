@@ -68,8 +68,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import _binom, rll_weight_count
 from .channel import ErrorKind, deletion_rows, duplication_rows, error_ball, error_sphere, pal_dup, tandem_dup
+from .transform import _count_dtype, _gap_table, _tail_length
 from .words import Word, _unchecked_word, _word_of_row, _words_of_rows
 from .wordspace import (
     MAX_ENUMERABLE,
@@ -202,46 +202,30 @@ def _c1_keys(n: int, ell: int, q: int, limit: int):
     return arr, sig_len, csum % (sig_len + 1)
 
 
-def _count_dtype(total: int):
-    """int64 when every count, at most `total`, fits; else exact Python ints."""
-    return np.int64 if total <= np.iinfo(np.int64).max else object
-
-
 def _c1_counts(n: int, ell: int, q: int) -> np.ndarray:
     """counts[s-1, r]: the words of length n over Z_q whose zero-signature
     has length s and VT residue r, for s = 1..n-ell+1 and r = 0..n-ell+1
     (zero for r > s). Counted, not scanned (`docs/decisions.md`, D6): a tail
-    with w nonzeros has w+1 zero gaps g_k = ell*j_k + e_k, and the table
-    factors into A (the j, with their weighted sum mod w+2) and B (the e)."""
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    with w nonzeros has w+1 zero gaps g_k = ell*j_k + e_k, and row w+1 is
+    q^ell times the gap table row T[w] (`_gap_table`, the e) times A (the j,
+    with their weighted sum mod w+2)."""
+    table = _gap_table(n, ell, q)
     m = n - ell
     if m < 0:
         raise ValueError("ell exceeds word length")
-    dtype = _count_dtype(q**n)
-    counts = np.zeros((m + 1, m + 2), dtype=dtype)
-    # B[E]: (e_1..e_{w+1}) in 0..ell-1 summing to E <= m-w, the coefficients
-    # of (1 + x + ... + x^(ell-1))^(w+1); one factor more per w
-    B = np.zeros(m + 1, dtype=dtype)
-    B[0] = 1
+    counts = np.zeros((m + 1, m + 2), dtype=table.dtype)
     for w in range(m + 1):
-        B = B[: m - w + 1]
-        prefix = np.cumsum(B)
-        B[ell:] = prefix[ell:] - prefix[:-ell]
-        B[:ell] = prefix[:ell]
         size, top = w + 2, (m - w) // ell
         # A[J, r]: (j_1..j_{w+1}) summing to J with sum_k k*j_k = r mod w+2,
         # one part k at a time: A[J] += roll(A[J-1], k)
-        A = np.zeros((top + 1, size), dtype=dtype)
+        A = np.zeros((top + 1, size), dtype=table.dtype)
         A[0, 0] = 1
         for k in range(1, w + 2):
             for J in range(1, top + 1):
                 A[J, k:] += A[J - 1, : size - k]
                 A[J, :k] += A[J - 1, size - k :]
-        counts[w, :size] = B[m - w - ell * np.arange(top + 1)] @ A
-        counts[w] *= q**ell * (q - 1) ** w
+        counts[w, :size] = table[w, : top + 1] @ A
+    counts *= q**ell
     return counts
 
 
@@ -255,16 +239,19 @@ def c1_best_params(n: int, ell: int, q: int):
 
 
 def c1_size_lower_bound(n: int, ell: int, q: int) -> Fraction:
-    """Pigeonhole guarantee on the best-residue cardinality:
-    q^ell * sum_nu sum_w A(n-(nu+1)ell, ell-1, w) * C(w+nu, nu) / (w+2)."""
-    total = Fraction(0)
-    for nu in range(n // ell):
-        m = n - (nu + 1) * ell
-        for w in range(m + 1):
-            cnt = rll_weight_count(m, ell - 1, w, q)
-            if cnt:
-                total += Fraction(cnt * _binom(w + nu, nu), w + 2)
-    return q**ell * total
+    """Pigeonhole guarantee on the best-residue cardinality: the q^ell
+    C(m, w) (q-1)^w words whose tail of length m = n - ell has w nonzeros
+    share w+2 residues, so the best residue holds at least their mean,
+
+        q^ell * sum_w C(m, w) (q-1)^w / (w+2).
+
+    This is the paper's nested sum over nu and w, regrouped by w
+    (`docs/decisions.md`, D9). Refuses (ValueError) q < 2, ell < 1, n < 0
+    and ell > n."""
+    m = _tail_length(n, ell, q)
+    if m < 0:
+        raise ValueError("ell exceeds word length")
+    return q**ell * sum(Fraction(math.comb(m, w) * (q - 1) ** w, w + 2) for w in range(m + 1))
 
 
 def c1_codebook_rows(code: TandemVTCode, limit: int = MAX_ENUMERABLE) -> np.ndarray:

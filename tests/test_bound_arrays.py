@@ -490,3 +490,36 @@ def test_max_independent_set_of_a_path_in_permuted_order():
     the neighbours of every vertex it removes, so it peels the whole path."""
     label = random.Random(13).sample(range(2501), 2501)
     assert solve(2501, [tuple(sorted((label[u], label[v]))) for u, v in path(2501)]) == 1251
+
+
+def union_find_labels(N, edges):
+    """The smallest vertex of each vertex's component, by union-find."""
+    parent = list(range(N))
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in edges:
+        ra, rb = root(a), root(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    return [root(v) for v in range(N)]
+
+
+def test_component_labels_equal_union_find():
+    """Sparse random graphs with many components, and paths in permuted order."""
+    rng = random.Random(29)
+    cases = []
+    for _ in range(200):
+        N = rng.randint(2, 80)
+        cases.append((N, {tuple(sorted(rng.sample(range(N), 2))) for _ in range(rng.randint(0, N))}))
+    for N in (1, 2, 3, 50, 2501):
+        label = rng.sample(range(N), N)
+        cases.append((N, {tuple(sorted((label[u], label[v]))) for u, v in path(N)}))
+    for N, edges in cases:
+        pairs = sorted(edges)
+        low = np.array([a for a, _ in pairs], dtype=np.int64)
+        high = np.array([b for _, b in pairs], dtype=np.int64)
+        assert bounds._component_labels(N, low, high).tolist() == union_find_labels(N, edges), (N, edges)

@@ -164,6 +164,23 @@ def test_bound_json_roundtrip(tmp_path, capsys):
         assert {"bound_numerator", "bound_denominator", "redundancy_lb_bits", "histogram"} <= set(row)
 
 
+def test_bound_writes_no_nan(tmp_path, capsys):
+    """The burst column is undefined below n = 2: nan on stdout, null in
+    JSON (no NaN, which is not JSON) and an empty CSV cell."""
+
+    def no_constant(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    json_path, csv_path = tmp_path / "bounds.json", tmp_path / "bounds.csv"
+    code, out, _ = run_cli(capsys, "bound", "--n", "1,2", "--l", "1", "--out", str(json_path))
+    assert code == 0 and out.splitlines()[1].split()[-1] == "nan"
+    rows = json.loads(json_path.read_text(), parse_constant=no_constant)
+    assert [row["burst_redundancy_bits"] for row in rows] == [None, 2.0]
+    assert run_cli(capsys, "bound", "--n", "1,2", "--l", "1", "--out", str(csv_path))[0] == 0
+    with open(csv_path) as fh:
+        assert [row["burst_redundancy_bits"] for row in csv.DictReader(fh)] == ["", "2.0"]
+
+
 def test_verify_c1(capsys):
     code, out, _ = run_cli(capsys, "verify", "--code", "c1", "--n", "6", "--l", "2", "--q", "2")
     assert code == 0
