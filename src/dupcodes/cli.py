@@ -41,15 +41,26 @@ def _fraction_str(fr) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
+def _int_token(flag: str, token: str) -> int:
+    """int(token), refused with a message that names the flag and the token."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{flag}: not an integer: {token!r}") from None
+
+
 def _parse_n_values(text: str) -> list[int]:
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
+            ends = part.split("..")
+            if len(ends) != 2:
+                raise ValueError(f"--n: not a range lo..hi: {part!r}")
+            lo, hi = (_int_token("--n", end) for end in ends)
+            out.extend(range(lo, hi + 1))
         else:
-            out.append(int(part))
+            out.append(_int_token("--n", part))
     return out
 
 
@@ -324,9 +335,9 @@ def cmd_verify(args) -> int:
 
 def cmd_rates(args) -> int:
     try:
-        q_list = [int(tok) for tok in args.q_list.split(",")]
+        q_list = [_int_token("--q", tok) for tok in args.q_list.split(",")]
         n_tokens = [tok.strip() for tok in args.n_list.split(",")]
-        n_list = [None if tok in ("inf", "oo") else int(tok) for tok in n_tokens]
+        n_list = [None if tok in ("inf", "oo") else _int_token("--n", tok) for tok in n_tokens]
         rates = [[codes.cpf_rate(q, n) for n in n_list] for q in q_list]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,7 +53,9 @@ Codebooks are enumerated with the wordspace kernels, in lexicographic word
 order. The best parameters are counted instead (`_c1_counts`, `_c2_counts`,
 `docs/decisions.md` D6): an exact integer table per (signature length,
 residue) or (a, b), built from the compositions that determine the
-syndrome, with no scan of Z_q^n. Ties go to the smallest residue, and to
+syndrome, with no scan of Z_q^n. The c1 table is a divisor sum over the
+gap table of `transform`, the residue generating function evaluated at
+roots of unity (D10). Ties go to the smallest residue, and to
 the smallest (a, b). The scans `_c1_keys` and `_c2_keys` stay for the
 codebooks and as the tests' independent route to the same tables. Only
 the codebook routes enumerate Z_q^n, so only they take the `limit` on q^n
@@ -205,27 +207,29 @@ def _c1_keys(n: int, ell: int, q: int, limit: int):
 def _c1_counts(n: int, ell: int, q: int) -> np.ndarray:
     """counts[s-1, r]: the words of length n over Z_q whose zero-signature
     has length s and VT residue r, for s = 1..n-ell+1 and r = 0..n-ell+1
-    (zero for r > s). Counted, not scanned (`docs/decisions.md`, D6): a tail
-    with w nonzeros has w+1 zero gaps g_k = ell*j_k + e_k, and row w+1 is
-    q^ell times the gap table row T[w] (`_gap_table`, the e) times A (the j,
-    with their weighted sum mod w+2)."""
+    (zero for r > s). Counted, not scanned (`docs/decisions.md`, D6 and
+    D10): a tail with w nonzeros has w+1 zero gaps g_k = ell*j_k + e_k, the
+    gap table row T[w] (`_gap_table`) counts them per block sum J, and the
+    residue is sum_k k*j_k mod N, N = w+2. At a root of unity of order e,
+    e*h = N, the parts j_k generate (1 - y) / (1 - y^e)^h; S_e sums that
+    against T[w]. A sieve over the divisors h of N turns the S_e into the
+    share H(h) of the residues r = 0 mod e, so counts[w, r] depends on r
+    only through gcd(r, N). Rows add up in Python ints, which can pass
+    int64 before the exact division by N."""
     table = _gap_table(n, ell, q)
     m = n - ell
     if m < 0:
         raise ValueError("ell exceeds word length")
     counts = np.zeros((m + 1, m + 2), dtype=table.dtype)
     for w in range(m + 1):
-        size, top = w + 2, (m - w) // ell
-        # A[J, r]: (j_1..j_{w+1}) summing to J with sum_k k*j_k = r mod w+2,
-        # one part k at a time: A[J] += roll(A[J-1], k)
-        A = np.zeros((top + 1, size), dtype=table.dtype)
-        A[0, 0] = 1
-        for k in range(1, w + 2):
-            for J in range(1, top + 1):
-                A[J, k:] += A[J - 1, : size - k]
-                A[J, :k] += A[J - 1, size - k :]
-        counts[w, :size] = table[w, : top + 1] @ A
-    counts *= q**ell
+        size, row, sieve, total = w + 2, table[w].tolist() + [0], {}, [0] * (w + 2)
+        for h, e in [(h, size // h) for h in range(1, size + 1) if size % h == 0]:
+            # S_e = sum_J T[w, J] [y^J] (1 - y) / (1 - y^e)^h, the parts at a root of unity of order e
+            s_e = sum(math.comb(i + h - 1, h - 1) * (a - b) for i, (a, b) in enumerate(zip(row[::e], row[1::e])))
+            sieve[h] = s_e - sum(value for g, value in sieve.items() if h % g == 0)
+            for r in range(0, size, e):
+                total[r] += e * sieve[h]
+        counts[w, :size] = [t // size * q**ell for t in total]
     return counts
 
 

@@ -15,8 +15,8 @@ trailing gap. An empty v has signature (0,).
 
 Every tandem count reads one table of tails (`_gap_table`): the run-length
 limited counts, the irreducible count and the deletion sphere histogram in
-`bounds`, and the VT residue table of `codes` (`docs/decisions.md`, D6 and
-D9).
+`bounds`, and the VT residue table of `codes` (`docs/decisions.md`, D6, D9
+and D10).
 """
 
 from dataclasses import dataclass

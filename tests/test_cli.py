@@ -458,6 +458,24 @@ def test_bad_input_refused_with_one_line(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("bound", "--n", "2..3..4"), "error: --n: not a range lo..hi: '2..3..4'"),
+        (("bound", "--n", "x"), "error: --n: not an integer: 'x'"),
+        (("bound", "--n", "2,,4"), "error: --n: not an integer: ''"),
+        (("bound", "--n", "2..y"), "error: --n: not an integer: 'y'"),
+        (("rates", "--q", "2,x", "--n", "4"), "error: --q: not an integer: 'x'"),
+        (("rates", "--q", "2", "--n", "4,z"), "error: --n: not an integer: 'z'"),
+    ],
+    ids=["bound-three-dots", "bound-word", "bound-empty-token", "bound-range-end", "rates-q", "rates-n"],
+)
+def test_list_flag_parse_errors_name_the_flag_and_token(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == message + "\n"
+
+
+@pytest.mark.parametrize(
     "n,ell,short",
     [("1..4", "2", "1"), ("0..5", "3", "0, 1, 2"), ("6,2,8", "3", "2")],
     ids=["range", "range-from-0", "list"],

@@ -3,9 +3,12 @@
 `_c1_counts` and `_c2_counts` count the (signature length, VT residue) and
 (a, b) tables over compositions (`docs/decisions.md`, D6). The scans
 `_c1_keys` and `_c2_keys` stay as the independent route: a bincount of
-their keys over every word is the same table.
+their keys over every word is the same table. Past the reach of a scan,
+`_c1_counts` (D10's divisor sum) is held to D6's j-table recurrence, kept
+here as a reference.
 """
 
+import math
 import sys
 
 import numpy as np
@@ -23,6 +26,7 @@ from dupcodes.codes import (
     c2_best_params,
     c2_size_lower_bound,
 )
+from dupcodes.transform import _gap_table
 from dupcodes.wordspace import all_words
 
 _SCANNED = 1 << 16  # the largest word space the differential grid scans
@@ -48,6 +52,52 @@ def test_c1_counts_equal_the_scan(q, ell):
         best = (tuple(scanned.argmax(axis=1).tolist()), int(scanned.max(axis=1).sum()))
         assert c1_best_params(n, ell, q) == best
         n += 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_scanned_c1_rows_depend_on_the_residue_only_through_its_gcd(q, ell):
+    """Row w of the scanned table holds residues mod w+2, and counts[w, r]
+    depends on r only through gcd(r, w+2), with r = w+2 read as 0."""
+    n = ell
+    while q**n <= _SCANNED:
+        scanned = _scanned_c1_table(n, ell, q)
+        for w, row in enumerate(scanned.tolist()):
+            size = w + 2
+            assert not any(row[size:]), (n, ell, q, w)
+            assert row[:size] == [row[math.gcd(r, size) % size] for r in range(size)], (n, ell, q, w)
+        n += 1
+
+
+def _recurrence_c1_table(n, ell, q):
+    """D6's j-table recurrence: row w+1 is q^ell T[w] @ A_w, where A_w[J, r]
+    counts the block vectors (j_1..j_{w+1}) of sum J with sum_k k*j_k = r
+    mod w+2, built one part k at a time: A[J] += roll(A[J-1], k)."""
+    table = _gap_table(n, ell, q)
+    m = n - ell
+    counts = np.zeros((m + 1, m + 2), dtype=table.dtype)
+    for w in range(m + 1):
+        size, top = w + 2, (m - w) // ell
+        A = np.zeros((top + 1, size), dtype=table.dtype)
+        A[0, 0] = 1
+        for k in range(1, w + 2):
+            for J in range(1, top + 1):
+                A[J, k:] += A[J - 1, : size - k]
+                A[J, :k] += A[J - 1, size - k :]
+        counts[w, :size] = table[w, : top + 1] @ A
+    counts *= q**ell
+    return counts
+
+
+@pytest.mark.parametrize("q,top", [(2, 64), (3, 41), (4, 32), (5, 28), (7, 23)])
+def test_c1_counts_equal_the_recurrence(q, top):
+    """The divisor sum (D10) against the recurrence it replaced, in values
+    and dtype, up to and past the int64 switch of the gap table."""
+    for ell in range(1, 6):
+        for n in range(ell, top + 1):
+            counted, reference = _c1_counts(n, ell, q), _recurrence_c1_table(n, ell, q)
+            assert counted.dtype == reference.dtype, (n, ell, q)
+            assert counted.tolist() == reference.tolist(), (n, ell, q)
 
 
 def test_c2_counts_equal_the_scan():
