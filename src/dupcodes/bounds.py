@@ -13,7 +13,9 @@ floats.
 Small instances are cross-checked by two independent routes over the full
 word space, both built on one array incidence of the error hypergraph:
 `error_incidence` lists every distinct (centre, single-error outcome) pair
-of a batch of rows, from `channel.deletion_rows`/`duplication_rows`,
+of a batch of rows, from `channel.tandem_gap_rows` (tandem kinds, one error
+per gap of the difference tail, so every outcome is made once) or
+`channel.deletion_rows`/`duplication_rows` (palindromic kinds),
 `wordspace.packed_keys` and one sort, and `sphere_levels` repeats it level
 by level for radius t.
 
@@ -38,7 +40,7 @@ from math import comb
 import numpy as np
 
 from . import channel
-from .channel import ErrorKind, deletion_rows, duplication_rows, tandem_del
+from .channel import ErrorKind, deletion_rows, duplication_rows, tandem_del, tandem_gap_rows
 from .codes import c1_best_params
 from .transform import _gap_table
 from .words import _words_of_rows
@@ -185,9 +187,11 @@ def error_incidence(rows, kind: ErrorKind, q: int) -> tuple[np.ndarray, np.ndarr
     that one error turns row centre[k] into. Pairs come in (centre, key)
     order, each once, so np.bincount(centre, minlength=N) is the sphere size
     of every row. Rows are taken a block at a time: the outcomes of a block
-    (`deletion_rows` or `duplication_rows`) are packed behind their centre
-    as prefix, sorted once, and kept where they differ from their
-    predecessor.
+    are packed behind their centre as prefix, sorted once, and kept where
+    they differ from their predecessor. A tandem kind makes one error per
+    gap of the difference tail (`tandem_gap_rows`, `docs/decisions.md` D11),
+    so its outcomes are already distinct; a palindromic kind makes one per
+    valid position (`deletion_rows` or `duplication_rows`).
 
     One block's pairs are the output as they are. With more blocks, each
     block's pairs go straight into output allocated for one pair per row and
@@ -197,7 +201,10 @@ def error_incidence(rows, kind: ErrorKind, q: int) -> tuple[np.ndarray, np.ndarr
     """
     rows = np.asarray(rows)
     N, n = rows.shape
-    single = duplication_rows if kind.is_duplication else deletion_rows
+    if kind.is_tandem:
+        single = tandem_gap_rows
+    else:
+        single = duplication_rows if kind.is_duplication else deletion_rows
     length = n + kind.ell if kind.is_duplication else max(0, n - kind.ell)
     width = (q**length - 1).bit_length()
     mask = (1 << width) - 1

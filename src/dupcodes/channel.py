@@ -14,6 +14,9 @@ scales this package targets.
 `duplication_rows` and `deletion_rows` are the batch twins of the single
 operations: they act on a batch of words given as the (N, n) int8 rows the
 wordspace kernels produce and return every single-error outcome as rows.
+`tandem_gap_rows` returns the distinct tandem outcomes only: the tandem
+errors in one gap of the difference tail all give the same word, so it
+makes one error per gap (`docs/decisions.md`, D11).
 
 All functions are pure and operate on immutable words or copy their input
 rows, so concurrent use needs no synchronisation.
@@ -215,6 +218,47 @@ def deletion_rows(rows, kind: ErrorKind) -> tuple[np.ndarray, np.ndarray]:
         outcomes[at, : p + ell] = kept[:, : p + ell]
         outcomes[at, p + ell :] = kept[:, p + 2 * ell :]
     return outcomes, source
+
+
+def tandem_gap_rows(rows, kind: ErrorKind) -> tuple[np.ndarray, np.ndarray]:
+    """Every distinct single tandem error outcome of every row, as (outcomes,
+    source): the same words as `duplication_rows`/`deletion_rows`, each once.
+
+    A tandem error at p inserts (duplication) or removes (deletion) ell zeros
+    of the difference tail d_i = x_{i+ell} - x_i in the gap that holds index
+    p, and keeps the head x[:ell]. So one error per gap is made, at the first
+    position of the gap: p = 0 or d_{p-1} != 0, where for a deletion also
+    d[p:p+ell] = 0. A row has sig_len outcomes for a duplication and
+    sig_weight for a deletion (`wordspace.signature_scan`); they come
+    position by position, in a column-major array that the column scans of
+    `wordspace` read without a copy (`docs/decisions.md`, D11).
+    """
+    if not kind.is_tandem:
+        raise ValueError("tandem_gap_rows requires a tandem kind")
+    rows = np.asarray(rows)
+    N, n = rows.shape
+    ell = kind.ell
+    cols = np.ascontiguousarray(rows.T)
+    zero = cols[ell:] == cols[: max(0, n - ell)]  # d_i == 0, one row per i
+    P = max(0, n - ell + 1 if kind.is_duplication else n - 2 * ell + 1)
+    keep = np.ones((P, N), dtype=np.bool_)
+    np.logical_not(zero[: max(0, P - 1)], out=keep[1:])  # a gap starts at p
+    if not kind.is_duplication:
+        for j in range(ell):
+            keep &= zero[j : j + P]
+    skip = 0 if kind.is_duplication else 2 * ell  # the outcome is x[:p+ell] + x[p+skip:]
+    M = np.count_nonzero(keep)
+    outcomes = np.empty((max(0, n + ell - skip), M), dtype=rows.dtype)  # one row per symbol
+    source = np.empty(M, dtype=np.intp)
+    stop = 0
+    for p in range(P):
+        start, at = stop, np.flatnonzero(keep[p])
+        stop += len(at)
+        source[start:stop] = at
+        kept = cols.take(at, axis=1)
+        outcomes[: p + ell, start:stop] = kept[: p + ell]
+        outcomes[p + ell :, start:stop] = kept[p + skip :]
+    return outcomes.T, source
 
 
 def _reach(x: Word, kind: ErrorKind, t: int, ball: bool) -> frozenset[Word]:

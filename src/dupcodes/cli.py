@@ -76,8 +76,9 @@ def _write_machine(path: str, fmt: str | None, rows: list[dict]):
             json.dump(rows, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     else:
-        # a CSV cell is flat: a dict (bound's histogram) is written as its JSON text
-        flat = [{k: (json.dumps(v) if isinstance(v, dict) else v) for k, v in row.items()} for row in rows]
+        # a CSV cell is flat: a dict (bound's histogram) or a list (verify's
+        # report, sphere's members) is written as its JSON text
+        flat = [{k: (json.dumps(v) if isinstance(v, (dict, list)) else v) for k, v in row.items()} for row in rows]
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(flat[0].keys()))
             writer.writeheader()

@@ -30,9 +30,17 @@ from dupcodes.bounds import (
     sphere_levels,
     transversal_check,
 )
-from dupcodes.channel import ErrorKind, balls_intersect, error_ball, error_sphere, tandem_del
+from dupcodes.channel import (
+    ErrorKind,
+    balls_intersect,
+    deletion_rows,
+    duplication_rows,
+    error_ball,
+    error_sphere,
+    tandem_del,
+)
 from dupcodes.words import word
-from dupcodes.wordspace import all_words, packed_keys
+from dupcodes.wordspace import all_words, packed_keys, runs_start
 
 FAMILIES = (channel.TANDEM_DUP, channel.TANDEM_DEL, channel.PAL_DUP, channel.PAL_DEL)
 
@@ -249,6 +257,33 @@ def test_incidence_blocks_do_not_change_the_pairs(monkeypatch):
     for kind, (centre, key) in zip(kinds, one_pass):
         got_centre, got_key = error_incidence(rows, kind, 2)
         assert got_centre.tolist() == centre.tolist() and got_key.tolist() == key.tolist(), kind
+
+
+def twin_error_incidence(rows, kind, q):
+    """The build of `error_incidence` before one error per gap: every valid
+    error position through the batch twins, packed behind its centre, sorted
+    and deduplicated, in one block."""
+    outcomes, source = (duplication_rows if kind.is_duplication else deletion_rows)(rows, kind)
+    width = (q ** outcomes.shape[1] - 1).bit_length()
+    packed = np.sort(packed_keys(outcomes, q, prefix=source))
+    packed = packed[runs_start(packed)]
+    return packed >> width, packed & ((1 << width) - 1)
+
+
+@pytest.mark.parametrize("blocks", ["one", "many"])
+@pytest.mark.parametrize("q,n", [(2, 14), (3, 9), (4, 7)])
+def test_tandem_incidence_equals_the_twin_route(monkeypatch, q, n, blocks):
+    """One error per gap gives the twin route's pairs array for array, at
+    sizes the Word oracle cannot reach; "many" takes the multi-block path."""
+    if blocks == "many":
+        monkeypatch.setattr(bounds, "_BLOCK_OUTCOMES", 4096)
+    rows = all_words(n, q)
+    for ell in (1, 2, 3):
+        for family in (channel.TANDEM_DUP, channel.TANDEM_DEL):
+            kind = ErrorKind(family, ell)
+            centre, key = error_incidence(rows, kind, q)
+            expected_centre, expected_key = twin_error_incidence(rows, kind, q)
+            assert np.array_equal(centre, expected_centre) and np.array_equal(key, expected_key), kind
 
 
 @pytest.mark.parametrize("q,n_max", [(2, 14), (3, 9), (4, 7)])

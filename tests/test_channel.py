@@ -24,8 +24,10 @@ from dupcodes.channel import (
     tandem_delete,
     tandem_dup,
     tandem_duplicate,
+    tandem_gap_rows,
 )
 from dupcodes.words import parse_word, word
+from dupcodes.wordspace import all_words, signature_scan
 
 from conftest import words_of
 
@@ -231,6 +233,52 @@ def test_batch_twins_refuse_the_other_direction():
         duplication_rows(rows, tandem_del(1))
     with pytest.raises(ValueError, match="deletion kind"):
         deletion_rows(rows, pal_dup(2))
+
+
+def outcomes_by_row(outcomes, source, N):
+    """The outcomes of each of N rows as tuples, in the order they come."""
+    per_row = [[] for _ in range(N)]
+    for i, outcome in zip(source.tolist(), outcomes.tolist()):
+        per_row[i].append(tuple(outcome))
+    return per_row
+
+
+@pytest.mark.parametrize("q,n_max", [(2, 8), (3, 5)])
+def test_gap_rows_are_the_distinct_twin_outcomes(q, n_max):
+    """tandem_gap_rows over every word: per row, exactly the distinct outcomes
+    of duplication_rows/deletion_rows, each once, and as many as
+    signature_scan's sig_len (duplications) or sig_weight (deletions). With
+    n < ell there is no tail, and no error."""
+    for n in range(0, n_max + 1):
+        rows = all_words(n, q)
+        for ell in (1, 2, 3):
+            sig_len, sig_weight, _ = signature_scan(rows, ell) if n >= ell else (None, None, None)
+            for kind, twin, count in ((tandem_dup(ell), duplication_rows, sig_len), (tandem_del(ell), deletion_rows, sig_weight)):
+                outcomes, source = tandem_gap_rows(rows, kind)
+                expected, expected_source = twin(rows, kind)
+                assert outcomes.shape[1] == expected.shape[1] and outcomes.dtype == rows.dtype, (kind, n)
+                got = outcomes_by_row(outcomes, source, len(rows))
+                for mine, theirs in zip(got, outcomes_by_row(expected, expected_source, len(rows))):
+                    assert sorted(mine) == sorted(set(theirs)), (kind, n)
+                sizes = np.bincount(source, minlength=len(rows))
+                assert sizes.tolist() == (count.tolist() if n >= ell else [0] * len(rows)), (kind, n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 8])
+def test_gap_rows_of_an_empty_batch(n):
+    """A (0, n) batch gives no outcome, in the twins' outcome width."""
+    empty = np.empty((0, n), dtype=np.int8)
+    for ell in (1, 2, 3):
+        for kind, twin in ((tandem_dup(ell), duplication_rows), (tandem_del(ell), deletion_rows)):
+            outcomes, source = tandem_gap_rows(empty, kind)
+            assert outcomes.shape == twin(empty, kind)[0].shape and source.shape == (0,), (kind, n)
+
+
+def test_gap_rows_refuse_palindromic_kinds():
+    rows = np.zeros((2, 4), dtype=np.int8)
+    for kind in (pal_dup(1), pal_del(1)):
+        with pytest.raises(ValueError, match="tandem kind"):
+            tandem_gap_rows(rows, kind)
 
 
 def test_sample_single_error_duplications_follow_the_position_list():

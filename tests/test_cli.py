@@ -106,6 +106,24 @@ def test_bound_rows_and_csv(tmp_path, capsys):
     assert "." in rows[-1]["redundancy_lb_bits"]  # plain decimal point formatting
 
 
+def test_csv_list_cells_are_json_text(tmp_path, capsys):
+    """A list value (verify's report, sphere's members) goes into its CSV cell
+    as JSON text, as a dict does, and reads back as the JSON output's list."""
+    for argv, column in (
+        (["verify", "--code", "c1", "--n", "4"], "report"),
+        (["sphere", "--word", "0011", "--q", "2", "--kind", "tandem-del", "--l", "1"], "members"),
+        (["sphere", "--word", "0110", "--q", "2", "--kind", "tandem-dup", "--l", "1"], "members"),
+    ):
+        csv_path, json_path = tmp_path / "x.csv", tmp_path / "x.json"
+        assert run_cli(capsys, *argv, "--out", str(csv_path))[0] == 0
+        assert run_cli(capsys, *argv, "--out", str(json_path))[0] == 0
+        with open(csv_path) as fh:
+            (row,) = list(csv.DictReader(fh))
+        (expected,) = json.loads(json_path.read_text())
+        assert json.loads(row[column]) == expected[column], argv
+        assert isinstance(expected[column], list) and expected[column], argv
+
+
 def test_bound_single_rational(capsys):
     code, out, _ = run_cli(capsys, "bound", "--n", "2", "--l", "1", "--q", "2")
     assert code == 0
