@@ -35,9 +35,12 @@ the public API. `check_correction` and the CLI's simulation loop use
 nothing but this interface.
 
 Members and decoders read the syndrome in one pass over the symbol tuple
-(`_c1_syndrome`, `_c2_syndrome`, `_has_mirrored_pair`), once per received
-word and repaired candidate, and build a Word only for the word they return
-(`docs/decisions.md`, D5).
+(`_c1_syndrome`, `_c2_syndrome`, `_has_mirrored_pair`) and build a Word
+only for the word they return (`docs/decisions.md`, D5). The c1 and c2
+scans find the nonzero positions and run starts in C (`itertools.compress`
+over an `operator.ne` map). c2 and cpf scan the received word and each
+repaired candidate; c1 scans only the received word, since the syndrome of
+its one repair follows from D4 (D12).
 
 `check_correction` verifies single-error correction on arrays: it takes a
 codebook as the int8 rows of the kernels, builds every single duplication
@@ -45,9 +48,10 @@ with `channel.duplication_rows`, and looks up the valid deletion outcomes
 of every received word among the sorted codebook keys (`oracle_verdicts`).
 That one lookup replaces the enumeration of `oracle_decode` and also
 decides ball disjointness: two balls intersect exactly when some received
-word reaches a second codeword. The scalar decoder still runs on every
-round trip. `oracle_decode` and `disjoint_ball_violation` stay as the
-Word-level routes that the tests compare the array route against.
+word reaches a second codeword. The scalar decoder runs once per distinct
+(code, received word) of a block, and its rows are compared with the owner
+rows as int8 arrays. `oracle_decode` and `disjoint_ball_violation` stay as
+the Word-level routes that the tests compare the array route against.
 
 Codebooks are enumerated with the wordspace kernels, in lexicographic word
 order. The best parameters are counted instead (`_c1_counts`, `_c2_counts`,
@@ -67,6 +71,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import countOf, eq, mul, ne, sub
 
 import numpy as np
 
@@ -97,9 +103,10 @@ def _c1_syndrome(s: tuple[int, ...], ell: int):
     """(nonzero, sig, checksum) of the ell-step difference tail of the
     symbols s (|s| >= ell): its nonzero positions, where s[i] != s[i+ell],
     its zero-signature and sum_k k*sig_k."""
-    nonzero = [i for i in range(len(s) - ell) if s[i] != s[i + ell]]
-    sig = [(end - start - 1) // ell for start, end in zip([-1] + nonzero, nonzero + [len(s) - ell])]
-    return nonzero, sig, sum(k * c for k, c in enumerate(sig, start=1))
+    m = len(s) - ell
+    nonzero = list(compress(range(m), map(ne, s, s[ell:])))
+    sig = [(end - start - 1) // ell for start, end in zip([-1] + nonzero, nonzero + [m])]
+    return nonzero, sig, sum(map(mul, sig, range(1, len(sig) + 1)))
 
 
 def _c1_holds(s: tuple[int, ...], code: "TandemVTCode") -> bool:
@@ -168,7 +175,9 @@ def c1_decode(y: Word, code: TandemVTCode) -> Word:
     A duplication raises one signature entry k, and the checksum drifts by
     k. The decoder deletes the first ell-block of gap k, where gap k of the
     difference tail starts at index 0 (k = 1) or one past its (k-1)-th
-    nonzero.
+    nonzero. The cut lowers sig_k by one and keeps the signature length, so
+    the checksum drops by exactly k onto the residue: the repaired word is
+    a codeword without a second scan (`docs/decisions.md`, D12).
     """
     n, ell = code.n, code.ell
     if y.q != code.q:
@@ -190,10 +199,8 @@ def c1_decode(y: Word, code: TandemVTCode) -> Word:
     p = 0 if k == 1 else nonzero[k - 2] + 1
     if s[p : p + ell] != s[p + ell : p + 2 * ell]:
         raise DecodingFailure(f"decoding failure: no tandem repeat at p={p}")
-    repaired = s[: p + ell] + s[p + 2 * ell :]
-    if not _c1_holds(repaired, code):
-        raise DecodingFailure("decoding failure: repaired word is not a codeword")
-    return _unchecked_word(repaired, code.q)
+    # the repaired tail is v[:p] + v[p+ell:]: syndrome (nonzero, sig - e_k, checksum - k), residue a_s
+    return _unchecked_word(s[: p + ell] + s[p + 2 * ell :], code.q)
 
 
 def _c1_keys(n: int, ell: int, q: int, limit: int):
@@ -321,9 +328,9 @@ def _c2_syndrome(s: tuple[int, ...]):
     """(starts, ones, checksum) of the nonempty symbols s: the start of every
     run, the number of length-1 runs and the run checksum sum_j j*r_j, which
     is |s| per run less each run start."""
-    starts = [0] + [i for i in range(1, len(s)) if s[i] != s[i - 1]]
-    lengths = [end - start for start, end in zip(starts, starts[1:] + [len(s)])]
-    return starts, lengths.count(1), len(s) * len(starts) - sum(starts)
+    starts = [0, *compress(range(1, len(s)), map(ne, s, s[1:]))]
+    lengths = map(sub, starts[1:] + [len(s)], starts)
+    return starts, countOf(lengths, 1), len(s) * len(starts) - sum(starts)
 
 
 def _c2_holds(s: tuple[int, ...], code: "PalindromicL2Code") -> bool:
@@ -529,7 +536,8 @@ def cpf_decode(y: Word, n: int) -> Word:
     """Correct one palindromic duplication of length |y| - n >= 2.
 
     Tries the deletion at every position where the window mirrors the block
-    and returns the unique palindrome-free outcome. Length-1 duplications
+    (only a position with an equal centre pair can) and returns the unique
+    palindrome-free outcome. Length-1 duplications
     are outside this code's error model: a word of length n + 1 raises
     DecodingFailure.
     """
@@ -544,7 +552,7 @@ def cpf_decode(y: Word, n: int) -> Word:
     if ell == 1:
         raise DecodingFailure("decoding failure: duplication length 1 is outside this code's model (lengths 2..n)")
     survivors: set[tuple[int, ...]] = set()
-    for p in range(len(s) - 2 * ell + 1):
+    for p in compress(range(len(s) - 2 * ell + 1), map(eq, s[ell - 1 :], s[ell:])):  # equal centre pairs
         if s[p + ell : p + 2 * ell] == s[p : p + ell][::-1]:  # the window mirrors the block
             repaired = s[: p + ell] + s[p + 2 * ell :]
             if not _has_mirrored_pair(repaired):
@@ -676,7 +684,14 @@ def disjoint_ball_violation(codebook, kind: ErrorKind, t: int):
     return None
 
 
-def oracle_verdicts(book_keys, order, group, received, owner, kind: ErrorKind, group_codes):
+def received_index(received, owner, group, q: int):
+    """(keys, at, word_of) of the distinct (code, received word) pairs of a
+    batch: keys[d] = (group << bits) | key of pair d, ascending, at[d] the
+    first received row of pair d, and word_of[r] the pair of row r."""
+    return distinct(packed_keys(received, q, prefix=group[owner]))
+
+
+def oracle_verdicts(book_keys, order, group, received, owner, kind: ErrorKind, group_codes, index):
     """Array twin of `oracle_decode` and `disjoint_ball_violation` over a
     batch of codebooks: one lookup of the codewords that the single
     deletions of the inverse kind of each distinct received word reach.
@@ -684,9 +699,9 @@ def oracle_verdicts(book_keys, order, group, received, owner, kind: ErrorKind, g
     book_keys are the sorted packed keys (group << bits) | key of the
     codewords, order[k] is the codeword of book_keys[k], and group[i] is the
     index in group_codes of codeword i's code; `received` and `owner` come
-    from `channel.duplication_rows` on some of the codewords. The scalar
-    `member` of the code is asked once per distinct (code, outcome) and must
-    agree with the lookup.
+    from `channel.duplication_rows` on some of the codewords, and `index`
+    is their `received_index`. The scalar `member` of the code is asked
+    once per distinct (code, outcome) and must agree with the lookup.
 
     Returns (verdicts, clashes). verdicts[r] is True when the lowest
     codeword that received row r reaches is its owner, it reaches no second
@@ -698,10 +713,8 @@ def oracle_verdicts(book_keys, order, group, received, owner, kind: ErrorKind, g
     and its symbols.
     """
     q = group_codes[0].q
-    received_group = group[owner]
-    received_keys = packed_keys(received, q, prefix=received_group)
-    distinct_keys, distinct_at, word_of = distinct(received_keys)
-    distinct_group = received_group[distinct_at]
+    distinct_keys, distinct_at, word_of = index
+    distinct_group = group[owner[distinct_at]]
     outcomes, source = deletion_rows(received[distinct_at], kind.inverse())
     outcome_group = distinct_group[source]
     keys = packed_keys(outcomes, q, prefix=outcome_group)
@@ -731,15 +744,28 @@ def oracle_verdicts(book_keys, order, group, received, owner, kind: ErrorKind, g
     }
 
 
-def _recovers(c: Word, decode, y: Word) -> bool:
-    """True when decode(y) returns c; a DecodingFailure is a broken round trip."""
-    try:
-        return decode(y) == c
-    except DecodingFailure:
-        return False
-
-
 _BLOCK_ROWS = 1 << 15  # received words that check_correction holds as rows at a time
+_DECODE_ROWS = 256  # distinct received words that check_correction decodes at a time
+
+
+def _decoded_rows(group_codes, groups, rows, n: int) -> np.ndarray:
+    """What the decoder of group_codes[groups[i]] returns for each received
+    row i, as int8 rows of length n: a row of -1, which no codeword equals,
+    where it raises DecodingFailure or returns no word of length n over Z_q.
+    Converts _DECODE_ROWS rows to Python lists at a time."""
+    q = group_codes[0].q
+    failed = (-1,) * n
+    decoded = np.empty((len(rows), n), dtype=np.int8)
+    for start in range(0, len(rows), _DECODE_ROWS):
+        chunk = []
+        for g, y in zip(groups[start : start + _DECODE_ROWS].tolist(), rows[start : start + _DECODE_ROWS].tolist()):
+            try:
+                x = group_codes[g].decode(_unchecked_word(tuple(y), q))
+            except DecodingFailure:
+                x = None
+            chunk.append(x.symbols if x is not None and x.q == q and len(x) == n else failed)
+        decoded[start : start + len(chunk)] = chunk
+    return decoded
 
 
 def check_correction(group_codes, book, group=None) -> list[tuple[ErrorKind, dict, np.ndarray]]:
@@ -753,13 +779,14 @@ def check_correction(group_codes, book, group=None) -> list[tuple[ErrorKind, dic
     the first two codewords i < j whose balls hold the group's
     lexicographically smallest shared word; broken[g] counts the round trips
     (codeword, error) of group g that the code's decoder or
-    `oracle_verdicts` does not return to the codeword. The decoder runs on
-    every round trip. Raises ValueError when the packed keys do not fit
-    int64.
+    `oracle_verdicts` does not return to the codeword. The decoder runs once
+    per distinct (code, received word) of a block, since it is a function
+    of the two. Raises ValueError when the packed keys do not fit int64.
 
     The codebook keys are packed and sorted once. Received words are built,
     looked up and decoded one block of codewords (about _BLOCK_ROWS
-    received words) at a time; only per-group counts and clashes outlive a
+    received words) at a time, and their distinct words are decoded
+    _DECODE_ROWS at a time; only per-group counts and clashes outlive a
     block.
     """
     q = group_codes[0].q
@@ -778,16 +805,17 @@ def check_correction(group_codes, book, group=None) -> list[tuple[ErrorKind, dic
             stop = min(start + step, len(book))
             received, owner = duplication_rows(book[start:stop], kind)
             owner += start
-            verdicts, clashes = oracle_verdicts(book_keys, order, group, received, owner, kind, group_codes)
+            index = received_index(received, owner, group, q)
+            # each distinct (code, received word) is decoded once; decoding before the lookup,
+            # with the decoded rows freed before it, keeps verify's peak RSS down (D12)
+            _, distinct_at, word_of = index
+            decoded = _decoded_rows(group_codes, group[owner[distinct_at]], received[distinct_at], book.shape[1])
+            recovered = (decoded[word_of] == book[owner]).all(axis=1)
+            del decoded
+            verdicts, clashes = oracle_verdicts(book_keys, order, group, received, owner, kind, group_codes, index)
             for g, clash in clashes.items():
                 smallest[g] = min(clash, smallest.get(g, clash))
-            per_owner = received.reshape(stop - start, per_codeword, received.shape[1])
-            decoded = [
-                _recovers(c, group_codes[g].decode, _unchecked_word(tuple(y), q))
-                for c, g, rows in zip(_words_of_rows(book[start:stop], q), group[start:stop].tolist(), per_owner)
-                for y in rows.tolist()
-            ]
-            failed = owner[~(verdicts & np.array(decoded, dtype=bool))]
+            failed = owner[~(verdicts & recovered)]
             broken += np.bincount(group[failed], minlength=len(group_codes))
         clashes = {
             g: (_word_of_row(book[i], q), _word_of_row(book[j], q), _unchecked_word(y, q))

@@ -119,6 +119,59 @@ def test_c1_decode_equals_the_oracle_on_every_word(q, max_n, ells):
                     assert c1_decode(y, code) == expected, (code, y)
 
 
+def _two_pass_c1_decode(y, code):
+    """The c1 decoder as it was before D12 (`docs/decisions.md`), with scans
+    of its own: the drift names k, the window test guards the cut at p_k,
+    and a second scan checks the residue of the repaired word."""
+    n, ell, s = code.n, code.ell, y.symbols
+
+    def syndrome(s):
+        nonzero = [i for i in range(len(s) - ell) if s[i] != s[i + ell]]
+        sig = [(end - start - 1) // ell for start, end in zip([-1] + nonzero, nonzero + [len(s) - ell])]
+        return nonzero, sig, sum(k * c for k, c in enumerate(sig, start=1))
+
+    def holds(s):
+        _, sig, checksum = syndrome(s)
+        return checksum % (len(sig) + 1) == code.a[len(sig) - 1]
+
+    if len(s) == n and holds(s):
+        return y
+    if len(s) != n + ell:
+        raise DecodingFailure("not a codeword, or the wrong length")
+    nonzero, sig, checksum = syndrome(s)
+    if len(sig) > len(code.a):
+        raise DecodingFailure("signature length outside the code's range")
+    k = (checksum - code.a[len(sig) - 1]) % (len(sig) + 1)
+    if k == 0 or sig[k - 1] == 0:
+        raise DecodingFailure("no signature coordinate restores the residue")
+    p = 0 if k == 1 else nonzero[k - 2] + 1
+    repaired = s[: p + ell] + s[p + 2 * ell :]
+    if s[p : p + ell] != s[p + ell : p + 2 * ell] or not holds(repaired):
+        raise DecodingFailure("no tandem repeat at p, or the repair is no codeword")
+    return word(repaired, code.q)
+
+
+@pytest.mark.parametrize("q,n", [(2, n) for n in range(1, 11)] + [(3, n) for n in range(1, 7)])
+def test_c1_decode_equals_the_two_pass_decoder_on_every_word(q, n):
+    """D12 drops the second scan of the repaired word: the one-pass decoder
+    returns the same codeword, or raises DecodingFailure, on every word of
+    length n-1..n+l+1, at the best residues and at each shifted by one."""
+    for ell in range(1, min(3, n) + 1):
+        best, _ = c1_best_params(n, ell, q)
+        shifted = tuple((r + 1) % (s + 1) for s, r in enumerate(best, start=1))
+        for a in (best, shifted):
+            code = TandemVTCode(n, q, ell, a)
+            for m in range(n - 1, n + ell + 2):
+                for y in words_of(m, q):
+                    try:
+                        expected = _two_pass_c1_decode(y, code)
+                    except DecodingFailure:
+                        with pytest.raises(DecodingFailure):
+                            c1_decode(y, code)
+                        continue
+                    assert c1_decode(y, code) == expected, (code, y)
+
+
 def _assert_decoder_equals_the_oracle(decode, member, n, q, lengths, kind_of_length):
     """decode(y) against `oracle_decode` on every word y of the lengths,
     with an independent membership test: the same codeword, or

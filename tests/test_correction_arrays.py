@@ -5,7 +5,8 @@ The clashes of `check_correction` must appear exactly where
 word and the first two codewords whose balls (`error_ball`) hold it;
 `oracle_verdicts` must accept a received word exactly where `oracle_decode`
 returns its codeword. Exhaustive over small codes, per (a, b) group for c2,
-and over sets that correct nothing.
+and over sets that correct nothing. The decoder runs once per distinct
+(code, received word), and its failures count once per round trip.
 """
 
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ import pytest
 
 from dupcodes import channel, codes
 from dupcodes.channel import duplication_rows, error_ball
+from dupcodes.cli import main
 from dupcodes.codes import (
     DecodingFailure,
     PalindromeFreeCode,
@@ -24,6 +26,7 @@ from dupcodes.codes import (
     disjoint_ball_violation,
     oracle_decode,
     oracle_verdicts,
+    received_index,
 )
 from dupcodes.words import format_word, word
 from dupcodes.wordspace import all_words, packed_keys
@@ -83,7 +86,8 @@ def compare_routes(group_codes, book, group):
                 assert clashes[g] == smallest_shared_word(members, kind), (g, kind)
         clashing |= set(clashes)
         received, owner = duplication_rows(book, kind)
-        verdicts, _ = oracle_verdicts(book_keys[order], order, group, received, owner, kind, group_codes)
+        index = received_index(received, owner, group, q)
+        verdicts, _ = oracle_verdicts(book_keys[order], order, group, received, owner, kind, group_codes, index)
         for r, y in enumerate(received.tolist()):
             c = words[owner[r]]
             try:
@@ -160,10 +164,11 @@ def test_oracle_rejects_rows_where_member_and_codebook_disagree():
     received, owner = duplication_rows(book, kind)
     book_keys = packed_keys(book, 2)  # a lexicographic codebook: its keys are sorted
 
+    index = received_index(received, owner, one_group(book), 2)
+
     def verdicts(members):
-        got, _ = oracle_verdicts(
-            book_keys, np.arange(len(book)), one_group(book), received, owner, kind, [WordSet(6, 2, frozenset(members))]
-        )
+        code = WordSet(6, 2, frozenset(members))
+        got, _ = oracle_verdicts(book_keys, np.arange(len(book)), one_group(book), received, owner, kind, [code], index)
         return got.tolist()
 
     words = [word(r, 2) for r in book.tolist()]
@@ -215,3 +220,70 @@ def test_a_clash_names_the_two_lowest_codewords_of_the_smallest_shared_word(monk
     monkeypatch.setattr(codes, "_BLOCK_ROWS", block_rows)
     [(_, clashes, _)] = check_correction([code], book)
     assert {g: tuple(format_word(w) for w in clash) for g, clash in clashes.items()} == {0: report}
+
+
+def round_trips(group_codes, book, group):
+    """(kind, group, codeword, received word) of every single error of every
+    kind on every codeword, one per round trip, by the Word-level channel."""
+    q = group_codes[0].q
+    for kind in group_codes[0].kinds:
+        for row, g in zip(book.tolist(), group.tolist()):
+            c = word(row, q)
+            for p in channel.error_positions(c, kind):
+                yield kind, g, c, channel.apply_error(c, kind, p)
+
+
+def verify_case(name):
+    """(decoder, verify flags, (group_codes, book, group)) for the best c1
+    code at n = 6, l = 2, or for every (a, b) code of c2 at n = 6."""
+    if name == "c2":
+        return "c2_decode", ("--code", "c2", "--n", "6", "--q", "2"), c2_groups(6)
+    best = TandemVTCode.best(6, 2, 2)
+    book = best.codebook_rows()
+    return "c1_decode", ("--code", "c1", "--n", "6", "--l", "2", "--q", "2"), ([best], book, one_group(book))
+
+
+@pytest.mark.parametrize("name", ["c1", "c2"])
+def test_verify_decodes_each_distinct_received_word_once(monkeypatch, capsys, name):
+    decoder, args, (group_codes, book, group) = verify_case(name)
+    real = getattr(codes, decoder)
+    calls = []
+
+    def recorded(y, code):
+        calls.append((code, y))
+        return real(y, code)
+
+    monkeypatch.setattr(codes, decoder, recorded)
+    assert main(["verify", *args]) == 0
+    capsys.readouterr()
+    trips = [(group_codes[g], y) for _, g, _, y in round_trips(group_codes, book, group)]
+    assert len(calls) == len(set(calls)) < len(trips)
+    assert set(calls) == set(trips)
+
+
+@pytest.mark.parametrize("name", ["c1", "c2"])
+def test_broken_counts_equal_a_count_per_round_trip(monkeypatch, name):
+    """A decoder that raises on one chosen third of the received words and
+    returns their first n symbols on another breaks the same round trips,
+    group by group, as a count that decodes every round trip."""
+    decoder, _, (group_codes, book, group) = verify_case(name)
+    real = getattr(codes, decoder)
+
+    def wrong_on_some(y, code):
+        if sum(y.symbols) % 3 == 0:
+            raise DecodingFailure("decoding failure: injected")
+        if sum(y.symbols) % 3 == 1:
+            return word(y.symbols[: code.n], y.q)
+        return real(y, code)
+
+    monkeypatch.setattr(codes, decoder, wrong_on_some)
+    trips = list(round_trips(group_codes, book, group))
+    expected = {kind: np.zeros(len(group_codes), dtype=np.int64) for kind in group_codes[0].kinds}
+    for kind, g, c, y in trips:
+        try:
+            expected[kind][g] += wrong_on_some(y, group_codes[g]) != c
+        except DecodingFailure:
+            expected[kind][g] += 1
+    got = check_correction(group_codes, book, group)
+    assert [(kind, broken.tolist()) for kind, _, broken in got] == [(k, b.tolist()) for k, b in expected.items()]
+    assert 0 < sum(b.sum() for b in expected.values()) < len(trips)

@@ -1,23 +1,25 @@
 """The one-pass syndrome helpers behind every member and decoder, against
 the slow routes they replace: `derive` and `zero_signature` for c1,
 `run_profile` for c2, and the wordspace kernels for all three, on every
-word of each small length."""
+word of each small length. The c1 scan runs every block length up to the
+word length, so the tails it slices off can be empty. The c1 repair is held
+to the syndrome update of `docs/decisions.md` D12."""
 
 import pytest
 
-from dupcodes.codes import _c1_syndrome, _c2_syndrome, _has_mirrored_pair
+from dupcodes.codes import TandemVTCode, _c1_syndrome, _c2_syndrome, _has_mirrored_pair, c1_best_params, c1_decode
 from dupcodes.transform import derive, zero_signature
 from dupcodes.words import run_profile
 from dupcodes.wordspace import all_words, pal2_free_mask, run_stats, signature_scan
 
 from conftest import words_of
 
-SIZES = [(2, n) for n in range(0, 11)] + [(3, n) for n in range(0, 7)]
+SIZES = [(2, n) for n in range(0, 11)] + [(3, n) for n in range(0, 7)] + [(4, n) for n in range(0, 6)]
 
 
 @pytest.mark.parametrize("q,n", SIZES)
 def test_c1_syndrome_equals_the_derivative_and_the_signature_scan(q, n):
-    for ell in range(1, min(3, n) + 1):
+    for ell in range(1, n + 1):
         sig_len, weight, csum = signature_scan(all_words(n, q), ell)
         for i, x in enumerate(words_of(n, q)):
             nonzero, sig, checksum = _c1_syndrome(x.symbols, ell)
@@ -46,3 +48,35 @@ def test_mirrored_pair_test_equals_the_palindrome_free_mask(q, n):
         s = x.symbols
         windows = any(s[p : p + 2] == s[p + 2 : p + 4][::-1] for p in range(n - 3))
         assert _has_mirrored_pair(s) == windows == (not free[i]), x
+
+
+@pytest.mark.parametrize("q,n", [(2, n) for n in range(1, 11)] + [(3, n) for n in range(1, 7)])
+def test_the_c1_repair_moves_the_syndrome_by_one_signature_entry(q, n):
+    """Every word y of length n + l (l = 1..3) and every entry k >= 1 of its
+    signature that a code's residue for |sig| can make the drift: c1_decode
+    cuts the repeated block at p_k, and a fresh scan of the word it returns
+    equals the update of D12 (nonzeros from p_k on moved down by l, sig_k
+    lowered by one, checksum lowered by k), which meets the residue."""
+    for ell in range(1, min(3, n) + 1):
+        best, _ = c1_best_params(n, ell, q)
+        by_residue = {}
+        for y in words_of(n + ell, q):
+            s = y.symbols
+            nonzero, sig, checksum = _c1_syndrome(s, ell)
+            size = len(sig)
+            if size > len(best):
+                continue  # refused before any repair
+            for k in range(1, size + 1):
+                if not sig[k - 1]:
+                    continue
+                residue = (checksum - k) % (size + 1)
+                if (size, residue) not in by_residue:
+                    by_residue[size, residue] = TandemVTCode(n, q, ell, best[: size - 1] + (residue,) + best[size:])
+                code = by_residue[size, residue]
+                p = 0 if k == 1 else nonzero[k - 2] + 1
+                x = c1_decode(y, code)
+                assert x.symbols == s[: p + ell] + s[p + 2 * ell :], (y, ell, k)
+                lowered = sig[: k - 1] + [sig[k - 1] - 1] + sig[k:]
+                update = ([i if i < p else i - ell for i in nonzero], lowered, checksum - k)
+                assert _c1_syndrome(x.symbols, ell) == update, (y, ell, k)
+                assert update[2] % (size + 1) == code.a[size - 1]
