@@ -13,11 +13,8 @@ floats.
 Small instances are cross-checked by two independent routes over the full
 word space, both built on one array incidence of the error hypergraph:
 `error_incidence` lists every distinct (centre, single-error outcome) pair
-of a batch of rows, from `channel.tandem_gap_rows` (tandem kinds, one error
-per gap of the difference tail, so every outcome is made once) or
-`channel.deletion_rows`/`duplication_rows` (palindromic kinds),
-`wordspace.packed_keys` and one sort, and `sphere_levels` repeats it level
-by level for radius t.
+of a batch of rows, from the outcome keys of `channel.error_keys` and one
+sort, and `sphere_levels` repeats it level by level for radius t.
 
 - `transversal_check` checks that the explicit transversal is feasible,
   exactly and in integers: each weight is scaled by D, the lcm of the
@@ -40,7 +37,7 @@ from math import comb
 import numpy as np
 
 from . import channel
-from .channel import ErrorKind, deletion_rows, duplication_rows, tandem_del, tandem_gap_rows
+from .channel import ErrorKind, error_keys, tandem_del
 from .codes import c1_best_params
 from .transform import _gap_table
 from .words import _words_of_rows
@@ -49,6 +46,7 @@ from .wordspace import (
     all_words,
     distinct,
     key_rows,
+    key_width,
     packed_keys,
     require_enumerable,
     runs_start,
@@ -174,7 +172,7 @@ def gsp_bound_tandem(n: int, ell: int, q: int) -> Fraction:
     return bound_report(n, ell, q).bound
 
 
-_BLOCK_OUTCOMES = 1 << 18  # single-error outcomes error_incidence holds as rows at a time
+_BLOCK_OUTCOMES = 1 << 18  # single-error outcomes error_incidence holds as keys at a time
 _INT64_MAX = 2**63 - 1
 
 
@@ -186,12 +184,10 @@ def error_incidence(rows, kind: ErrorKind, q: int) -> tuple[np.ndarray, np.ndarr
     key[k] is the packed key (`packed_keys`) of a word of length n +- ell
     that one error turns row centre[k] into. Pairs come in (centre, key)
     order, each once, so np.bincount(centre, minlength=N) is the sphere size
-    of every row. Rows are taken a block at a time: the outcomes of a block
-    are packed behind their centre as prefix, sorted once, and kept where
-    they differ from their predecessor. A tandem kind makes one error per
-    gap of the difference tail (`tandem_gap_rows`, `docs/decisions.md` D11),
-    so its outcomes are already distinct; a palindromic kind makes one per
-    valid position (`deletion_rows` or `duplication_rows`).
+    of every row. Rows are taken a block at a time: the outcome keys of a
+    block (`channel.error_keys`) are packed behind their centre as prefix
+    (refused past 63 bits, as in `packed_keys`), sorted once, and kept where
+    they differ from their predecessor.
 
     One block's pairs are the output as they are. With more blocks, each
     block's pairs go straight into output allocated for one pair per row and
@@ -201,18 +197,15 @@ def error_incidence(rows, kind: ErrorKind, q: int) -> tuple[np.ndarray, np.ndarr
     """
     rows = np.asarray(rows)
     N, n = rows.shape
-    if kind.is_tandem:
-        single = tandem_gap_rows
-    else:
-        single = duplication_rows if kind.is_duplication else deletion_rows
     length = n + kind.ell if kind.is_duplication else max(0, n - kind.ell)
-    width = (q**length - 1).bit_length()
-    mask = (1 << width) - 1
     step = max(1, _BLOCK_OUTCOMES // max(1, n - kind.ell + 1))
+    width = key_width(N, length, q, max(0, min(N, step) - 1))  # a block's centres go in front
+    mask = (1 << width) - 1
 
     def block_pairs(start):
-        outcomes, source = single(rows[start : start + step], kind)
-        packed = np.sort(packed_keys(outcomes, q, prefix=source))
+        source, packed = error_keys(rows[start : start + step], kind, q)
+        packed |= np.left_shift(source, width, out=source)
+        packed.sort()
         return packed[runs_start(packed)]
 
     if N <= step:

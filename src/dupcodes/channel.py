@@ -14,9 +14,8 @@ scales this package targets.
 `duplication_rows` and `deletion_rows` are the batch twins of the single
 operations: they act on a batch of words given as the (N, n) int8 rows the
 wordspace kernels produce and return every single-error outcome as rows.
-`tandem_gap_rows` returns the distinct tandem outcomes only: the tandem
-errors in one gap of the difference tail all give the same word, so it
-makes one error per gap (`docs/decisions.md`, D11).
+`error_keys` returns the keys of the same outcomes without building them,
+one tandem error per gap of the difference tail (`docs/decisions.md`, D11).
 
 All functions are pure and operate on immutable words or copy their input
 rows, so concurrent use needs no synchronisation.
@@ -27,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .words import Word, _unchecked_word, require_same_alphabet
+from .wordspace import _columns, key_width, packed_keys
 
 TANDEM_DUP = "tandem-dup"
 TANDEM_DEL = "tandem-del"
@@ -220,45 +220,45 @@ def deletion_rows(rows, kind: ErrorKind) -> tuple[np.ndarray, np.ndarray]:
     return outcomes, source
 
 
-def tandem_gap_rows(rows, kind: ErrorKind) -> tuple[np.ndarray, np.ndarray]:
-    """Every distinct single tandem error outcome of every row, as (outcomes,
-    source): the same words as `duplication_rows`/`deletion_rows`, each once.
-
-    A tandem error at p inserts (duplication) or removes (deletion) ell zeros
-    of the difference tail d_i = x_{i+ell} - x_i in the gap that holds index
-    p, and keeps the head x[:ell]. So one error per gap is made, at the first
-    position of the gap: p = 0 or d_{p-1} != 0, where for a deletion also
-    d[p:p+ell] = 0. A row has sig_len outcomes for a duplication and
-    sig_weight for a deletion (`wordspace.signature_scan`); they come
-    position by position, in a column-major array that the column scans of
-    `wordspace` read without a copy (`docs/decisions.md`, D11).
-    """
-    if not kind.is_tandem:
-        raise ValueError("tandem_gap_rows requires a tandem kind")
-    rows = np.asarray(rows)
-    N, n = rows.shape
+def error_keys(rows, kind: ErrorKind, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `packed_keys` keys of the single-error outcomes of a batch of rows
+    over Z_q, as (source, key), position by position, built from the rows'
+    keys K: with r = n - p, the outcome x[:p+ell] + x[p+skip:] of an error at
+    p (skip = 0 for a duplication, 2 ell for a deletion) has the key
+    (K // q^(r-ell)) q^(r-skip) + K mod q^(r-skip); a palindromic duplication
+    has (K // q^(r-ell)) q^r + rev q^(r-ell) + K mod q^(r-ell), rev the key of
+    x[p:p+ell] reversed. Deletions are made where valid, and tandem errors
+    once per gap of the difference tail, so tandem keys are distinct
+    (`docs/decisions.md`, D11). Raises ValueError, as `packed_keys` does,
+    when the outcome or row keys pass 63 bits."""
+    cols = _columns(rows)
+    n, N = cols.shape
     ell = kind.ell
-    cols = np.ascontiguousarray(rows.T)
-    zero = cols[ell:] == cols[: max(0, n - ell)]  # d_i == 0, one row per i
-    P = max(0, n - ell + 1 if kind.is_duplication else n - 2 * ell + 1)
+    skip = 0 if kind.is_duplication else 2 * ell
+    P = max(0, n - ell + 1 - skip // 2)
     keep = np.ones((P, N), dtype=np.bool_)
-    np.logical_not(zero[: max(0, P - 1)], out=keep[1:])  # a gap starts at p
-    if not kind.is_duplication:
-        for j in range(ell):
-            keep &= zero[j : j + P]
-    skip = 0 if kind.is_duplication else 2 * ell  # the outcome is x[:p+ell] + x[p+skip:]
-    M = np.count_nonzero(keep)
-    outcomes = np.empty((max(0, n + ell - skip), M), dtype=rows.dtype)  # one row per symbol
-    source = np.empty(M, dtype=np.intp)
-    stop = 0
-    for p in range(P):
-        start, at = stop, np.flatnonzero(keep[p])
-        stop += len(at)
-        source[start:stop] = at
-        kept = cols.take(at, axis=1)
-        outcomes[: p + ell, start:stop] = kept[: p + ell]
-        outcomes[p + ell :, start:stop] = kept[p + skip :]
-    return outcomes.T, source
+    if kind.is_tandem:
+        zero = cols[ell:] == cols[: max(0, n - ell)]  # d_i == 0, one row per i
+        np.logical_not(zero[: max(0, P - 1)], out=keep[1:])  # a gap starts at p
+    for j in range(ell if skip else 0):  # x[p+ell:p+2ell] repeats or mirrors x[p:p+ell]
+        keep &= zero[j : j + P] if kind.is_tandem else cols[ell + j : ell + j + P] == cols[ell - 1 - j : ell - 1 - j + P]
+    source = np.flatnonzero(keep)  # p N + row, position by position
+    ends = np.searchsorted(source, N * np.arange(1, P + 1)).tolist()
+    source %= N  # the row; an empty batch has no index to divide
+    key_width(len(source), max(0, n + ell - skip), q)  # refused before any key arithmetic
+    key = packed_keys(cols.T, q)[source]
+    mirrored = kind.family == PAL_DUP
+    start = 0
+    for p, stop in enumerate(ends):
+        out, rest = key[start:stop], n - p - (ell if mirrored else skip)  # symbols of x after the block
+        low = out % q**rest
+        out //= q ** (n - p - ell)
+        out *= q ** (n - p - skip)
+        out += low
+        if mirrored:  # rev = sum_j x_{p+j} q^j
+            out += q ** np.arange(ell, dtype=np.int64) @ cols[p : p + ell, source[start:stop]] * q**rest
+        start = stop
+    return source, key
 
 
 def _reach(x: Word, kind: ErrorKind, t: int, ball: bool) -> frozenset[Word]:

@@ -44,14 +44,15 @@ its one repair follows from D4 (D12).
 
 `check_correction` verifies single-error correction on arrays: it takes a
 codebook as the int8 rows of the kernels, builds every single duplication
-with `channel.duplication_rows`, and looks up the valid deletion outcomes
-of every received word among the sorted codebook keys (`oracle_verdicts`).
-That one lookup replaces the enumeration of `oracle_decode` and also
-decides ball disjointness: two balls intersect exactly when some received
-word reaches a second codeword. The scalar decoder runs once per distinct
-(code, received word) of a block, and its rows are compared with the owner
-rows as int8 arrays. `oracle_decode` and `disjoint_ball_violation` stay as
-the Word-level routes that the tests compare the array route against.
+with `channel.duplication_rows`, and looks up the valid deletion outcome
+keys (`channel.error_keys`) of every received word among the sorted
+codebook keys (`oracle_verdicts`). That one lookup replaces the enumeration
+of `oracle_decode` and also decides ball disjointness: two balls intersect
+exactly when some received word reaches a second codeword. The scalar
+decoder runs once per distinct (code, received word) of a block, and its
+rows are compared with the owner rows as int8 arrays. `oracle_decode` and
+`disjoint_ball_violation` stay as the Word-level routes that the tests
+compare the array route against.
 
 Codebooks are enumerated with the wordspace kernels, in lexicographic word
 order. The best parameters are counted instead (`_c1_counts`, `_c2_counts`,
@@ -76,13 +77,14 @@ from operator import countOf, eq, mul, ne, sub
 
 import numpy as np
 
-from .channel import ErrorKind, deletion_rows, duplication_rows, error_ball, error_sphere, pal_dup, tandem_dup
+from .channel import ErrorKind, duplication_rows, error_ball, error_sphere, error_keys, pal_dup, tandem_dup
 from .transform import _count_dtype, _gap_table, _tail_length
 from .words import Word, _unchecked_word, _word_of_row, _words_of_rows
 from .wordspace import (
     MAX_ENUMERABLE,
     all_words,
     distinct,
+    key_rows,
     packed_keys,
     pal2_free_mask,
     run_stats,
@@ -705,7 +707,7 @@ def oracle_verdicts(book_keys, order, group, received, owner, kind: ErrorKind, g
 
     Returns (verdicts, clashes). verdicts[r] is True when the lowest
     codeword that received row r reaches is its owner, it reaches no second
-    one, and `member` agrees on every outcome. Since `deletion_rows` inverts
+    one, and `member` agrees on every outcome. Since the deletions invert
     `duplication_rows` exactly, a second codeword means that two balls hold
     the received word, and it fails the rows of both owners. clashes maps
     each group with such a word among the rows to (key, i, j, word) for the
@@ -713,17 +715,19 @@ def oracle_verdicts(book_keys, order, group, received, owner, kind: ErrorKind, g
     and its symbols.
     """
     q = group_codes[0].q
+    n = received.shape[1] - kind.ell
     distinct_keys, distinct_at, word_of = index
     distinct_group = group[owner[distinct_at]]
-    outcomes, source = deletion_rows(received[distinct_at], kind.inverse())
+    source, keys = error_keys(received[distinct_at], kind.inverse(), q)
     outcome_group = distinct_group[source]
-    keys = packed_keys(outcomes, q, prefix=outcome_group)
+    width = (q**n - 1).bit_length()  # the book's keys fit with these groups
+    keys |= np.left_shift(outcome_group, width, dtype=np.int64)
     at = np.minimum(np.searchsorted(book_keys, keys), len(book_keys) - 1)
     found = book_keys[at] == keys
     _, first, inverse = distinct(keys)
     member = [
-        group_codes[g].member(_word_of_row(outcomes[k], q))
-        for g, k in zip(outcome_group[first].tolist(), first.tolist())
+        group_codes[g].member(_word_of_row(row, q))
+        for g, row in zip(outcome_group[first].tolist(), key_rows(keys[first] & ((1 << width) - 1), n, q))
     ]
     disagree = (np.array(member, dtype=bool) != found[first])[inverse]
     spoiled = np.bincount(source[disagree], minlength=len(distinct_at)) > 0

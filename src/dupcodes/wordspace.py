@@ -174,6 +174,14 @@ def pal2_free_mask(words):
     return ~hit
 
 
+def key_width(N: int, n: int, q: int, top: int = 0) -> int:
+    """Bit width of q^n - 1, refused when a prefix up to `top` and it pass 63 bits."""
+    width = (q**n - 1).bit_length()
+    if top.bit_length() + width > 63:
+        raise ValueError(f"packed keys of {N} words of length {n} over q={q} need {top.bit_length() + width} bits; int64 keys hold 63")
+    return width
+
+
 def packed_keys(words, q: int, prefix=None) -> np.ndarray:
     """Base-q key sum_j x_j q^(n-1-j) of every row as int64: the first symbol
     is the most significant, so keys order as the rows do lexicographically.
@@ -184,13 +192,7 @@ def packed_keys(words, q: int, prefix=None) -> np.ndarray:
     """
     cols = _columns(words)
     n, N = cols.shape
-    width = (q**n - 1).bit_length()
-    top = 0 if prefix is None or N == 0 else int(np.max(prefix))
-    if top.bit_length() + width > 63:
-        raise ValueError(
-            f"packed keys of {N} words of length {n} over q={q} need "
-            f"{top.bit_length() + width} bits; int64 keys hold 63"
-        )
+    width = key_width(N, n, q, 0 if prefix is None or N == 0 else int(np.max(prefix)))
     keys = np.zeros(N, dtype=np.int64)
     for j in range(n):
         keys *= q

@@ -38,6 +38,7 @@ from dupcodes.channel import (
     error_ball,
     error_sphere,
     tandem_del,
+    tandem_dup,
 )
 from dupcodes.words import word
 from dupcodes.wordspace import all_words, packed_keys, runs_start
@@ -260,9 +261,9 @@ def test_incidence_blocks_do_not_change_the_pairs(monkeypatch):
 
 
 def twin_error_incidence(rows, kind, q):
-    """The build of `error_incidence` before one error per gap: every valid
-    error position through the batch twins, packed behind its centre, sorted
-    and deduplicated, in one block."""
+    """The build of `error_incidence` from outcome rows: every valid error
+    position through the batch twins, packed behind its centre, sorted and
+    deduplicated, in one block."""
     outcomes, source = (duplication_rows if kind.is_duplication else deletion_rows)(rows, kind)
     width = (q ** outcomes.shape[1] - 1).bit_length()
     packed = np.sort(packed_keys(outcomes, q, prefix=source))
@@ -273,17 +274,31 @@ def twin_error_incidence(rows, kind, q):
 @pytest.mark.parametrize("blocks", ["one", "many"])
 @pytest.mark.parametrize("q,n", [(2, 14), (3, 9), (4, 7)])
 def test_tandem_incidence_equals_the_twin_route(monkeypatch, q, n, blocks):
-    """One error per gap gives the twin route's pairs array for array, at
-    sizes the Word oracle cannot reach; "many" takes the multi-block path."""
+    """The outcome keys, one error per gap for the tandem kinds, give the
+    twin route's pairs array for array for all four families, at sizes the
+    Word oracle cannot reach; "many" takes the multi-block path."""
     if blocks == "many":
         monkeypatch.setattr(bounds, "_BLOCK_OUTCOMES", 4096)
     rows = all_words(n, q)
     for ell in (1, 2, 3):
-        for family in (channel.TANDEM_DUP, channel.TANDEM_DEL):
+        for family in FAMILIES:
             kind = ErrorKind(family, ell)
             centre, key = error_incidence(rows, kind, q)
             expected_centre, expected_key = twin_error_incidence(rows, kind, q)
             assert np.array_equal(centre, expected_centre) and np.array_equal(key, expected_key), kind
+
+
+def test_incidence_refuses_pairs_past_63_bits():
+    """A block's centres, packed in front of the outcome keys, must fit int64
+    with them, by the rule and message of packed_keys."""
+    centre, key = error_incidence(np.zeros((2, 60), dtype=np.int8), tandem_dup(2), 2)
+    assert centre.tolist() == [0, 1] and key.tolist() == [0, 0]
+    with pytest.raises(ValueError, match="length 62 over q=2 need 64 bits; int64 keys hold 63"):
+        error_incidence(np.zeros((3, 60), dtype=np.int8), tandem_dup(2), 2)
+    with pytest.raises(ValueError, match="length 64 over q=2 need 66 bits; int64 keys hold 63"):
+        error_incidence(np.zeros((3, 62), dtype=np.int8), tandem_dup(2), 2)
+    with pytest.raises(ValueError, match="length 62 over q=2 need 64 bits; int64 keys hold 63"):
+        error_incidence(np.zeros((3, 63), dtype=np.int8), channel.pal_del(1), 2)
 
 
 @pytest.mark.parametrize("q,n_max", [(2, 14), (3, 9), (4, 7)])

@@ -12,6 +12,7 @@ from dupcodes.channel import (
     deletion_rows,
     duplication_rows,
     error_ball,
+    error_keys,
     error_positions,
     error_sphere,
     pal_del,
@@ -24,10 +25,9 @@ from dupcodes.channel import (
     tandem_delete,
     tandem_dup,
     tandem_duplicate,
-    tandem_gap_rows,
 )
 from dupcodes.words import parse_word, word
-from dupcodes.wordspace import all_words, signature_scan
+from dupcodes.wordspace import all_words, packed_keys, signature_scan
 
 from conftest import words_of
 
@@ -235,50 +235,65 @@ def test_batch_twins_refuse_the_other_direction():
         deletion_rows(rows, pal_dup(2))
 
 
-def outcomes_by_row(outcomes, source, N):
-    """The outcomes of each of N rows as tuples, in the order they come."""
+def keys_by_row(key, source, N):
+    """The keys of each of N rows, sorted."""
     per_row = [[] for _ in range(N)]
-    for i, outcome in zip(source.tolist(), outcomes.tolist()):
-        per_row[i].append(tuple(outcome))
-    return per_row
+    for i, k in zip(source.tolist(), key.tolist()):
+        per_row[i].append(k)
+    return [sorted(keys) for keys in per_row]
 
 
 @pytest.mark.parametrize("q,n_max", [(2, 8), (3, 5)])
-def test_gap_rows_are_the_distinct_twin_outcomes(q, n_max):
-    """tandem_gap_rows over every word: per row, exactly the distinct outcomes
-    of duplication_rows/deletion_rows, each once, and as many as
-    signature_scan's sig_len (duplications) or sig_weight (deletions). With
-    n < ell there is no tail, and no error."""
+def test_error_keys_are_the_keys_of_the_twin_outcomes(q, n_max):
+    """error_keys over every word, for all four kinds: per row, the packed
+    keys of the outcomes of duplication_rows/deletion_rows. A palindromic
+    kind gives one key per valid position, repeats included. A tandem kind
+    gives each distinct outcome once, as many as signature_scan's sig_len
+    (duplications) or sig_weight (deletions). With n < ell there is no
+    tail, and no error."""
     for n in range(0, n_max + 1):
         rows = all_words(n, q)
+        N = len(rows)
         for ell in (1, 2, 3):
             sig_len, sig_weight, _ = signature_scan(rows, ell) if n >= ell else (None, None, None)
-            for kind, twin, count in ((tandem_dup(ell), duplication_rows, sig_len), (tandem_del(ell), deletion_rows, sig_weight)):
-                outcomes, source = tandem_gap_rows(rows, kind)
-                expected, expected_source = twin(rows, kind)
-                assert outcomes.shape[1] == expected.shape[1] and outcomes.dtype == rows.dtype, (kind, n)
-                got = outcomes_by_row(outcomes, source, len(rows))
-                for mine, theirs in zip(got, outcomes_by_row(expected, expected_source, len(rows))):
-                    assert sorted(mine) == sorted(set(theirs)), (kind, n)
-                sizes = np.bincount(source, minlength=len(rows))
-                assert sizes.tolist() == (count.tolist() if n >= ell else [0] * len(rows)), (kind, n)
+            for kind in (tandem_dup(ell), tandem_del(ell), pal_dup(ell), pal_del(ell)):
+                source, key = error_keys(rows, kind, q)
+                assert source.dtype == key.dtype == np.int64, (kind, n)
+                outcomes, twin_source = (duplication_rows if kind.is_duplication else deletion_rows)(rows, kind)
+                expected = keys_by_row(packed_keys(outcomes, q), twin_source, N)
+                got = keys_by_row(key, source, N)
+                if not kind.is_tandem:
+                    assert got == expected, (kind, n)
+                    continue
+                assert got == [sorted(set(keys)) for keys in expected], (kind, n)
+                count = sig_len if kind.is_duplication else sig_weight
+                sizes = np.bincount(source, minlength=N)
+                assert sizes.tolist() == (count.tolist() if n >= ell else [0] * N), (kind, n)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 8])
-def test_gap_rows_of_an_empty_batch(n):
-    """A (0, n) batch gives no outcome, in the twins' outcome width."""
+def test_error_keys_of_an_empty_batch(n):
+    """A (0, n) batch gives no key, for every kind."""
     empty = np.empty((0, n), dtype=np.int8)
     for ell in (1, 2, 3):
-        for kind, twin in ((tandem_dup(ell), duplication_rows), (tandem_del(ell), deletion_rows)):
-            outcomes, source = tandem_gap_rows(empty, kind)
-            assert outcomes.shape == twin(empty, kind)[0].shape and source.shape == (0,), (kind, n)
+        for kind in (tandem_dup(ell), tandem_del(ell), pal_dup(ell), pal_del(ell)):
+            source, key = error_keys(empty, kind, 2)
+            assert source.shape == key.shape == (0,), (kind, n)
 
 
-def test_gap_rows_refuse_palindromic_kinds():
-    rows = np.zeros((2, 4), dtype=np.int8)
-    for kind in (pal_dup(1), pal_del(1)):
-        with pytest.raises(ValueError, match="tandem kind"):
-            tandem_gap_rows(rows, kind)
+def test_error_keys_refuse_keys_past_63_bits():
+    """The outcome keys, and for a deletion the row keys too, must fit int64,
+    by the rule and message of packed_keys; the largest key that fits is
+    made exactly."""
+    assert error_keys(np.zeros((1, 61), dtype=np.int8), tandem_dup(2), 2)[1].tolist() == [0]
+    assert set(error_keys(np.ones((1, 61), dtype=np.int8), pal_dup(2), 2)[1].tolist()) == {2**63 - 1}
+    assert error_keys(np.zeros((1, 63), dtype=np.int8), tandem_del(1), 2)[1].tolist() == [0]
+    with pytest.raises(ValueError, match="length 64 over q=2 need 64 bits; int64 keys hold 63"):
+        error_keys(np.zeros((3, 62), dtype=np.int8), tandem_dup(2), 2)
+    with pytest.raises(ValueError, match="length 64 over q=2 need 64 bits; int64 keys hold 63"):
+        error_keys(np.zeros((1, 64), dtype=np.int8), tandem_del(1), 2)
+    with pytest.raises(ValueError, match="length 40 over q=3 need 64 bits; int64 keys hold 63"):
+        error_keys(np.zeros((0, 39), dtype=np.int8), pal_dup(1), 3)
 
 
 def test_sample_single_error_duplications_follow_the_position_list():

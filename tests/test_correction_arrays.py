@@ -222,6 +222,23 @@ def test_a_clash_names_the_two_lowest_codewords_of_the_smallest_shared_word(monk
     assert {g: tuple(format_word(w) for w in clash) for g, clash in clashes.items()} == {0: report}
 
 
+def test_check_correction_refuses_keys_past_63_bits():
+    """The codewords' and received words' keys behind their groups must fit
+    int64, by the rule and message of packed_keys; at the edge they do."""
+
+    def run(n, groups):
+        book = np.zeros((groups, n), dtype=np.int8)
+        book[-1, 0] = 1
+        return check_correction([TandemVTCode(n, 2, 1, (0,) * n)] * groups, book, np.arange(groups))
+
+    assert [kind for kind, _, _ in run(62, 1)] == [channel.tandem_dup(1)]
+    assert [kind for kind, _, _ in run(61, 2)] == [channel.tandem_dup(1)]
+    with pytest.raises(ValueError, match="length 64 over q=2 need 64 bits; int64 keys hold 63"):
+        run(63, 1)
+    with pytest.raises(ValueError, match="length 63 over q=2 need 64 bits; int64 keys hold 63"):
+        run(62, 2)
+
+
 def round_trips(group_codes, book, group):
     """(kind, group, codeword, received word) of every single error of every
     kind on every codeword, one per round trip, by the Word-level channel."""
