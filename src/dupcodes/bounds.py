@@ -7,8 +7,9 @@ n - t*ell with the inverse of their own deletion sphere size. The sphere
 sizes, the irreducible count and the run-length-limited count by weight
 are all read off one table of difference tails, `transform._gap_table`,
 which also holds the c1 residue counts of `codes` (`docs/decisions.md`,
-D9). All bound arithmetic is exact rational; only redundancy columns are
-floats.
+D9). `redundancy_table` builds each length's table once per call and
+hands it to every count of every row that reads it (D13). All bound
+arithmetic is exact rational; only redundancy columns are floats.
 
 Small instances are cross-checked by two independent routes over the full
 word space, both built on one array incidence of the error hypergraph:
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import channel
 from .channel import ErrorKind, error_keys, tandem_del
-from .codes import c1_best_params
+from .codes import _c1_best_params
 from .transform import _gap_table
 from .words import _words_of_rows
 from .wordspace import (
@@ -72,7 +73,11 @@ def irreducible_count(n: int, ell: int, q: int) -> int:
     zeros, i.e. q^ell choices of head times the tails with no whole block
     in any gap, column J = 0 of the gap table; all q^n words when n < ell.
     """
-    table = _gap_table(n, ell, q)  # refuses q < 2, ell < 1 and n < 0
+    return _irreducible_count(_gap_table(n, ell, q), n, ell, q)  # refuses q < 2, ell < 1 and n < 0
+
+
+def _irreducible_count(table: np.ndarray, n: int, ell: int, q: int) -> int:
+    """`irreducible_count` from the gap table of (n, ell, q)."""
     if n < ell:
         return q**n
     return q**ell * int(table[:, 0].sum())
@@ -92,7 +97,11 @@ def deletion_histogram(n: int, ell: int, q: int) -> dict[int, int]:
     over the gap table T (`transform._gap_table`, `docs/decisions.md` D9).
     Only i <= J is summed, so every partial sum counts words and stays in
     the table's dtype."""
-    table = _gap_table(n, ell, q)  # refuses q < 2, ell < 1 and n < 0
+    return _deletion_histogram(_gap_table(n, ell, q), n, ell, q)  # refuses q < 2, ell < 1 and n < 0
+
+
+def _deletion_histogram(table: np.ndarray, n: int, ell: int, q: int) -> dict[int, int]:
+    """`deletion_histogram` from the gap table of (n, ell, q)."""
     if n < ell:
         return {0: q**n}
     m, top = n - ell, table.shape[1] - 1
@@ -150,11 +159,23 @@ def bound_report(n: int, ell: int, q: int) -> BoundReport:
     deletion hypergraph's actual vertex set: words of length n - i*ell only
     exist as vertices when a chain of i deletions can reach them, i.e. when
     n >= (i+1)*ell, so shorter-length terms drop out on degenerate
-    instances.
+    instances. It reads the gap tables of n and n - ell (`_gap_tables`).
     """
+    return _bound_report(n, ell, q, _gap_tables([n], ell, q))
+
+
+def _gap_tables(n_values, ell: int, q: int) -> dict[int, np.ndarray]:
+    """The gap table (`transform._gap_table`) of every length that the
+    reports of n_values read, once each: n, and n - ell when n >= 2 ell."""
+    lengths = {*n_values, *(n - ell for n in n_values if n >= 2 * ell)}
+    return {length: _gap_table(length, ell, q) for length in lengths}
+
+
+def _bound_report(n: int, ell: int, q: int, tables: dict[int, np.ndarray]) -> BoundReport:
+    """`bound_report` from the gap tables `_gap_tables` holds for n."""
     t = 1
-    hist = deletion_histogram(n - t * ell, ell, q) if n >= (t + 1) * ell else {}
-    bound = Fraction(irreducible_count(n, ell, q) + hist.get(0, 0))
+    hist = _deletion_histogram(tables[n - t * ell], n - t * ell, ell, q) if n >= (t + 1) * ell else {}
+    bound = Fraction(_irreducible_count(tables[n], n, ell, q) + hist.get(0, 0))
     for i, cnt in hist.items():
         if i >= 1:
             bound += Fraction(cnt, i)
@@ -468,11 +489,16 @@ def redundancy_table(n_values, ell: int, q: int) -> list[RedundancyRow]:
 
     Every column is exact counting or a closed form; no word space is read,
     so no q^n guard applies (`docs/decisions.md`, D8). The c1 cardinality
-    comes from `codes.c1_best_params`."""
+    comes from `codes.c1_best_params`. Each length's gap table is built
+    once per call and read by every count that needs it: the irreducible
+    count and the c1 residue counts of row n, and the deletion histogram of
+    row n + ell (D13)."""
+    n_values = list(n_values)
+    tables = _gap_tables(n_values, ell, q)
     rows = []
     for n in n_values:
-        report = bound_report(n, ell, q)
-        _, cardinality = c1_best_params(n, ell, q)
+        report = _bound_report(n, ell, q, tables)
+        _, cardinality = _c1_best_params(n, ell, q, tables[n])
         c1_red = n * math.log2(q) - math.log2(cardinality)
         c2_red = math.log2(n) + math.log2(10)
         burst = math.log2(n) + math.log2(math.log2(n)) + 1 if n >= 2 else float("nan")

@@ -72,9 +72,8 @@ def _write_machine(path: str, fmt: str | None, rows: list[dict]):
     if fmt is None:
         fmt = "csv" if path.endswith(".csv") else "json"
     if fmt == "json":
-        with open(path, "w") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+        with open(path, "w") as fh:  # one write: json.dump streams many small ones
+            fh.write(json.dumps(rows, indent=2, sort_keys=True, allow_nan=False) + "\n")
     else:
         # a CSV cell is flat: a dict (bound's histogram) or a list (verify's
         # report, sphere's members) is written as its JSON text

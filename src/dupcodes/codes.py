@@ -213,7 +213,7 @@ def _c1_keys(n: int, ell: int, q: int, limit: int):
     return arr, sig_len, csum % (sig_len + 1)
 
 
-def _c1_counts(n: int, ell: int, q: int) -> np.ndarray:
+def _c1_counts(n: int, ell: int, q: int, table: np.ndarray) -> np.ndarray:
     """counts[s-1, r]: the words of length n over Z_q whose zero-signature
     has length s and VT residue r, for s = 1..n-ell+1 and r = 0..n-ell+1
     (zero for r > s). Counted, not scanned (`docs/decisions.md`, D6 and
@@ -224,8 +224,8 @@ def _c1_counts(n: int, ell: int, q: int) -> np.ndarray:
     against T[w]. A sieve over the divisors h of N turns the S_e into the
     share H(h) of the residues r = 0 mod e, so counts[w, r] depends on r
     only through gcd(r, N). Rows add up in Python ints, which can pass
-    int64 before the exact division by N."""
-    table = _gap_table(n, ell, q)
+    int64 before the exact division by N. `table` is the gap table of
+    (n, ell, q)."""
     m = n - ell
     if m < 0:
         raise ValueError("ell exceeds word length")
@@ -246,7 +246,12 @@ def c1_best_params(n: int, ell: int, q: int):
     """Best residue per signature length (ties to the smallest residue) and
     the resulting code cardinality, from the exact count `_c1_counts`.
     Refuses (ValueError) q < 2, ell < 1 and ell > n."""
-    counts = _c1_counts(n, ell, q)
+    return _c1_best_params(n, ell, q, _gap_table(n, ell, q))
+
+
+def _c1_best_params(n: int, ell: int, q: int, table: np.ndarray):
+    """`c1_best_params` from the gap table of (n, ell, q)."""
+    counts = _c1_counts(n, ell, q, table)
     best = counts.argmax(axis=1)  # first maximum: the smallest residue wins ties
     return tuple(int(r) for r in best), int(counts.max(axis=1).sum())
 

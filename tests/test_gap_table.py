@@ -1,4 +1,5 @@
-"""The tandem counts that read the gap table against the paper's formulas.
+"""The tandem counts that read the gap table against the paper's formulas,
+and the table reuse of `redundancy_table`.
 
 `transform._gap_table` holds every tandem count (`docs/decisions.md`, D9):
 the run-length-limited counts, the irreducible count, the deletion sphere
@@ -8,9 +9,11 @@ the number of tandem deletions and the weight. Those closed forms are kept
 here as independent references.
 """
 
+import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -19,7 +22,8 @@ import numpy as np
 import pytest
 
 import dupcodes
-from dupcodes.bounds import bound_report, deletion_histogram, irreducible_count, rll_weight_count
+from dupcodes import bounds, codes
+from dupcodes.bounds import bound_report, deletion_histogram, irreducible_count, redundancy_table, rll_weight_count
 from dupcodes.codes import _c1_counts, c1_best_params, c1_size_lower_bound
 from dupcodes.transform import _gap_table
 
@@ -124,7 +128,7 @@ def test_c1_guarantee_is_the_mean_of_each_residue_row(q, ell):
     """Row s of the residue table holds every word whose signature has length
     s, spread over s+1 residues; the guarantee is the sum of their means."""
     for n in range(ell, 16):
-        counts = _c1_counts(n, ell, q)
+        counts = _c1_counts(n, ell, q, _gap_table(n, ell, q))
         mean = sum(Fraction(int(row.sum()), s + 1) for s, row in enumerate(counts, start=1))
         assert c1_size_lower_bound(n, ell, q) == mean, (q, ell, n)
 
@@ -188,3 +192,62 @@ def test_codes_imports_without_bounds():
     src = str(Path(dupcodes.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     subprocess.run([sys.executable, "-c", check], env=env, check=True)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_redundancy_table_equals_its_rows_counted_one_by_one(q, ell):
+    """The shared gap tables give every row the report and c1 cardinality
+    that the public counts give it alone, over ranges, gapped, descending
+    and repeated lengths."""
+    for n_values in (range(ell, 22), [4, 6, 8], [9, 5, 7], [4, 4], [3 * ell, ell, 2 * ell, 3 * ell]):
+        n_values = [n for n in n_values if n >= ell]
+        rows = redundancy_table(n_values, ell, q)
+        assert [row.n for row in rows] == n_values
+        for row in rows:
+            n = row.n
+            assert row.report == bound_report(n, ell, q), (q, ell, n)
+            cardinality = c1_best_params(n, ell, q)[1]
+            assert row.c1_redundancy == n * math.log2(q) - math.log2(cardinality), (q, ell, n)
+
+
+@pytest.fixture
+def gap_table_builds(monkeypatch):
+    """Every gap table length built through `bounds` and `codes`, in order."""
+    built = []
+
+    def counted(n, ell, q):
+        built.append(n)
+        return _gap_table(n, ell, q)
+
+    monkeypatch.setattr(bounds, "_gap_table", counted)
+    monkeypatch.setattr(codes, "_gap_table", counted)
+    return built
+
+
+SWEEP_TABLES = ((2, 2, 2, 19), (3, 1, 1, 12), (4, 3, 3, 10))  # (q, l, n range) of the sweep benchmark
+
+
+@pytest.mark.parametrize(
+    "tables,row_by_row,per_call",
+    [(SWEEP_TABLES, 108, 38), (((2, 2, 2, 64),), 187, 63)],
+    ids=["sweep", "q2-l2-n64"],
+)
+def test_redundancy_table_builds_one_gap_table_per_length(gap_table_builds, tables, row_by_row, per_call):
+    """A table builds each length of {n} and {n - l : n >= 2l} once, where
+    counting its rows one by one builds T_n twice and T_{n-l} once. A second
+    identical call builds them all again: no table outlives its call."""
+    for q, ell, first, last in tables:
+        for n in range(first, last + 1):
+            bound_report(n, ell, q)
+            c1_best_params(n, ell, q)
+    assert len(gap_table_builds) == row_by_row
+    for repeat in range(2):
+        gap_table_builds.clear()
+        for q, ell, first, last in tables:
+            before = len(gap_table_builds)
+            n_values = range(first, last + 1)
+            redundancy_table(n_values, ell, q)
+            expected = {*n_values, *(n - ell for n in n_values if n >= 2 * ell)}
+            assert Counter(gap_table_builds[before:]) == Counter(expected), (q, ell, repeat)
+        assert len(gap_table_builds) == per_call, repeat

@@ -1,9 +1,12 @@
-"""Every name a module of the package imports is used in it.
+"""Every name a module of the package imports is used in it, and every
+private function or class it defines is used in the package.
 
-No linter is part of the test environment, so this guard parses each
+No linter is part of the test environment, so these guards parse each
 module with `ast`: a name bound by an import must appear as a name in the
-module, or, in `__init__`, be listed in `__all__`. It catches the imports
-that deleting a function leaves behind.
+module, or, in `__init__`, be listed in `__all__`. That catches the imports
+that deleting a function leaves behind. A module-level function or class
+whose name starts with `_` must be named (or imported) somewhere in the
+package, which catches a private helper that only its own tests still call.
 """
 
 import ast
@@ -37,3 +40,36 @@ def test_the_guard_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """The module-level private functions and classes of the package
+    (module name -> source) that no module names or imports, sorted as
+    module.name."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                defined.append((module, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in used)
+
+
+def test_the_guard_finds_an_unreferenced_private_helper():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _dead():\n    pass\n\nclass _Gone:\n    pass\n",
+        "b": "from .a import _used\n\ndef public():\n    def _inner():\n        pass\n    return _used\n",
+    }
+    assert unreferenced_privates(sources) == ["a._Gone", "a._dead"]
+
+
+def test_every_private_definition_is_referenced():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_privates(sources) == []

@@ -45,7 +45,7 @@ def test_c1_counts_equal_the_scan(q, ell):
     n = ell
     while q**n <= _SCANNED:
         scanned = _scanned_c1_table(n, ell, q)
-        counted = _c1_counts(n, ell, q)
+        counted = _c1_counts(n, ell, q, _gap_table(n, ell, q))
         assert counted.dtype == np.int64
         assert np.array_equal(counted, scanned), (n, ell, q)
         # the first maximum of each row: the smallest residue wins ties
@@ -95,7 +95,8 @@ def test_c1_counts_equal_the_recurrence(q, top):
     and dtype, up to and past the int64 switch of the gap table."""
     for ell in range(1, 6):
         for n in range(ell, top + 1):
-            counted, reference = _c1_counts(n, ell, q), _recurrence_c1_table(n, ell, q)
+            counted = _c1_counts(n, ell, q, _gap_table(n, ell, q))
+            reference = _recurrence_c1_table(n, ell, q)
             assert counted.dtype == reference.dtype, (n, ell, q)
             assert counted.tolist() == reference.tolist(), (n, ell, q)
 
@@ -117,7 +118,7 @@ def test_c1_counts_past_the_guard(q, ell):
     for n in sorted({ell, 21, 30, 40}):
         if q**n > sys.maxsize:
             continue
-        counted = _c1_counts(n, ell, q)
+        counted = _c1_counts(n, ell, q, _gap_table(n, ell, q))
         assert int(counted.sum()) == q**n
         _, cardinality = c1_best_params(n, ell, q)
         assert cardinality >= c1_size_lower_bound(n, ell, q)
@@ -125,7 +126,7 @@ def test_c1_counts_past_the_guard(q, ell):
 
 def test_counts_beyond_int64_stay_exact():
     """Past 2^63 words the tables hold Python ints."""
-    counted = _c1_counts(40, 2, 4)
+    counted = _c1_counts(40, 2, 4, _gap_table(40, 2, 4))
     assert counted.dtype == object and sum(counted.ravel().tolist()) == 4**40
     assert c1_best_params(40, 2, 4)[1] >= c1_size_lower_bound(40, 2, 4)
     for n in (62, 63, 80):
