@@ -10,8 +10,9 @@
   the binary alphabet by constraining the number of length-1 runs mod 5
   and the run-length checksum mod 2n+1. Decoding classifies the error into
   one of five run-pattern cases from the length-1-run drift, locates the
-  affected run from the checksum drift, removes the mirrored pair at that
-  run boundary, and validates membership.
+  affected run from the checksum drift, and removes the mirrored pair at
+  that run boundary. The cut word's syndrome follows in closed form from
+  the received word's run starts, so no candidate is scanned again.
 
 * PalindromeFreeCode corrects one palindromic duplication of any length
   from 2 up to n: codewords contain no length-4 window a b b a, and the
@@ -38,9 +39,9 @@ Members and decoders read the syndrome in one pass over the symbol tuple
 (`_c1_syndrome`, `_c2_syndrome`, `_has_mirrored_pair`) and build a Word
 only for the word they return (`docs/decisions.md`, D5). The c1 and c2
 scans find the nonzero positions and run starts in C (`itertools.compress`
-over an `operator.ne` map). c2 and cpf scan the received word and each
-repaired candidate; c1 scans only the received word, since the syndrome of
-its one repair follows from D4 (D12).
+over an `operator.ne` map). c1 and c2 scan only the received word: the
+syndrome of a c1 repair follows from D4 (D12), and that of a c2 cut from
+the run that holds it (D14). cpf scans each repaired candidate too.
 
 `check_correction` verifies single-error correction on arrays: it takes a
 codebook as the int8 rows of the kernels, builds every single duplication
@@ -54,17 +55,20 @@ rows are compared with the owner rows as int8 arrays. `oracle_decode` and
 `disjoint_ball_violation` stay as the Word-level routes that the tests
 compare the array route against.
 
-Codebooks are enumerated with the wordspace kernels, in lexicographic word
-order. The best parameters are counted instead (`_c1_counts`, `_c2_counts`,
+The c1 and cpf codebooks are enumerated with the wordspace kernels, in
+lexicographic word order. The c2 codebook grows one column at a time from
+the prefixes that can still reach (a, b), in the same order (D14). The
+best parameters are counted instead (`_c1_counts`, `_c2_counts`,
 `docs/decisions.md` D6): an exact integer table per (signature length,
 residue) or (a, b), built from the compositions that determine the
 syndrome, with no scan of Z_q^n. The c1 table is a divisor sum over the
 gap table of `transform`, the residue generating function evaluated at
 roots of unity (D10). Ties go to the smallest residue, and to
-the smallest (a, b). The scans `_c1_keys` and `_c2_keys` stay for the
-codebooks and as the tests' independent route to the same tables. Only
-the codebook routes enumerate Z_q^n, so only they take the `limit` on q^n
-of `all_words`. `best` and the counts refuse only what they cannot count
+the smallest (a, b). The scans stay for the c1 codebook (`_c1_keys`) and
+for `c2_groups` (`_c2_keys`), and as the tests' independent route to the
+same tables and codebooks. Only the codebook routes enumerate Z_q^n, so
+only they take the `limit` on q^n of `all_words`; the grown c2 codebook
+keeps that guard. `best` and the counts refuse only what they cannot count
 (`docs/decisions.md`, D8).
 """
 
@@ -87,6 +91,7 @@ from .wordspace import (
     key_rows,
     packed_keys,
     pal2_free_mask,
+    require_enumerable,
     run_stats,
     signature_scan,
 )
@@ -354,15 +359,37 @@ def c2_member(x: Word, code: PalindromicL2Code) -> bool:
     return _c2_holds(x.symbols, code)
 
 
+def _c2_cut_syndrome(s: tuple[int, ...], starts: list[int], ones: int, checksum: int, p: int, i: int):
+    """(ones, checksum) of s[:p+2] + s[p+4:], the cut of the mirrored pair
+    at p from the binary symbols s, whose `_c2_syndrome` is (starts, ones,
+    checksum) and whose run i holds p (`docs/decisions.md`, D14). Each run
+    before the cut keeps its start and loses 2 from its term |s| - start."""
+    if s[p] == s[p + 1]:  # aaaa inside run i, which loses two symbols and stays longer than one
+        return ones, checksum - 2 * (i + 1)
+    # a|bb|a...: run i ends at p, run i+1 is the bb, run i+2 the a-run from p+3, which ends at `after`
+    r, size = len(starts), len(s)
+    after = starts[i + 3] if i + 3 < r else size
+    if after - p > 4:  # the bb and the a-run each lose one symbol; the a-run was 2 long, or longer
+        return ones + 1 + (after - p == 5), checksum - 2 * i - 5
+    if after == size:  # the lone a was the last run: it goes, and the bb becomes a single b
+        return ones, checksum - 2 * i - 5
+    # the lone a goes, and the b left over joins run i+3, which ends at `end`: two fewer runs
+    end = starts[i + 4] if i + 4 < r else size
+    return ones - 1 - (end - after == 1), checksum - 2 * i - 5 - 2 * (size - after)
+
+
 def c2_decode(y: Word, code: PalindromicL2Code) -> Word:
     """Correct at most one palindromic duplication of length 2.
 
     The drift of the length-1-run count mod 5 selects one of five run
     patterns around the duplication site; the run-checksum drift mod 2n+1
     locates the run j it happened in. Every candidate is realised as an
-    actual mirrored-pair deletion (the four-symbol window must match) and
-    validated for membership; exactly one distinct preimage survives. The
-    modulus always uses the code's n, never the received length.
+    actual mirrored-pair deletion (the four-symbol window must match). The
+    cut word's (length-1 runs, run checksum) follows in closed form from
+    the run i that holds the cut (`_c2_cut_syndrome`, `docs/decisions.md`
+    D14), and only a candidate that meets (a, b) is built; exactly one
+    distinct preimage survives. The modulus always uses the code's n,
+    never the received length.
     """
     if y.q != 2:
         raise ValueError("binary only: the run-profile construction requires q = 2")
@@ -382,41 +409,42 @@ def c2_decode(y: Word, code: PalindromicL2Code) -> Word:
     drift = (checksum - code.b) % modulus
     # run j < r ends at starts[j] - 1; runs j+1..r hold len(s) - starts[j] symbols
 
-    candidates: list[int] = []
+    candidates: list[tuple[int, int]] = []  # (p, i): the cut, and the run i that holds p
     if delta == 0:
         # same-run duplication aa -> aaaa (even drift 2j), or the mirrored
         # pair landed on the last symbol: ...ab -> ...abba (drift 2r(y)-1)
         if drift % 2 == 0 and drift != 0:
             j = drift // 2
             if 1 <= j <= r:
-                candidates.append(starts[j - 1])
+                candidates.append((starts[j - 1], j - 1))
         elif drift == (2 * r - 1) % modulus:
-            candidates.append(len(s) - 4)
+            p = len(s) - 4
+            candidates.append((p, r - 1 if p >= starts[-1] else r - 3))
     elif delta in (4, 3):
         # one or two length-1 runs absorbed right of the site; drift 2j+3
         if drift % 2 == 1:
             j = (drift - 3) // 2
             if 1 <= j <= r - 2:
-                candidates.append(starts[j] - 1)
+                candidates.append((starts[j] - 1, j - 1))
     elif delta == 2:
         # two new length-1 runs: interior ab|ba pattern, or ab|b at the end
         for j in range(1, r - 3):
             if (2 * j + 5 + 2 * (len(s) - starts[j + 3])) % modulus == drift:
-                candidates.append(starts[j] - 1)
+                candidates.append((starts[j] - 1, j - 1))
         if r >= 4 and drift == (2 * r - 1) % modulus:
-            candidates.append(starts[r - 3] - 1)
+            candidates.append((starts[r - 3] - 1, r - 4))
     else:  # delta == 1: duplication before a longer run of the second symbol
         for j in range(1, r - 2):
             if (2 * j + 3 + 2 * (len(s) - starts[j + 2])) % modulus == drift:
-                candidates.append(starts[j] - 1)
+                candidates.append((starts[j] - 1, j - 1))
 
     survivors: set[tuple[int, ...]] = set()
-    for p in candidates:
+    for p, i in candidates:
         if not 0 <= p <= len(s) - 4 or s[p] != s[p + 3] or s[p + 1] != s[p + 2]:
             continue  # the window is not a mirrored pair: a rejected candidate run
-        repaired = s[: p + 2] + s[p + 4 :]
-        if _c2_holds(repaired, code):
-            survivors.add(repaired)
+        cut_ones, cut_checksum = _c2_cut_syndrome(s, starts, ones, checksum, p, i)
+        if cut_ones % 5 == code.a and cut_checksum % modulus == code.b:
+            survivors.add(s[: p + 2] + s[p + 4 :])
     if len(survivors) == 1:
         return _unchecked_word(survivors.pop(), 2)
     raise DecodingFailure(
@@ -482,9 +510,38 @@ def c2_size_lower_bound(n: int) -> Fraction:
 
 
 def c2_codebook_rows(code: PalindromicL2Code, limit: int = MAX_ENUMERABLE) -> np.ndarray:
-    """All codewords as int8 rows in lexicographic order."""
-    arr, keys = _c2_keys(code.n, limit)
-    return arr[keys == code.a * (2 * code.n + 1) + code.b]
+    """All codewords as int8 rows in lexicographic order, grown one column
+    at a time from the prefixes that can still reach (a, b)
+    (`docs/decisions.md`, D14). A prefix's state is (length-1 runs, run
+    checksum, its last run is one symbol long), with the last run counted
+    as if it ended there: symbol p either extends the last run (a single
+    stops being one) or starts a run (one more single, checksum + n - p).
+    reach[p, single] marks the (ones mod 5, checksum mod 2n+1) increments
+    that positions p..n-1 can still add, so every kept prefix ends in a
+    codeword and no more rows than codewords are live at any length. Refuses
+    (ValueError) the n that `all_words` refuses at this `limit`."""
+    n, modulus = code.n, 2 * code.n + 1
+    require_enumerable(n, 2, limit)
+    reach = np.zeros((n + 1, 2, 5, modulus), dtype=bool)
+    reach[n, :, 0, 0] = True
+    for p in range(n - 1, 0, -1):
+        longer, single = reach[p + 1]
+        fresh = np.roll(single, (1, n - p), axis=(0, 1))  # symbol p starts a run
+        reach[p, 0] = longer | fresh
+        reach[p, 1] = np.roll(longer, -1, axis=0) | fresh  # extending a single takes it back
+    rows = np.array([[0], [1]], dtype=np.int8)
+    ones, checksum, single = np.ones(2, dtype=np.int64), np.full(2, n, dtype=np.int64), np.ones(2, dtype=bool)
+    for p in range(1, n + 1):
+        live = reach[p, single.view(np.int8), (code.a - ones) % 5, (code.b - checksum) % modulus]
+        rows, ones, checksum, single = rows[live], ones[live], checksum[live], single[live]
+        if p == n:
+            return rows
+        bits = np.tile(np.array([0, 1], dtype=np.int8), len(rows))  # each prefix + 0, then + 1
+        rows = np.column_stack((np.repeat(rows, 2, axis=0), bits))
+        new_run = rows[:, p] != rows[:, p - 1]
+        ones = np.repeat(ones, 2) + new_run - (np.repeat(single, 2) & ~new_run)
+        checksum = np.repeat(checksum, 2) + (n - p) * new_run
+        single = new_run
 
 
 # ---------------------------------------------------------------------------

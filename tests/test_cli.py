@@ -660,3 +660,24 @@ def test_simulate_deterministic_output(tmp_path, capsys):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("n,seed", [(2, 4), (3, 0), (5, 1), (7, 9), (12, 9), (16, 2), (19, 9)])
+def test_simulate_c2_equals_the_word_space_scan_route(monkeypatch, tmp_path, capsys, n, seed):
+    """The c2 codebook grown from prefixes (`docs/decisions.md` D14) holds the
+    rows of the scan over all 2^n words in the same order, so simulate draws
+    the same codewords: the same exit code, stdout, stderr and JSON bytes."""
+
+    def scan(code, limit):
+        rows, keys = codes._c2_keys(code.n, limit)
+        return rows[keys == code.a * (2 * code.n + 1) + code.b]
+
+    results = []
+    for route in ("grown", "scan"):
+        if route == "scan":
+            monkeypatch.setattr(codes, "c2_codebook_rows", scan)
+        path = tmp_path / f"{route}.json"
+        argv = ("simulate", "--code", "c2", "--n", str(n), "--trials", "150", "--seed", str(seed), "--out", str(path))
+        results.append((run_cli(capsys, *argv), path.read_bytes()))
+    assert results[0] == results[1]
+    assert results[0][0][0] == 0

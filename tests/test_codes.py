@@ -17,7 +17,9 @@ from dupcodes.codes import (
     c1_decode,
     c1_member,
     c1_size_lower_bound,
+    _c2_keys,
     c2_best_params,
+    c2_codebook_rows,
     c2_decode,
     c2_groups,
     c2_member,
@@ -33,6 +35,7 @@ from dupcodes.codes import (
 )
 from dupcodes.transform import derive, zero_signature
 from dupcodes.words import parse_word, run_profile, word
+from dupcodes.wordspace import all_words
 
 from conftest import words_of
 
@@ -208,6 +211,73 @@ def test_c2_decode_equals_the_oracle_on_every_word(n):
             return (prof.count_of_length(1) % 5, prof.checksum() % modulus) == (code.a, code.b)
 
         _assert_decoder_equals_the_oracle(code.decode, member, n, 2, range(n - 1, n + 4), kind_of_length)
+
+
+def _two_pass_c2_decode(y, code):
+    """The c2 decoder as it was before D14 (`docs/decisions.md`), with scans
+    of its own: the drifts name the candidate cuts, the window test guards
+    each one, and a second scan checks the syndrome of each repaired word."""
+    n, s = code.n, y.symbols
+    modulus = 2 * n + 1
+
+    def syndrome(s):
+        starts = [i for i in range(len(s)) if i == 0 or s[i] != s[i - 1]]
+        lengths = [end - start for start, end in zip(starts, starts[1:] + [len(s)])]
+        return starts, lengths.count(1), sum(j * length for j, length in enumerate(lengths, start=1))
+
+    def holds(s):
+        _, ones, checksum = syndrome(s)
+        return ones % 5 == code.a and checksum % modulus == code.b
+
+    if len(s) == n and holds(s):
+        return y
+    if len(s) != n + 2:
+        raise DecodingFailure("not a codeword, or the wrong length")
+    starts, ones, checksum = syndrome(s)
+    r = len(starts)
+    delta, drift = (ones - code.a) % 5, (checksum - code.b) % modulus
+    candidates = []
+    if delta == 0:
+        if drift % 2 == 0 and drift != 0:
+            if 1 <= drift // 2 <= r:
+                candidates.append(starts[drift // 2 - 1])
+        elif drift == (2 * r - 1) % modulus:
+            candidates.append(len(s) - 4)
+    elif delta in (4, 3):
+        if drift % 2 == 1 and 1 <= (drift - 3) // 2 <= r - 2:
+            candidates.append(starts[(drift - 3) // 2] - 1)
+    elif delta == 2:
+        candidates += [starts[j] - 1 for j in range(1, r - 3) if (2 * j + 5 + 2 * (len(s) - starts[j + 3])) % modulus == drift]
+        if r >= 4 and drift == (2 * r - 1) % modulus:
+            candidates.append(starts[r - 3] - 1)
+    else:
+        candidates += [starts[j] - 1 for j in range(1, r - 2) if (2 * j + 3 + 2 * (len(s) - starts[j + 2])) % modulus == drift]
+    survivors = set()
+    for p in candidates:
+        if 0 <= p <= len(s) - 4 and s[p] == s[p + 3] and s[p + 1] == s[p + 2] and holds(s[: p + 2] + s[p + 4 :]):
+            survivors.add(s[: p + 2] + s[p + 4 :])
+    if len(survivors) != 1:
+        raise DecodingFailure("no single preimage")
+    return word(survivors.pop(), 2)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_c2_decode_equals_the_two_pass_decoder_on_every_word(n):
+    """D14 takes each repaired candidate's syndrome in closed form instead
+    of a second scan: the decoder returns the same codeword, or raises
+    DecodingFailure, on every word of length n-1..n+3, for every (a, b)."""
+
+    def outcome(decode, y, code):
+        try:
+            return decode(y, code)
+        except DecodingFailure:
+            return None
+
+    group_codes = [PalindromicL2Code(n, a, b) for a in range(5) for b in range(2 * n + 1)]
+    for m in range(n - 1, n + 4):
+        for y in words_of(m, 2):
+            for code in group_codes:
+                assert outcome(c2_decode, y, code) == outcome(_two_pass_c2_decode, y, code), (code, y)
 
 
 @pytest.mark.parametrize("q,max_n", [(2, 6), (3, 4)])
@@ -446,6 +516,34 @@ def test_c2_codebooks_partition_the_word_space():
     for g, code in enumerate(group_codes):
         assert [word(r, 2) for r in rows[group == g].tolist()] == code.codebook()
     assert sizes.max() == c2_best_params(n)[1]
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_c2_codebook_rows_equal_the_word_space_scan(n):
+    """The pruned prefix expansion of D14 gives every (a, b) code of length n
+    the rows of the scan route, in the same order, as int8 rows; an empty
+    code gives shape (0, n)."""
+    rows, keys = _c2_keys(n, 1 << 20)
+    modulus = 2 * n + 1
+    for a in range(5):
+        for b in range(modulus):
+            book = c2_codebook_rows(PalindromicL2Code(n, a, b))
+            expected = rows[keys == a * modulus + b]
+            assert book.dtype == np.int8 and book.shape == expected.shape, (a, b)
+            assert np.array_equal(book, expected), (a, b)
+
+
+@pytest.mark.parametrize("n,limit", [(11, 1 << 10), (21, 1 << 20), (5, 31)])
+def test_c2_codebook_rows_refuse_what_all_words_refuses(n, limit):
+    """No word space is built, but the guard on 2^n stays where it was, with
+    the same message."""
+    with pytest.raises(ValueError) as scan:
+        all_words(n, 2, limit=limit)
+    with pytest.raises(ValueError) as grown:
+        c2_codebook_rows(PalindromicL2Code(n, 0, 0), limit)
+    assert str(grown.value) == str(scan.value) == (
+        f"instance too large: q^n = 2^{n} = {2**n} words exceeds the guard {limit}"
+    )
 
 
 def test_palindrome_free_member_refuses_other_lengths_and_alphabets():

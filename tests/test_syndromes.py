@@ -3,11 +3,23 @@ the slow routes they replace: `derive` and `zero_signature` for c1,
 `run_profile` for c2, and the wordspace kernels for all three, on every
 word of each small length. The c1 scan runs every block length up to the
 word length, so the tails it slices off can be empty. The c1 repair is held
-to the syndrome update of `docs/decisions.md` D12."""
+to the syndrome update of `docs/decisions.md` D12, and the c2 cut to the
+closed form of D14."""
+
+from bisect import bisect_right
+from itertools import product
 
 import pytest
 
-from dupcodes.codes import TandemVTCode, _c1_syndrome, _c2_syndrome, _has_mirrored_pair, c1_best_params, c1_decode
+from dupcodes.codes import (
+    TandemVTCode,
+    _c1_syndrome,
+    _c2_cut_syndrome,
+    _c2_syndrome,
+    _has_mirrored_pair,
+    c1_best_params,
+    c1_decode,
+)
 from dupcodes.transform import derive, zero_signature
 from dupcodes.words import run_profile
 from dupcodes.wordspace import all_words, pal2_free_mask, run_stats, signature_scan
@@ -80,3 +92,21 @@ def test_the_c1_repair_moves_the_syndrome_by_one_signature_entry(q, n):
                 update = ([i if i < p else i - ell for i in nonzero], lowered, checksum - k)
                 assert _c1_syndrome(x.symbols, ell) == update, (y, ell, k)
                 assert update[2] % (size + 1) == code.a[size - 1]
+
+
+@pytest.mark.parametrize("m", range(4, 17))
+def test_the_c2_cut_syndrome_equals_a_scan_of_the_cut_word(m):
+    """Every mirrored pair a b b a at p of every binary word of length m
+    (393,220 cuts over m = 4..16): the closed form of D14, from the word's
+    syndrome and the run i that holds p, equals `_c2_syndrome` of
+    s[:p+2] + s[p+4:]."""
+    cuts = 0
+    for s in product((0, 1), repeat=m):
+        starts, ones, checksum = _c2_syndrome(s)
+        for p in range(m - 3):
+            if s[p] == s[p + 3] and s[p + 1] == s[p + 2]:
+                i = bisect_right(starts, p) - 1
+                assert _c2_cut_syndrome(s, starts, ones, checksum, p, i) == _c2_syndrome(s[: p + 2] + s[p + 4 :])[1:], (s, p)
+                cuts += 1
+    # a window mirrors for 4 of its 16 fillings: (m - 3) * 2^(m-2) cuts
+    assert cuts == (m - 3) * 2 ** (m - 2)
