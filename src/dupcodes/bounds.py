@@ -138,19 +138,6 @@ class BoundReport:
         """Raw lower bound clamped to 0 (redundancy is nonnegative)."""
         return max(0.0, self.redundancy_lb_bits_raw)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "l": self.ell,
-            "q": self.q,
-            "t": self.t,
-            "bound_numerator": self.bound.numerator,
-            "bound_denominator": self.bound.denominator,
-            "redundancy_lb_bits": self.redundancy_lb_bits,
-            "redundancy_lb_bits_raw": self.redundancy_lb_bits_raw,
-            "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-        }
-
 
 def bound_report(n: int, ell: int, q: int) -> BoundReport:
     """Assemble the single-error (t = 1) bound report for (n, ell, q).

@@ -27,6 +27,12 @@ from .wordspace import MAX_ENUMERABLE, require_enumerable
 _DNA = {"A": 0, "C": 1, "G": 2, "T": 3}
 
 
+class Refused(Exception):
+    """An input that the library refuses after the CLI has accepted the
+    flags: one `refused:` line. A flag that the CLI refuses itself raises
+    ValueError: one `error:` line."""
+
+
 def _parse_word_arg(text: str, q: int) -> Word:
     if q == 4 and text and all(ch.upper() in _DNA for ch in text):
         return Word(tuple(_DNA[ch.upper()] for ch in text), 4)
@@ -122,14 +128,10 @@ def _sphere_bound(x: Word, kind: ErrorKind, t: int):
     return None
 
 
-def cmd_sphere(args) -> int:
-    try:
-        x = _parse_word_arg(args.word, args.q)
-        kind = ErrorKind(args.kind, args.l)
-        sphere = channel.error_sphere(x, kind, args.t)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_sphere(args) -> tuple[int, list[dict]]:
+    x = _parse_word_arg(args.word, args.q)
+    kind = ErrorKind(args.kind, args.l)
+    sphere = channel.error_sphere(x, kind, args.t)
     members = sorted(sphere, key=lambda w: w.symbols)
     formula = _sphere_formula(x, kind, args.t)
     bound = _sphere_bound(x, kind, args.t)
@@ -142,28 +144,26 @@ def cmd_sphere(args) -> int:
             print(f"  {format_word(w)}")
     else:
         print("  (empty sphere)")
-    if args.out:
-        rows = [
-            {
-                "word": format_word(x),
-                "q": x.q,
-                "kind": kind.family,
-                "l": kind.ell,
-                "t": args.t,
-                "size": len(members),
-                "formula": formula,
-                "bound": bound,
-                "members": [format_word(w) for w in members],
-            }
-        ]
-        _write_machine(args.out, args.format, rows)
+    rows = [
+        {
+            "word": format_word(x),
+            "q": x.q,
+            "kind": kind.family,
+            "l": kind.ell,
+            "t": args.t,
+            "size": len(members),
+            "formula": formula,
+            "bound": bound,
+            "members": [format_word(w) for w in members],
+        }
+    ]
     if formula is not None and formula != len(members):
         print("FORMULA MISMATCH", file=sys.stderr)
-        return 1
+        return 1, rows
     if bound is not None and bound < len(members):
         print("BOUND VIOLATION", file=sys.stderr)
-        return 1
-    return 0
+        return 1, rows
+    return 0, rows
 
 
 # ---------------------------------------------------------------------------
@@ -171,45 +171,46 @@ def cmd_sphere(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_bound(args) -> int:
-    try:
-        n_values = _parse_n_values(args.n)
-        if not n_values:
-            raise ValueError(f"no lengths in --n {args.n}")
-        if args.l < 1:
-            raise ValueError(f"block length must be >= 1, got l={args.l}")
-        short = [n for n in n_values if n < args.l]
-        if short:
-            raise ValueError(f"--n lengths below --l {args.l}: {', '.join(map(str, short))}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rows = []
+def cmd_bound(args) -> tuple[int, list[dict]]:
+    n_values = _parse_n_values(args.n)
+    if not n_values:
+        raise ValueError(f"no lengths in --n {args.n}")
+    if args.l < 1:
+        raise ValueError(f"block length must be >= 1, got l={args.l}")
+    short = [n for n in n_values if n < args.l]
+    if short:
+        raise ValueError(f"--n lengths below --l {args.l}: {', '.join(map(str, short))}")
     try:
         table = bounds.redundancy_table(n_values, args.l, args.q)
     except ValueError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 2
+        raise Refused(exc) from None
     print(f"{'n':>4} {'bound':>14} {'gsp_lb':>10} {'c1_red':>10} {'c2_red':>10} {'burst':>10}")
+    rows = []
     for red in table:
-        report = red.report
+        report, burst = red.report, red.burst_redundancy
         print(
             f"{red.n:>4} {_fraction_str(report.bound):>14} {report.redundancy_lb_bits:>10.6g} "
-            f"{red.c1_redundancy:>10.6g} {red.c2_redundancy:>10.6g} {red.burst_redundancy:>10.6g}"
+            f"{red.c1_redundancy:>10.6g} {red.c2_redundancy:>10.6g} {burst:>10.6g}"
         )
-        row = report.to_json_dict()
-        row["redundancy_lb_bits"] = _f6(row["redundancy_lb_bits"])
-        row["redundancy_lb_bits_raw"] = _f6(row["redundancy_lb_bits_raw"])
-        row["bound"] = _fraction_str(report.bound)
-        row["c1_redundancy_bits"] = _f6(red.c1_redundancy)
-        row["c2_redundancy_bits"] = _f6(red.c2_redundancy)
-        # undefined below n = 2: nan on stdout, null in JSON, an empty CSV cell
-        burst = red.burst_redundancy
-        row["burst_redundancy_bits"] = None if math.isnan(burst) else _f6(burst)
-        rows.append(row)
-    if args.out:
-        _write_machine(args.out, args.format, rows)
-    return 0
+        rows.append(
+            {
+                "n": report.n,
+                "l": report.ell,
+                "q": report.q,
+                "t": report.t,
+                "bound_numerator": report.bound.numerator,
+                "bound_denominator": report.bound.denominator,
+                "redundancy_lb_bits": _f6(report.redundancy_lb_bits),
+                "redundancy_lb_bits_raw": _f6(report.redundancy_lb_bits_raw),
+                "histogram": {str(k): v for k, v in sorted(report.histogram.items())},
+                "bound": _fraction_str(report.bound),
+                "c1_redundancy_bits": _f6(red.c1_redundancy),
+                "c2_redundancy_bits": _f6(red.c2_redundancy),
+                # undefined below n = 2: nan on stdout, null in JSON, an empty CSV cell
+                "burst_redundancy_bits": None if math.isnan(burst) else _f6(burst),
+            }
+        )
+    return 0, rows
 
 
 # ---------------------------------------------------------------------------
@@ -283,49 +284,40 @@ CONSTRUCTIONS = {
 
 
 def _best_code(args):
-    """The best code of --code for the flags, or None after a one-line refusal:
-    --n is below 1, the --l that c1 reads is below 1 or above --n, the
-    q^n words that the codebook is enumerated from are more than the guard
-    allows, the construction refuses the flags, or no duplication it
-    corrects fits in a word of length n. The guard comes before `best`,
-    so a huge --n is refused before any parameter table is counted."""
+    """The best code of --code for the flags. Raises ValueError when --n is
+    below 1, the --l that c1 reads is below 1 or above --n, or no
+    duplication the code corrects fits in a word of length n; Refused when
+    the q^n words that the codebook is enumerated from are more than the
+    guard allows or the construction refuses the flags. The guard comes
+    before `best`, so a huge --n is refused before any parameter table is
+    counted."""
     if args.n < 1:
-        print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)
-        return None
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     if args.code == "c1" and args.l < 1:  # c2 and cpf do not read --l
-        print(f"error: block length must be >= 1, got l={args.l}", file=sys.stderr)
-        return None
+        raise ValueError(f"block length must be >= 1, got l={args.l}")
     if args.code == "c1" and args.n < args.l:
-        print(f"error: --n {args.n} below --l {args.l}", file=sys.stderr)
-        return None
+        raise ValueError(f"--n {args.n} below --l {args.l}")
     try:
         require_enumerable(args.n, args.q, _limit(args))
         code = CONSTRUCTIONS[args.code][0].best(args.n, args.q, args.l)
     except ValueError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return None
+        raise Refused(exc) from None
     if not any(kind.ell <= args.n for kind in code.kinds):
-        print(f"error: no error that {args.code} corrects fits in length n={args.n}", file=sys.stderr)
-        return None
+        raise ValueError(f"no error that {args.code} corrects fits in length n={args.n}")
     return code
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, list[dict]]:
     code = _best_code(args)
-    if code is None:
-        return 2
     try:
         lines = CONSTRUCTIONS[args.code][1](code, _limit(args))
     except ValueError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 2
+        raise Refused(exc) from None
     ok = not any(line.startswith("FAIL") for line in lines)
     for line in lines:
         print(line)
     print("PASS" if ok else "FAIL")
-    if args.out:
-        _write_machine(args.out, args.format, [{"passed": ok, "report": lines}])
-    return 0 if ok else 1
+    return 0 if ok else 1, [{"passed": ok, "report": lines}]
 
 
 # ---------------------------------------------------------------------------
@@ -333,27 +325,20 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_rates(args) -> int:
-    try:
-        q_list = [_int_token("--q", tok) for tok in args.q_list.split(",")]
-        n_tokens = [tok.strip() for tok in args.n_list.split(",")]
-        n_list = [None if tok in ("inf", "oo") else _int_token("--n", tok) for tok in n_tokens]
-        rates = [[codes.cpf_rate(q, n) for n in n_list] for q in q_list]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_rates(args) -> tuple[int, list[dict]]:
+    q_list = [_int_token("--q", tok) for tok in args.q_list.split(",")]
+    n_tokens = [tok.strip() for tok in args.n_list.split(",")]
+    n_list = [None if tok in ("inf", "oo") else _int_token("--n", tok) for tok in n_tokens]
+    rates = [[codes.cpf_rate(q, n) for n in n_list] for q in q_list]
     header = "q\\n " + " ".join(f"{tok:>7}" for tok in n_tokens)
     print(header)
     for q, row in zip(q_list, rates):
         print(f"{q:<4} " + " ".join(f"{rate:>7.3f}" for rate in row))
-    if args.out:
-        machine = [
-            {"q": q, "n": "inf" if n is None else n, "rate": _f6(rate)}
-            for q, row in zip(q_list, rates)
-            for n, rate in zip(n_list, row)
-        ]
-        _write_machine(args.out, args.format, machine)
-    return 0
+    return 0, [
+        {"q": q, "n": "inf" if n is None else n, "rate": _f6(rate)}
+        for q, row in zip(q_list, rates)
+        for n, rate in zip(n_list, row)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -361,22 +346,17 @@ def cmd_rates(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[int, list[dict]]:
     if args.trials < 0:
-        print(f"error: --trials must be >= 0, got {args.trials}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     rng = random.Random(args.seed)
     code = _best_code(args)
-    if code is None:
-        return 2
     try:
         book = code.codebook_rows(_limit(args))
     except ValueError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 2
+        raise Refused(exc) from None
     if not len(book):
-        print("error: empty codebook", file=sys.stderr)
-        return 2
+        raise ValueError("empty codebook")
     kinds = code.kinds
     successes = 0
     failure = None
@@ -396,23 +376,16 @@ def cmd_simulate(args) -> int:
     if failure:
         c, k, p, y, got = failure
         print(f"counterexample: codeword {format_word(c)} kind {k} p={p} -> {format_word(y)} decoded {got}", file=sys.stderr)
-    if args.out:
-        _write_machine(
-            args.out,
-            args.format,
-            [
-                {
-                    "code": args.code,
-                    "n": args.n,
-                    "q": args.q,
-                    "l": args.l,
-                    "trials": args.trials,
-                    "successes": successes,
-                    "seed": args.seed,
-                }
-            ],
-        )
-    return 0 if successes == args.trials else 1
+    row = {
+        "code": args.code,
+        "n": args.n,
+        "q": args.q,
+        "l": args.l,
+        "trials": args.trials,
+        "successes": successes,
+        "seed": args.seed,
+    }
+    return 0 if successes == args.trials else 1, [row]
 
 
 # ---------------------------------------------------------------------------
@@ -480,27 +453,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _out_refusal(path: str):
-    """Why --out cannot be written, when its directory is missing or is not
-    a directory; None otherwise. Checked before any work starts."""
+    """Raises ValueError when the directory of --out is missing or is not a
+    directory. Checked before any work starts."""
     parent = os.path.dirname(path) or "."
-    if os.path.isdir(parent):
-        return None
-    return os.strerror(errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)
+    if not os.path.isdir(parent):
+        reason = os.strerror(errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)
+        raise ValueError(f"cannot write --out {path}: {reason}")
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. Each cmd_* prints its report and returns (status,
+    machine rows); --out is written only when it ran, with status 0 (all
+    checks passed) or 1 (a check or trial failed). Every refusal ends here
+    as one stderr line and status 2."""
     args = build_parser().parse_args(argv)
-    refusal = args.out and _out_refusal(args.out)
-    if refusal:
-        print(f"error: cannot write --out {args.out}: {refusal}", file=sys.stderr)
-        return 2
     try:
-        return args.func(args)
+        if args.out:
+            _out_refusal(args.out)
+        status, rows = args.func(args)
+        if args.out:
+            _write_machine(args.out, args.format, rows)
+        return status
+    except Refused as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
     except OSError as exc:
         if args.out is None or exc.filename != args.out:
             raise
         print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
-        return 2
+    return 2
 
 
 if __name__ == "__main__":

@@ -89,6 +89,7 @@ from .wordspace import (
     all_words,
     distinct,
     key_rows,
+    key_width,
     packed_keys,
     pal2_free_mask,
     require_enumerable,
@@ -748,13 +749,6 @@ def disjoint_ball_violation(codebook, kind: ErrorKind, t: int):
     return None
 
 
-def received_index(received, owner, group, q: int):
-    """(keys, at, word_of) of the distinct (code, received word) pairs of a
-    batch: keys[d] = (group << bits) | key of pair d, ascending, at[d] the
-    first received row of pair d, and word_of[r] the pair of row r."""
-    return distinct(packed_keys(received, q, prefix=group[owner]))
-
-
 def oracle_verdicts(book_keys, order, group, received, owner, kind: ErrorKind, group_codes, index):
     """Array twin of `oracle_decode` and `disjoint_ball_violation` over a
     batch of codebooks: one lookup of the codewords that the single
@@ -764,8 +758,10 @@ def oracle_verdicts(book_keys, order, group, received, owner, kind: ErrorKind, g
     codewords, order[k] is the codeword of book_keys[k], and group[i] is the
     index in group_codes of codeword i's code; `received` and `owner` come
     from `channel.duplication_rows` on some of the codewords, and `index`
-    is their `received_index`. The scalar `member` of the code is asked
-    once per distinct (code, outcome) and must agree with the lookup.
+    is `distinct(packed_keys(received, q, prefix=group[owner]))`: (keys, at,
+    word_of) of their distinct (code, received word) pairs. The scalar
+    `member` of the code is asked once per distinct (code, outcome) and
+    must agree with the lookup.
 
     Returns (verdicts, clashes). verdicts[r] is True when the lowest
     codeword that received row r reaches is its owner, it reaches no second
@@ -782,7 +778,7 @@ def oracle_verdicts(book_keys, order, group, received, owner, kind: ErrorKind, g
     distinct_group = group[owner[distinct_at]]
     source, keys = error_keys(received[distinct_at], kind.inverse(), q)
     outcome_group = distinct_group[source]
-    width = (q**n - 1).bit_length()  # the book's keys fit with these groups
+    width = key_width(len(keys), n, q)  # the book's keys fit with these groups
     keys |= np.left_shift(outcome_group, width, dtype=np.int64)
     at = np.minimum(np.searchsorted(book_keys, keys), len(book_keys) - 1)
     found = book_keys[at] == keys
@@ -871,7 +867,7 @@ def check_correction(group_codes, book, group=None) -> list[tuple[ErrorKind, dic
             stop = min(start + step, len(book))
             received, owner = duplication_rows(book[start:stop], kind)
             owner += start
-            index = received_index(received, owner, group, q)
+            index = distinct(packed_keys(received, q, prefix=group[owner]))
             # each distinct (code, received word) is decoded once; decoding before the lookup,
             # with the decoded rows freed before it, keeps verify's peak RSS down (D12)
             _, distinct_at, word_of = index

@@ -1,11 +1,9 @@
-import json
 from fractions import Fraction
 
 import pytest
 
 from dupcodes import channel
 from dupcodes.bounds import (
-    bound_report,
     deletion_histogram,
     exact_optimum,
     gsp_bound_tandem,
@@ -142,16 +140,6 @@ def test_exact_optimum_palindromic_kind():
         if best == size:
             break
     assert val == best
-
-
-def test_bound_report_serialization():
-    report = bound_report(6, 2, 2)
-    payload = report.to_json_dict()
-    assert payload["n"] == 6 and payload["l"] == 2 and payload["q"] == 2 and payload["t"] == 1
-    assert Fraction(payload["bound_numerator"], payload["bound_denominator"]) == report.bound
-    assert json.loads(json.dumps(payload)) == payload
-    assert sum(int(v) for v in payload["histogram"].values()) == 2**4
-    assert report.redundancy_lb_bits >= 0
 
 
 def test_redundancy_table_columns():

@@ -154,24 +154,31 @@ def test_same_outcome_predicate_examples():
 
 def test_same_outcome_predicate_soundness_exhaustive():
     # predicate == direct comparison of the produced words
+    def deleted(x, ell, p):
+        try:
+            return palindromic_delete(x, ell, p)
+        except ValueError:
+            return None
+
     for q, max_n in ((2, 6), (3, 5)):
         for n in range(2, max_n + 1):
             for ell in (1, 2, 3):
-                for x in words_of(n, q):
-                    for y in words_of(n, q):
+                # each word's outcomes, built once per (q, n, ell) rather than once per pair
+                words = list(words_of(n, q))
+                dups = {x: [palindromic_duplicate(x, ell, p) for p in range(n - ell + 1)] for x in words}
+                dels = {x: [deleted(x, ell, p) for p in range(n - 2 * ell + 1)] for x in words}
+                for x in words:
+                    for y in words:
                         for i in range(0, n - ell + 1):
                             for j in range(1, n - ell - i + 1):
-                                expected = palindromic_duplicate(x, ell, i) == palindromic_duplicate(y, ell, i + j)
+                                expected = dups[x][i] == dups[y][i + j]
                                 assert same_outcome_predicate(x, y, ell, i, j, "dup") == expected
-                        if n >= 2 * ell:
-                            for i in range(0, n - 2 * ell + 1):
-                                for j in range(1, n - 2 * ell - i + 1):
-                                    try:
-                                        a = palindromic_delete(x, ell, i)
-                                        b = palindromic_delete(y, ell, i + j)
-                                    except ValueError:
-                                        continue
-                                    assert same_outcome_predicate(x, y, ell, i, j, "del") == (a == b)
+                        for i in range(0, n - 2 * ell + 1):
+                            for j in range(1, n - 2 * ell - i + 1):
+                                a, b = dels[x][i], dels[y][i + j]
+                                if a is None or b is None:
+                                    continue
+                                assert same_outcome_predicate(x, y, ell, i, j, "del") == (a == b)
 
 
 def test_tandem_dup_del_ball_equivalence_small():

@@ -2,12 +2,14 @@ import csv
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dupcodes import codes
+from dupcodes.bounds import bound_report
 from dupcodes.channel import error_ball, tandem_dup
 from dupcodes.cli import main
 from dupcodes.words import Word, parse_word
@@ -99,6 +101,10 @@ def test_bound_rows_and_csv(tmp_path, capsys):
         capsys, "bound", "--n", "2..10", "--l", "2", "--q", "2", "--out", str(out_path)
     )
     assert code == 0
+    assert out_path.read_text().splitlines()[0] == (
+        "n,l,q,t,bound_numerator,bound_denominator,redundancy_lb_bits,redundancy_lb_bits_raw,"
+        "histogram,bound,c1_redundancy_bits,c2_redundancy_bits,burst_redundancy_bits"
+    )
     with open(out_path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 9
@@ -180,6 +186,22 @@ def test_bound_json_roundtrip(tmp_path, capsys):
     assert [r["n"] for r in rows] == [4, 6]
     for row in rows:
         assert {"bound_numerator", "bound_denominator", "redundancy_lb_bits", "histogram"} <= set(row)
+
+
+def test_bound_out_row_holds_the_report(tmp_path, capsys):
+    """A `bound --out` row carries n, l, q, t and the bound as an exact
+    numerator and denominator, and reads back as the JSON that was written."""
+    out_path = tmp_path / "bounds.json"
+    assert run_cli(capsys, "bound", "--n", "6", "--l", "2", "--q", "2", "--out", str(out_path))[0] == 0
+    rows = json.loads(out_path.read_text())
+    assert out_path.read_text() == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    [row] = rows
+    assert (row["n"], row["l"], row["q"], row["t"]) == (6, 2, 2, 1)
+    report = bound_report(6, 2, 2)
+    assert Fraction(row["bound_numerator"], row["bound_denominator"]) == report.bound
+    assert row["bound"] == f"{report.bound.numerator}/{report.bound.denominator}"
+    assert sum(row["histogram"].values()) == 2**4
+    assert row["redundancy_lb_bits"] >= 0
 
 
 def test_bound_writes_no_nan(tmp_path, capsys):
@@ -601,6 +623,30 @@ def test_unwritable_out_refused_before_the_command_runs(tmp_path, capsys, argv, 
     reason = "No such file or directory" if parent == "missing" else "Not a directory"
     assert err == f"error: cannot write --out {tmp_path / parent / 'x.json'}: {reason}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file"]
+
+
+@pytest.mark.parametrize(
+    "argv,prefix",
+    [
+        (("sphere", "--word", "0121", "--q", "2", "--kind", "pal-dup", "--l", "2"), "error: "),
+        (("bound", "--n", "abc"), "error: "),
+        (("verify", "--code", "cpf", "--n", "0"), "error: "),
+        (("rates", "--q", "1", "--n", "4"), "error: "),
+        (("simulate", "--code", "c1", "--n", "6", "--trials", "-3"), "error: "),
+        (("bound", "--n", "3", "--q", "1"), "refused: "),
+        (("verify", "--code", "c1", "--n", "25"), "refused: "),
+        (("simulate", "--code", "c2", "--n", "21"), "refused: "),
+    ],
+    ids=["sphere", "bound", "verify", "rates", "simulate", "bound-refused", "verify-refused", "simulate-refused"],
+)
+def test_a_refusal_writes_no_out(tmp_path, capsys, argv, prefix):
+    """--out is written only when the command ran (exit 0 or 1): a refused
+    input prints one line and leaves no file."""
+    out_path = tmp_path / "x.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert not out_path.exists()
 
 
 def test_rates_table(capsys):

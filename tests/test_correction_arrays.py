@@ -26,10 +26,9 @@ from dupcodes.codes import (
     disjoint_ball_violation,
     oracle_decode,
     oracle_verdicts,
-    received_index,
 )
 from dupcodes.words import format_word, word
-from dupcodes.wordspace import all_words, packed_keys
+from dupcodes.wordspace import all_words, distinct, packed_keys
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ def compare_routes(group_codes, book, group):
                 assert clashes[g] == smallest_shared_word(members, kind), (g, kind)
         clashing |= set(clashes)
         received, owner = duplication_rows(book, kind)
-        index = received_index(received, owner, group, q)
+        index = distinct(packed_keys(received, q, prefix=group[owner]))
         verdicts, _ = oracle_verdicts(book_keys[order], order, group, received, owner, kind, group_codes, index)
         for r, y in enumerate(received.tolist()):
             c = words[owner[r]]
@@ -164,7 +163,7 @@ def test_oracle_rejects_rows_where_member_and_codebook_disagree():
     received, owner = duplication_rows(book, kind)
     book_keys = packed_keys(book, 2)  # a lexicographic codebook: its keys are sorted
 
-    index = received_index(received, owner, one_group(book), 2)
+    index = distinct(packed_keys(received, 2, prefix=one_group(book)[owner]))
 
     def verdicts(members):
         code = WordSet(6, 2, frozenset(members))

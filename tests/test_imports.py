@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in it, and every
-private function or class it defines is used in the package.
+"""Every name a module of the package imports is used in it, every
+private function or class it defines is used in the package, and the CLI
+ends a refused run in one place.
 
 No linter is part of the test environment, so these guards parse each
 module with `ast`: a name bound by an import must appear as a name in the
@@ -7,6 +8,8 @@ module, or, in `__init__`, be listed in `__all__`. That catches the imports
 that deleting a function leaves behind. A module-level function or class
 whose name starts with `_` must be named (or imported) somewhere in the
 package, which catches a private helper that only its own tests still call.
+In `cli.py` only `main` may `return 2` or print an `error:` or `refused:`
+line; a subcommand raises its refusal instead.
 """
 
 import ast
@@ -73,3 +76,56 @@ def test_the_guard_finds_an_unreferenced_private_helper():
 def test_every_private_definition_is_referenced():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_privates(sources) == []
+
+
+def exits_outside_main(source: str) -> list[str]:
+    """The functions of the module source, other than `main`, that contain
+    `return 2` (or `return 2, rows`) or print a string starting with
+    `error:` or `refused:`, as name:line, sorted."""
+
+    def refusal_text(node) -> bool:
+        if isinstance(node, ast.JoinedStr) and node.values:
+            node = node.values[0]
+        return isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith(("error:", "refused:"))
+
+    def status_2(node) -> bool:
+        if isinstance(node, ast.Tuple) and node.elts:
+            node = node.elts[0]
+        return isinstance(node, ast.Constant) and node.value == 2
+
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name == "main":
+            continue
+        for node in ast.walk(func):
+            exits = isinstance(node, ast.Return) and status_2(node.value)
+            prints = (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "print"
+                and any(refusal_text(arg) for arg in node.args)
+            )
+            if exits or prints:
+                found.add(f"{func.name}:{node.lineno}")
+    return sorted(found)
+
+
+def test_the_guard_finds_an_exit_outside_main():
+    source = (
+        "def cmd(args):\n"
+        "    if args.n < 1:\n"
+        "        print(f'error: {args.n}')\n"
+        "        return 2\n"
+        "    if args.q < 2:\n"
+        "        return 2, []\n"
+        "    print('refused: no')\n"
+        "    return 0, []\n"
+        "\n"
+        "def main(argv=None):\n"
+        "    print('error: x')\n"
+        "    return 2\n"
+    )
+    assert exits_outside_main(source) == ["cmd:3", "cmd:4", "cmd:6", "cmd:7"]
+
+
+def test_the_cli_exits_with_a_refusal_only_in_main():
+    assert exits_outside_main((PACKAGE / "cli.py").read_text()) == []
