@@ -462,26 +462,31 @@ def _c2_keys(n: int, limit: int):
     return arr, (len1 % 5) * modulus + (csum % modulus)
 
 
+def _c2_completions(n: int) -> np.ndarray:
+    """ways[p, single, da, db]: the ways positions p..n-1 of a binary word
+    of length n can follow a prefix whose last run is one symbol long
+    (single) or not, adding da length-1 runs mod 5 and db to the run
+    checksum mod 2n+1, for p = 1..n (`docs/decisions.md`, D14). Symbol p
+    either extends the last run (a single stops being one) or starts a run
+    (one more single, checksum + n - p)."""
+    ways = np.zeros((n + 1, 2, 5, 2 * n + 1), dtype=_count_dtype(2**n))
+    ways[n, :, 0, 0] = 1
+    for p in range(n - 1, 0, -1):
+        longer, single = ways[p + 1]
+        fresh = np.roll(single, (1, n - p), axis=(0, 1))  # symbol p starts a run
+        ways[p, 0] = longer + fresh
+        ways[p, 1] = np.roll(longer, -1, axis=0) + fresh  # extending a single takes it back
+    return ways
+
+
 def _c2_counts(n: int) -> np.ndarray:
     """counts[a, b]: the binary words of length n with a length-1 runs mod 5
     and run checksum b mod 2n+1. Counted over run compositions, not scanned
-    (`docs/decisions.md`, D6): the first symbol gives a factor 2, a run that
-    starts at position p adds n-p to the checksum, and a run of length 1
-    adds one to the length-1-run count."""
+    (`docs/decisions.md`, D6): the first symbol gives a factor 2 and starts
+    run 0, one single and checksum n, and `_c2_completions` counts the rest."""
     if n < 1:
         raise ValueError("run statistics need nonempty words")
-    dtype = _count_dtype(2**n)
-    # covered: run compositions of positions 0..p-1, by (length-1 runs mod 5,
-    # checksum mod 2n+1); longer: the runs started before p, each of which
-    # can end at p with length >= 2
-    covered = np.zeros((5, 2 * n + 1), dtype=dtype)
-    covered[0, 0] = 1
-    longer = np.zeros_like(covered)
-    for p in range(n):
-        started = np.roll(covered, n - p, axis=1)  # a run starts at p
-        covered = np.roll(started, 1, axis=0) + longer  # it ends at p, or one started earlier does
-        longer += started
-    return 2 * covered
+    return 2 * np.roll(_c2_completions(n)[1, 1], (1, n), axis=(0, 1))
 
 
 def c2_best_params(n: int):
@@ -515,25 +520,17 @@ def c2_codebook_rows(code: PalindromicL2Code, limit: int = MAX_ENUMERABLE) -> np
     at a time from the prefixes that can still reach (a, b)
     (`docs/decisions.md`, D14). A prefix's state is (length-1 runs, run
     checksum, its last run is one symbol long), with the last run counted
-    as if it ended there: symbol p either extends the last run (a single
-    stops being one) or starts a run (one more single, checksum + n - p).
-    reach[p, single] marks the (ones mod 5, checksum mod 2n+1) increments
-    that positions p..n-1 can still add, so every kept prefix ends in a
-    codeword and no more rows than codewords are live at any length. Refuses
-    (ValueError) the n that `all_words` refuses at this `limit`."""
+    as if it ended there. A prefix is kept while `_c2_completions` has a way
+    to finish it in (a, b), so every kept prefix ends in a codeword and no
+    more rows than codewords are live at any length. Refuses (ValueError)
+    the n that `all_words` refuses at this `limit`."""
     n, modulus = code.n, 2 * code.n + 1
     require_enumerable(n, 2, limit)
-    reach = np.zeros((n + 1, 2, 5, modulus), dtype=bool)
-    reach[n, :, 0, 0] = True
-    for p in range(n - 1, 0, -1):
-        longer, single = reach[p + 1]
-        fresh = np.roll(single, (1, n - p), axis=(0, 1))  # symbol p starts a run
-        reach[p, 0] = longer | fresh
-        reach[p, 1] = np.roll(longer, -1, axis=0) | fresh  # extending a single takes it back
+    ways = _c2_completions(n)
     rows = np.array([[0], [1]], dtype=np.int8)
     ones, checksum, single = np.ones(2, dtype=np.int64), np.full(2, n, dtype=np.int64), np.ones(2, dtype=bool)
     for p in range(1, n + 1):
-        live = reach[p, single.view(np.int8), (code.a - ones) % 5, (code.b - checksum) % modulus]
+        live = ways[p, single.view(np.int8), (code.a - ones) % 5, (code.b - checksum) % modulus] > 0
         rows, ones, checksum, single = rows[live], ones[live], checksum[live], single[live]
         if p == n:
             return rows

@@ -3,15 +3,17 @@
 Each function here has an enumeration counterpart in dupcodes.channel; the
 test suite keeps the two routes in exact agreement on exhaustive ranges.
 
-The palindromic deletion bound reads the paper's palindrome matrix without
-building it. Its column c (1-based) is all zero exactly when
-x_{c+2ell-r} = x_{c+r-1} for r = 1..ell, that is when the window
-x_{c+ell..c+2ell-1} mirrors the block x_{c..c+ell-1}: a length-ell
-palindromic deletion at prefix length p = c - 1.
+The palindromic deletion bound counts the maximal runs of the positions
+that `channel.deletion_positions` finds, as the paper counts the runs of
+all-zero columns of its palindrome matrix: column c (1-based) is all zero
+exactly when the window x_{c+ell..c+2ell-1} mirrors the block
+x_{c..c+ell-1}, a length-ell palindromic deletion at prefix length p = c - 1.
+The tests build the matrix itself as the second route.
 """
 
 from math import comb
 
+from .channel import deletion_positions, pal_del
 from .transform import derive, zero_signature
 from .words import Word, run_profile
 
@@ -54,8 +56,6 @@ def tandem_del_sphere_size(x: Word, ell: int, t: int) -> int:
     sig = zero_signature(derive(x, ell).v, ell)
     if sum(sig) < t:
         return 0
-    if t == 1:
-        return sum(1 for c in sig if c > 0)
     return _bounded_compositions(sig, t)
 
 
@@ -114,9 +114,5 @@ def pal_del_sphere_upper_bound(x: Word, ell: int) -> int:
     the block x_{p+1..p+ell}. Adjacent such positions only occur inside one
     long run of equal symbols, whose deletions all coincide, hence the
     grouping."""
-    s = x.symbols
-    mirrored = [
-        all(s[p + 2 * ell - r] == s[p + r - 1] for r in range(1, ell + 1))
-        for p in range(len(s) - 2 * ell + 1)
-    ]
-    return sum(1 for p, hit in enumerate(mirrored) if hit and not (p and mirrored[p - 1]))
+    positions = deletion_positions(x, pal_del(ell))
+    return sum(1 for i, p in enumerate(positions) if not i or positions[i - 1] != p - 1)

@@ -33,7 +33,6 @@ from dupcodes.bounds import (
 from dupcodes.channel import (
     ErrorKind,
     balls_intersect,
-    deletion_rows,
     duplication_rows,
     error_ball,
     error_sphere,
@@ -42,6 +41,8 @@ from dupcodes.channel import (
 )
 from dupcodes.words import word
 from dupcodes.wordspace import all_words, packed_keys, runs_start
+
+from conftest import deletion_rows
 
 FAMILIES = (channel.TANDEM_DUP, channel.TANDEM_DEL, channel.PAL_DUP, channel.PAL_DEL)
 

@@ -9,7 +9,6 @@ from dupcodes.channel import (
     ball_intersection,
     balls_intersect,
     deletion_positions,
-    deletion_rows,
     duplication_rows,
     error_ball,
     error_keys,
@@ -29,7 +28,7 @@ from dupcodes.channel import (
 from dupcodes.words import parse_word, word
 from dupcodes.wordspace import all_words, packed_keys, signature_scan
 
-from conftest import words_of
+from conftest import deletion_rows, words_of
 
 
 X = word((1, 1, 1, 1, 0, 2, 2, 0), 3)
@@ -191,6 +190,74 @@ def test_tandem_dup_del_ball_equivalence_small():
             for i, x in enumerate(words):
                 for y in words[i + 1 :]:
                     assert bool(dup_balls[x] & dup_balls[y]) == bool(del_balls[x] & del_balls[y])
+
+
+NAMED_OPERATIONS = (
+    (tandem_dup, tandem_duplicate),
+    (pal_dup, palindromic_duplicate),
+    (tandem_del, tandem_delete),
+    (pal_del, palindromic_delete),
+)
+
+
+def inserted(s, ell, p, mirrored):
+    """s with its block s[p:p+ell], reversed when mirrored, inserted after it."""
+    block = s[p : p + ell]
+    return s[: p + ell] + (block[::-1] if mirrored else block) + s[p + ell :]
+
+
+def slicing_oracle(s, kind, p):
+    """The symbols after one error of the kind at p, or the start of the
+    message that refuses it. A deletion gives the word whose duplication at
+    p is s."""
+    ell, mirrored = kind.ell, not kind.is_tandem
+    if not 0 <= p <= len(s) - (ell if kind.is_duplication else 2 * ell):
+        return f"invalid position: p={p} "
+    if kind.is_duplication:
+        return inserted(s, ell, p, mirrored)
+    shorter = s[: p + ell] + s[p + 2 * ell :]
+    if inserted(shorter, ell, p, mirrored) != s:
+        return f"not a palindrome at p={p}:" if mirrored else f"not a tandem at p={p}:"
+    return shorter
+
+
+def outcome(op, *args):
+    """op(*args), or the message of the ValueError it raises."""
+    try:
+        return op(*args)
+    except ValueError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize("q,n_max", [(2, 6), (3, 4)])
+def test_the_word_route_is_the_slicing_rule_at_every_position(q, n_max):
+    """Over every word, l = 1..3, every kind and every p in -1..n+1:
+    apply_error gives the slicing oracle's word or refuses with its message,
+    each named operation gives what apply_error gives, and
+    deletion_positions lists exactly the p where a deletion succeeds."""
+    for n in range(n_max + 1):
+        for x in words_of(n, q):
+            for ell in (1, 2, 3):
+                for make, named in NAMED_OPERATIONS:
+                    kind, succeeded = make(ell), []
+                    for p in range(-1, n + 2):
+                        got = outcome(apply_error, x, kind, p)
+                        expected = slicing_oracle(x.symbols, kind, p)
+                        if isinstance(expected, str):
+                            assert isinstance(got, str) and got.startswith(expected), (x, kind, p, got)
+                        else:
+                            assert got == word(expected, q), (x, kind, p)
+                            succeeded.append(p)
+                        assert outcome(named, x, ell, p) == got, (x, kind, p)
+                    if not kind.is_duplication:
+                        assert deletion_positions(x, kind) == succeeded, (x, kind)
+
+
+def test_the_named_operations_refuse_a_zero_block():
+    x = word((0, 0, 1, 1), 2)
+    for _, named in NAMED_OPERATIONS:
+        with pytest.raises(ValueError, match="block length must be >= 1"):
+            named(x, 0, 0)
 
 
 def test_error_kind_helpers():

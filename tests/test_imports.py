@@ -8,16 +8,24 @@ module, or, in `__init__`, be listed in `__all__`. That catches the imports
 that deleting a function leaves behind. A module-level function or class
 whose name starts with `_` must be named (or imported) somewhere in the
 package, which catches a private helper that only its own tests still call.
+A public module-level function or class must be named somewhere in the
+package, listed in `dupcodes.__all__` or named by the benchmark harness
+(`perfbench/*.py`), which catches public code that only the tests read.
 In `cli.py` only `main` may `return 2` or print an `error:` or `refused:`
 line; a subcommand raises its refusal instead.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dupcodes"
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
+
+# Paper counts that only the tests call, each held to an enumeration oracle.
+TESTED_PAPER_COUNTS = {"bounds.rll_weight_count", "bounds.irreducible_count"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,6 +53,19 @@ def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == [], path.name
 
 
+def named(tree) -> set[str]:
+    """Every name that the tree names or imports, attributes included."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
 def unreferenced_privates(sources: dict[str, str]) -> list[str]:
     """The module-level private functions and classes of the package
     (module name -> source) that no module names or imports, sorted as
@@ -55,13 +76,7 @@ def unreferenced_privates(sources: dict[str, str]) -> list[str]:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name.startswith("_"):
                 defined.append((module, node.name))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
+        used |= named(tree)
     return sorted(f"{module}.{name}" for module, name in defined if name not in used)
 
 
@@ -76,6 +91,41 @@ def test_the_guard_finds_an_unreferenced_private_helper():
 def test_every_private_definition_is_referenced():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_privates(sources) == []
+
+
+def unreferenced_publics(sources: dict[str, str], outside: list[str]) -> list[str]:
+    """The module-level public functions and classes of the package (module
+    name -> source) that no module and no `outside` source names, sorted as
+    module.name. A name in `__all__` is named by its import in `__init__`.
+    An outside source names what any of its words spells, in strings too:
+    the benchmark selects functions by name."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.append((module, node.name))
+        used |= named(tree)
+    for source in outside:
+        used.update(re.findall(r"\w+", source))
+    return sorted(f"{module}.{name}" for module, name in defined if name not in used)
+
+
+def test_the_guard_finds_an_unreferenced_public_definition():
+    sources = {
+        "__init__": "from .a import exported\n__all__ = ['exported']\n",
+        "a": "def used():\n    pass\n\ndef dead():\n    pass\n\nclass Gone:\n    pass\n\ndef exported():\n    pass\n\n"
+        "def benched():\n    pass\n\ndef _private():\n    pass\n",
+        "b": "from . import a\n\ndef public():\n    return a.used()\n",
+    }
+    outside = ["OPS = {'a.benched': ('a', r'benched')}\n"]
+    assert unreferenced_publics(sources, outside) == ["a.Gone", "a.dead", "b.public"]
+
+
+def test_every_public_definition_is_referenced():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    outside = [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))]
+    assert unreferenced_publics(sources, outside) == sorted(TESTED_PAPER_COUNTS)
 
 
 def exits_outside_main(source: str) -> list[str]:
