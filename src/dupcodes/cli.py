@@ -3,14 +3,19 @@
 Human-readable reports go to stdout; --out writes machine output (JSON or
 CSV per --format, default inferred from the file extension). Floats are
 emitted with 6 significant digits and '.' decimals, rationals as "p/q", so
-identical flags and seed give byte-identical machine output. verify and
-simulate enumerate a codebook from all q^n words, so they refuse q^n above
-2^20 words unless --force; bound counts and reads no word space.
+identical flags and seed give byte-identical machine output. verify reads
+all q^n words and simulate enumerates its codebook from them, except the c2
+codebook, which it grows from prefixes; both refuse q^n above 2^20 words
+unless --force. bound counts and reads no word space.
+
+`main` may be called any number of times in one process: it parses with
+one parser, built on the first call.
 """
 
 import argparse
 import csv
 import errno
+import functools
 import json
 import math
 import os
@@ -393,7 +398,11 @@ def cmd_simulate(args) -> tuple[int, list[dict]]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's one parser, built on the first call and shared by every
+    later one. Parsing keeps no state on it: each `parse_args` returns a
+    fresh namespace. Built lazily, not at import (`docs/decisions.md` D15)."""
     parser = argparse.ArgumentParser(
         prog="dupcodes",
         description="Duplication-correcting codes: spheres, bounds, constructions.",
@@ -405,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default=None)
 
     def guarded(p):
-        """The subcommands that enumerate a codebook from a whole word space."""
+        """The subcommands that build codebooks of length-n words, under the
+        q^n guard even where the codebook is grown from prefixes."""
         common(p)
         p.add_argument("--force", action="store_true", help="override the q^n enumeration guard")
 

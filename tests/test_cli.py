@@ -1,5 +1,8 @@
+import argparse
 import csv
+import gc
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -727,3 +730,101 @@ def test_simulate_c2_equals_the_word_space_scan_route(monkeypatch, tmp_path, cap
         results.append((run_cli(capsys, *argv), path.read_bytes()))
     assert results[0] == results[1]
     assert results[0][0][0] == 0
+
+
+def cycles_left_by(call, *args) -> int:
+    """The unreachable cyclic objects that call(*args) leaves to the collector,
+    which the caller has switched off. An argparse exit is swallowed."""
+    gc.collect()
+    try:
+        call(*args)
+    except SystemExit:
+        pass
+    return gc.collect()
+
+
+@pytest.fixture
+def collector_off(capsys):
+    """The collector off, and the parser built by one warm-up call first."""
+    gc.disable()
+    try:
+        main(["rates", "--q", "2", "--n", "4"])
+        capsys.readouterr()
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sphere", "--word", "11110220", "--q", "3", "--kind", "pal-dup", "--l", "2"),
+        ("verify", "--code", "c2", "--n", "6"),
+        ("rates", "--q", "2,3", "--n", "4,inf"),
+        ("simulate", "--code", "cpf", "--n", "5", "--q", "3", "--trials", "40"),
+        ("bound", "--n", "2..8", "--l", "2"),
+        ("bound", "--n", "x"),
+        ("verify", "--code", "c1", "--n", "25"),
+        ("bound", "--n", "2..8", "--l", "2", "--out", "{tmp}/bound.csv"),
+    ],
+    ids=["sphere", "verify", "rates", "simulate", "bound", "error", "refused", "bound-csv-out"],
+)
+def test_a_call_leaves_no_reference_cycles(collector_off, tmp_path, capsys, argv):
+    """A call reuses the process's one parser and leaves no reference cycles
+    (a rebuilt argparse tree leaves 313). A JSON --out is not covered: the
+    stdlib's pure-Python indent=2 encoder leaves 33 cyclic objects per
+    write, and the JSON bytes stay as they are."""
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert cycles_left_by(main, argv) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("bound", "--n", "3", "--bogus"), ("verify", "--code", "c9", "--n", "3")],
+    ids=["unrecognized", "bad-choice"],
+)
+def test_an_argparse_refusal_leaves_only_the_usage_formatter(collector_off, capsys, argv):
+    """argparse's HelpFormatter and its root section refer to each other, so
+    every usage message argparse prints leaves that cycle behind; a refusal
+    leaves no more than a bare parser's usage message does."""
+    usage = cycles_left_by(argparse.ArgumentParser(prog="p").format_usage)
+    assert cycles_left_by(main, list(argv)) == usage
+    assert capsys.readouterr().err.startswith("usage: dupcodes")
+
+
+def test_the_parser_carries_no_state_between_calls(tmp_path, capsys):
+    """A mixed run of refusals and --out tables, twice in one process, gives
+    the same exit codes, streams and files each time; two of the commands
+    also match a fresh `python -m dupcodes`."""
+    sequence = [
+        ("verify", "--code", "c9", "--n", "3"),
+        ("bound", "--n", "x"),
+        ("verify", "--code", "c1", "--n", "0"),
+        ("bound", "--n", "2..9", "--l", "2", "--q", "3", "--out", str(tmp_path / "bound.json")),
+        ("simulate", "--code", "c2", "--n", "7", "--trials", "60", "--seed", "3", "--out", str(tmp_path / "sim.json")),
+    ]
+
+    def run(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        written = None
+        if "--out" in argv:
+            written = Path(argv[-1]).read_bytes()
+            Path(argv[-1]).unlink()  # a second pass that wrote nothing must not pass
+        return code, out.out, out.err, written
+
+    passes = [[run(argv) for argv in sequence] for _ in range(2)]
+    assert passes[0] == passes[1]
+    assert [result[0] for result in passes[0]] == [2, 2, 2, 0, 0]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for i in (0, 4):
+        done = subprocess.run(
+            [sys.executable, "-m", "dupcodes", *sequence[i]], capture_output=True, text=True, env=env, timeout=120
+        )
+        written = Path(sequence[i][-1]).read_bytes() if "--out" in sequence[i] else None
+        assert (done.returncode, done.stdout, done.stderr, written) == passes[0][i]

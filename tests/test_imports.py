@@ -12,11 +12,15 @@ A public module-level function or class must be named somewhere in the
 package, listed in `dupcodes.__all__` or named by the benchmark harness
 (`perfbench/*.py`), which catches public code that only the tests read.
 In `cli.py` only `main` may `return 2` or print an `error:` or `refused:`
-line; a subcommand raises its refusal instead.
+line; a subcommand raises its refusal instead. Importing `dupcodes.cli`
+builds no argparse parser: the first `main` call does.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -179,3 +183,31 @@ def test_the_guard_finds_an_exit_outside_main():
 
 def test_the_cli_exits_with_a_refusal_only_in_main():
     assert exits_outside_main((PACKAGE / "cli.py").read_text()) == []
+
+
+def test_importing_the_cli_builds_no_parser():
+    """The parser is built on the first `main` call, not at import, which the
+    benchmark's set-up time measures (`docs/decisions.md` D15). A fresh
+    interpreter counts ArgumentParser constructions through a patched
+    `__init__`, before and after one `build_parser()` call."""
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import dupcodes.cli\n"
+        "print(len(built))\n"
+        "dupcodes.cli.build_parser()\n"
+        "print(len(built))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    at_import, after_build = map(int, done.stdout.split())
+    assert at_import == 0
+    assert after_build == 6  # the program's parser and one per subcommand
