@@ -204,9 +204,8 @@ def c1_decode(y: Word, code: TandemVTCode) -> Word:
     k = (checksum - code.a[size - 1]) % (size + 1)
     if k == 0 or sig[k - 1] == 0:
         raise DecodingFailure("decoding failure: no signature coordinate restores the residue")
+    # sig_k >= 1: gap k holds ell zeros from p, so s[p:p+ell] == s[p+ell:p+2ell]
     p = 0 if k == 1 else nonzero[k - 2] + 1
-    if s[p : p + ell] != s[p + ell : p + 2 * ell]:
-        raise DecodingFailure(f"decoding failure: no tandem repeat at p={p}")
     # the repaired tail is v[:p] + v[p+ell:]: syndrome (nonzero, sig - e_k, checksum - k), residue a_s
     return _unchecked_word(s[: p + ell] + s[p + 2 * ell :], code.q)
 

@@ -61,7 +61,7 @@ def tandem_del_sphere_size(x: Word, ell: int, t: int) -> int:
 
 def pal_dup_sphere_size_l1(x: Word) -> int:
     """Single palindromic duplications of length 1: one outcome per run."""
-    return run_profile(x).num_runs
+    return len(run_profile(x))
 
 
 def pal_dup_sphere_size_l2(x: Word) -> int:
@@ -69,8 +69,8 @@ def pal_dup_sphere_size_l2(x: Word) -> int:
     2 r(x) - r^(1)(x) - 1."""
     if len(x) < 2:
         raise ValueError("need |x| >= 2 for length-2 duplications")
-    prof = run_profile(x)
-    return 2 * prof.num_runs - prof.count_of_length(1) - 1
+    runs = run_profile(x)
+    return 2 * len(runs) - runs.count(1) - 1
 
 
 def pal_dup_sphere_upper_bound(x: Word, ell: int) -> int:
@@ -78,34 +78,26 @@ def pal_dup_sphere_upper_bound(x: Word, ell: int) -> int:
     single palindromic duplication sphere; exact for ell <= 2."""
     if len(x) < ell:
         raise ValueError("need |x| >= ell")
-    prof = run_profile(x)
-    n = len(x)
-    excess = sum((r - ell) for r in prof.lengths if r > ell)
-    return n - ell + 1 - excess
+    excess = sum(r - ell for r in run_profile(x) if r > ell)
+    return len(x) - ell + 1 - excess
 
 
 def pal_del_sphere_size_l1(x: Word) -> int:
     """Single palindromic deletions of length 1: number of runs of length >= 2."""
-    return run_profile(x).count_at_least(2)
+    return sum(r >= 2 for r in run_profile(x))
 
 
 def pal_del_sphere_size_l2_binary(x: Word) -> int:
     """Exact single palindromic deletion sphere size for ell = 2 over q = 2.
 
-    Interior length-2 runs (touching neither end of the word) plus runs of
-    length >= 4. Words shorter than 4 have no deletion window and yield 0.
+    Interior length-2 runs (touching neither end of the word: neither the
+    first run nor the last) plus runs of length >= 4. Words shorter than 4
+    have no deletion window and yield 0.
     """
     if x.q != 2:
         raise ValueError("binary only: this closed form holds for q = 2")
-    prof = run_profile(x)
-    n = len(x)
-    interior2 = 0
-    start = 0
-    for r in prof.lengths:
-        if r == 2 and start >= 1 and start + r <= n - 1:
-            interior2 += 1
-        start += r
-    return interior2 + prof.count_at_least(4)
+    runs = run_profile(x)
+    return runs[1:-1].count(2) + sum(r >= 4 for r in runs)
 
 
 def pal_del_sphere_upper_bound(x: Word, ell: int) -> int:

@@ -115,35 +115,9 @@ def format_word(x: Word) -> str:
     return ",".join(str(s) for s in x.symbols)
 
 
-@dataclass(frozen=True, slots=True)
-class RunProfile:
-    """Lengths of the maximal blocks of equal symbols, left to right."""
-
-    lengths: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(r < 1 for r in self.lengths):
-            raise ValueError("run lengths must be positive")
-
-    @property
-    def num_runs(self) -> int:
-        return len(self.lengths)
-
-    def count_of_length(self, i: int) -> int:
-        """Number of runs of length exactly i."""
-        return sum(1 for r in self.lengths if r == i)
-
-    def count_at_least(self, i: int) -> int:
-        """Number of runs of length at least i."""
-        return sum(1 for r in self.lengths if r >= i)
-
-    def checksum(self) -> int:
-        """Position-weighted run-length checksum: sum of j * r_j over runs j."""
-        return sum(j * r for j, r in enumerate(self.lengths, start=1))
-
-
-def run_profile(x: Word) -> RunProfile:
-    """Run-length profile of a nonempty word."""
+def run_profile(x: Word) -> tuple[int, ...]:
+    """Lengths of the maximal blocks of equal symbols of a nonempty word, left
+    to right."""
     if len(x) == 0:
         raise ValueError("empty input: run profile needs at least one symbol")
-    return RunProfile(tuple(sum(1 for _ in grp) for _, grp in groupby(x.symbols)))
+    return tuple(sum(1 for _ in grp) for _, grp in groupby(x.symbols))

@@ -4,6 +4,10 @@ Everything here recomputes quantities from first principles (itertools
 enumeration over raw tuples), deliberately bypassing the library's own
 formulas and kernels so that formula tests stay two-route.
 
+`run_checksum` is the position-weighted run-length checksum of a run
+profile. It is the reference that `codes._c2_syndrome` and
+`wordspace.run_stats` are held to.
+
 `deletion_rows` builds every valid single deletion of a batch of rows as
 rows. It is the reference that `channel.error_keys` and
 `bounds.error_incidence` are held to, and `tests/test_channel.py` holds it
@@ -41,6 +45,11 @@ def rll_weight_oracle(n: int, ell_max: int, weight: int, q: int) -> int:
         if max_zero_run(symbols) <= ell_max:
             count += 1
     return count
+
+
+def run_checksum(runs) -> int:
+    """Position-weighted run-length checksum: sum of j * r_j over runs j."""
+    return sum(j * r for j, r in enumerate(runs, start=1))
 
 
 def deletion_rows(rows, kind: ErrorKind) -> tuple[np.ndarray, np.ndarray]:

@@ -68,7 +68,7 @@ from dupcodes.formulas import (
 )
 from dupcodes.words import Word, parse_word, run_profile
 
-from conftest import max_zero_run, words_of
+from conftest import max_zero_run, run_checksum, words_of
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):
@@ -257,8 +257,8 @@ def test_criterion_07_construction2():
         modulus = 2 * n + 1
         groups: dict[tuple[int, int], list[Word]] = {}
         for x in words_of(n, 2):
-            prof = run_profile(x)
-            key = (prof.count_of_length(1) % 5, prof.checksum() % modulus)
+            runs = run_profile(x)
+            key = (runs.count(1) % 5, run_checksum(runs) % modulus)
             groups.setdefault(key, []).append(x)
         seen_pairs = 0
         best = 0
@@ -294,12 +294,11 @@ def test_criterion_07_construction2():
     code = PalindromicL2Code(8, 4, 13)
     x = parse_word("01011001", 2)
     y = parse_word("0101101001", 2)
-    prof = run_profile(y)
-    delta = (prof.count_of_length(1) - code.a) % 5
+    lengths = run_profile(y)
+    delta = (lengths.count(1) - code.a) % 5
     if delta != 2:
         bad.append(("example-case", delta))
-    drift = (prof.checksum() - code.b) % 17
-    lengths = prof.lengths
+    drift = (run_checksum(lengths) - code.b) % 17
     suffix = [0] * (len(lengths) + 2)
     for k in range(len(lengths), 0, -1):
         suffix[k] = suffix[k + 1] + lengths[k - 1]

@@ -11,12 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dupcodes import codes
+from dupcodes import codes, formulas
 from dupcodes.bounds import bound_report
 from dupcodes.channel import error_ball, tandem_dup
 from dupcodes.cli import main
 from dupcodes.words import Word, parse_word
 from dupcodes.wordspace import all_words
+
+from conftest import words_of
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +98,58 @@ def test_sphere_dna_alias(capsys):
     code, out, _ = run_cli(capsys, "sphere", "--word", "GATC", "--q", "4", "--kind", "tandem-dup", "--l", "1")
     assert code == 0
     assert "word 2031 (q=4)" in out
+
+
+def _reported(out: str, label: str):
+    """The value after `label` in a sphere report, or None for n/a."""
+    (line,) = [line for line in out.splitlines() if line.startswith(label)]
+    value = line[len(label) :].strip()
+    return None if value == "n/a" else int(value)
+
+
+def test_sphere_claims_each_closed_form_and_bound_exactly_where_it_holds(capsys):
+    """Every branch of the closed-form and bound dispatch, on every word of
+    the small spaces: each call passes its own checks, and a closed form or
+    bound is reported exactly where one holds."""
+    words = [w for n in range(6) for w in words_of(n, 2)] + [w for n in range(4) for w in words_of(n, 3)]
+    for x in words:
+        n = len(x)
+        for kind in ("tandem-dup", "tandem-del", "pal-dup", "pal-del"):
+            for ell in (1, 2, 3):
+                for t in (1, 2):
+                    argv = ("sphere", "--word", str(x), "--q", str(x.q), "--kind", kind, "--l", str(ell), "--t", str(t))
+                    code, out, err = run_cli(capsys, *argv)
+                    assert code == 0 and err == "", argv
+                    if kind.startswith("tandem"):
+                        has_formula = n >= ell
+                    elif kind == "pal-dup":
+                        has_formula = t == 1 and (ell == 1 and n >= 1 or ell == 2 and n >= 2)
+                    else:
+                        has_formula = t == 1 and n >= 1 and (ell == 1 or ell == 2 and x.q == 2)
+                    has_bound = t == 1 and (kind == "pal-del" or kind == "pal-dup" and n >= ell)
+                    size = _reported(out, "enumerated size:")
+                    assert _reported(out, "formula size:") == (size if has_formula else None), argv
+                    assert (_reported(out, "upper bound:") is not None) == has_bound, argv
+
+
+def test_sphere_formula_mismatch_exits_1_and_still_writes_out(monkeypatch, tmp_path, capsys):
+    true_size = formulas.pal_dup_sphere_size_l2
+    monkeypatch.setattr(formulas, "pal_dup_sphere_size_l2", lambda x: true_size(x) + 1)
+    out_path = tmp_path / "sphere.json"
+    code, out, err = run_cli(
+        capsys, "sphere", "--word", "11110220", "--q", "3", "--kind", "pal-dup", "--l", "2", "--out", str(out_path)
+    )
+    assert code == 1 and err == "FORMULA MISMATCH\n"
+    assert "formula size:    6" in out
+    (row,) = json.loads(out_path.read_text())
+    assert (row["size"], row["formula"]) == (5, 6)
+
+
+def test_sphere_bound_violation_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(formulas, "pal_del_sphere_upper_bound", lambda x, ell: 1)
+    code, out, err = run_cli(capsys, "sphere", "--word", "21011012210", "--q", "3", "--kind", "pal-del", "--l", "3")
+    assert code == 1 and err == "BOUND VIOLATION\n"
+    assert "enumerated size: 2" in out and "upper bound:     1" in out
 
 
 def test_bound_rows_and_csv(tmp_path, capsys):
@@ -626,6 +680,23 @@ def test_unwritable_out_refused_before_the_command_runs(tmp_path, capsys, argv, 
     reason = "No such file or directory" if parent == "missing" else "Not a directory"
     assert err == f"error: cannot write --out {tmp_path / parent / 'x.json'}: {reason}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file"]
+
+
+@pytest.mark.parametrize("suffix", ["", "/"])
+def test_out_onto_a_directory_prints_the_report_then_one_error_line(tmp_path, capsys, suffix):
+    """--out naming an existing directory passes the check made before the
+    run and fails at write time: the report is printed, then one error line,
+    and the directory keeps what it held."""
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "dir" / "kept.txt").write_text("kept")
+    argv = ("sphere", "--word", "0101", "--kind", "tandem-dup", "--l", "1")
+    _, report, _ = run_cli(capsys, *argv)
+    path = f"{tmp_path / 'dir'}{suffix}"
+    code, out, err = run_cli(capsys, *argv, "--out", path)
+    assert code == 2
+    assert out == report
+    assert err == f"error: cannot write --out {path}: Is a directory\n"
+    assert [(p.name, p.read_text()) for p in (tmp_path / "dir").iterdir()] == [("kept.txt", "kept")]
 
 
 @pytest.mark.parametrize(

@@ -37,7 +37,7 @@ from dupcodes.transform import derive, zero_signature
 from dupcodes.words import parse_word, run_profile, word
 from dupcodes.wordspace import all_words
 
-from conftest import words_of
+from conftest import run_checksum, words_of
 
 
 def test_tandem_vt_code_validation():
@@ -207,8 +207,8 @@ def test_c2_decode_equals_the_oracle_on_every_word(n):
     for code in c2_groups(n)[0]:
 
         def member(w):
-            prof = run_profile(w)
-            return (prof.count_of_length(1) % 5, prof.checksum() % modulus) == (code.a, code.b)
+            runs = run_profile(w)
+            return (runs.count(1) % 5, run_checksum(runs) % modulus) == (code.a, code.b)
 
         _assert_decoder_equals_the_oracle(code.decode, member, n, 2, range(n - 1, n + 4), kind_of_length)
 
@@ -351,8 +351,8 @@ def test_c2_decode_identity_and_roundtrip_exhaustive():
     for n in (6, 7):
         modulus = 2 * n + 1
         for x in words_of(n, 2):
-            prof = run_profile(x)
-            code = PalindromicL2Code(n, prof.count_of_length(1) % 5, prof.checksum() % modulus)
+            runs = run_profile(x)
+            code = PalindromicL2Code(n, runs.count(1) % 5, run_checksum(runs) % modulus)
             assert c2_decode(x, code) == x
             for p in range(n - 1):
                 y = palindromic_duplicate(x, 2, p)
@@ -562,6 +562,30 @@ def test_palindrome_free_decode_refuses_other_alphabets():
         code.decode(word((0, 1, 0, 1), 2))
     with pytest.raises(ValueError, match="alphabet"):
         code.decode(word((0, 1, 1, 0, 1, 1), 2))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: TandemVTCode(3, 2, 4, ()), "1 <= ell <= n"),
+        (lambda: c1_member(word((0, 1, 2, 0), 3), TandemVTCode.best(4, 2, 1)), "alphabet mismatch"),
+        (lambda: c1_decode(word((0, 1, 2, 0), 3), TandemVTCode.best(4, 2, 1)), "alphabet mismatch"),
+        (lambda: PalindromicL2Code(0, 0, 0), "n must be >= 1"),
+        (lambda: PalindromicL2Code(4, 5, 0), "a must be in 0..4"),
+        (lambda: PalindromicL2Code(4, -1, 0), "a must be in 0..4"),
+        (lambda: PalindromicL2Code(4, 0, 9), "b must be in 0..8"),
+        (lambda: PalindromicL2Code(4, 0, -1), "b must be in 0..8"),
+        (lambda: c2_member(word((0, 1, 1), 2), PalindromicL2Code(4, 0, 0)), "length mismatch"),
+        (lambda: c2_decode(word((0, 1, 2, 0), 3), PalindromicL2Code(4, 0, 0)), "binary only"),
+    ],
+    ids=[
+        "c1-ell-above-n", "c1-member-alphabet", "c1-decode-alphabet", "c2-n-below-1", "c2-a-above-4",
+        "c2-a-below-0", "c2-b-above-2n", "c2-b-below-0", "c2-member-length", "c2-decode-ternary",
+    ],
+)
+def test_construction_refusals_name_what_is_wrong(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # small codes of every construction: each c1 (n, q, ell), every c2 (a, b) group, each cpf (n, q)

@@ -12,17 +12,17 @@ from dupcodes.words import (
     word,
 )
 
-from conftest import words_of
+from conftest import run_checksum, words_of
 
 
 def test_run_profile_example():
     x = word((1, 1, 1, 1, 0, 2, 2, 0), 3)
-    assert run_profile(x).lengths == (4, 1, 2, 1)
+    assert run_profile(x) == (4, 1, 2, 1)
 
 
 def test_run_profile_trivial():
-    assert run_profile(word((0,), 2)).lengths == (1,)
-    assert run_profile(word((0, 1, 0, 1), 2)).lengths == (1, 1, 1, 1)
+    assert run_profile(word((0,), 2)) == (1,)
+    assert run_profile(word((0, 1, 0, 1), 2)) == (1, 1, 1, 1)
 
 
 def test_run_profile_empty_raises():
@@ -32,29 +32,29 @@ def test_run_profile_empty_raises():
 
 def test_run_counts_example():
     x = word((1, 1, 1, 1, 0, 2, 2, 0), 3)
-    prof = run_profile(x)
-    assert prof.count_of_length(1) == 2
-    assert prof.count_of_length(3) == 0
-    assert run_profile(word((0, 0), 2)).count_of_length(2) == 1
-    assert prof.count_at_least(2) == 2
-    assert prof.count_at_least(1) == 4
+    runs = run_profile(x)
+    assert runs.count(1) == 2
+    assert runs.count(3) == 0
+    assert run_profile(word((0, 0), 2)).count(2) == 1
+    assert sum(r >= 2 for r in runs) == 2
+    assert sum(r >= 1 for r in runs) == 4
 
 
 def test_run_checksum_examples():
-    assert run_profile(word((0, 1, 0, 1, 1, 0, 0, 1), 2)).checksum() == 30
-    assert run_profile(word((1,), 2)).checksum() == 1
-    assert run_profile(word((0, 0, 0), 2)).checksum() == 3
+    assert run_checksum(run_profile(word((0, 1, 0, 1, 1, 0, 0, 1), 2))) == 30
+    assert run_checksum(run_profile(word((1,), 2))) == 1
+    assert run_checksum(run_profile(word((0, 0, 0), 2))) == 3
 
 
 def test_run_statistics_identities_exhaustive():
     for q in (2, 3):
         for n in range(1, 7):
             for x in words_of(n, q):
-                prof = run_profile(x)
-                assert sum(prof.lengths) == n
-                assert sum(i * prof.count_of_length(i) for i in range(1, n + 1)) == n
-                assert sum(prof.count_of_length(i) for i in range(1, n + 1)) == prof.num_runs
-                assert prof.checksum() <= prof.num_runs * n
+                runs = run_profile(x)
+                assert sum(runs) == n
+                assert sum(i * runs.count(i) for i in range(1, n + 1)) == n
+                assert sum(runs.count(i) for i in range(1, n + 1)) == len(runs)
+                assert run_checksum(runs) <= len(runs) * n
 
 
 def test_run_profile_alphabet_permutation_invariant():

@@ -18,6 +18,8 @@ from dupcodes.wordspace import (
     signature_scan,
 )
 
+from conftest import run_checksum
+
 
 def _scalar_signature(row, ell, q):
     x = Word(tuple(int(s) for s in row), q)
@@ -29,8 +31,8 @@ def _scalar_signature(row, ell, q):
 
 def _scalar_run_stats(row, q):
     x = Word(tuple(int(s) for s in row), q)
-    prof = run_profile(x)
-    return prof.num_runs, prof.count_of_length(1), prof.checksum()
+    runs = run_profile(x)
+    return len(runs), runs.count(1), run_checksum(runs)
 
 
 def _scalar_pal2_free(row, q):
