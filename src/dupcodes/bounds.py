@@ -7,9 +7,11 @@ n - t*ell with the inverse of their own deletion sphere size. The sphere
 sizes, the irreducible count and the run-length-limited count by weight
 are all read off one table of difference tails, `transform._gap_table`,
 which also holds the c1 residue counts of `codes` (`docs/decisions.md`,
-D9). `redundancy_table` builds each length's table once per call and
-hands it to every count of every row that reads it (D13). All bound
-arithmetic is exact rational; only redundancy columns are floats.
+D9). A row of the redundancy comparison (`bound_report`) builds one
+table, T_n: the irreducible count and the c1 residue counts read it
+whole, and the deletion histogram at n - ell reads it less its first
+column (D16). All bound arithmetic is exact rational; only redundancy
+columns are floats.
 
 Small instances are cross-checked by two independent routes over the full
 word space, both built on one array incidence of the error hypergraph:
@@ -49,7 +51,6 @@ from .wordspace import (
     key_rows,
     key_width,
     packed_keys,
-    require_enumerable,
     runs_start,
 )
 
@@ -117,14 +118,16 @@ def _deletion_histogram(table: np.ndarray, n: int, ell: int, q: int) -> dict[int
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-(n, ell, q) record of the sphere-packing bound ingredients."""
+    """One row of the redundancy comparison for (n, ell, q): the single-error
+    bound, its ingredients and the c1 cardinality (redundancy in bits)."""
 
     n: int
     ell: int
     q: int
     t: int
-    histogram: dict[int, int]  # sphere-size histogram at length n-t*ell
+    histogram: dict[int, int]  # sphere-size histogram at length n - ell
     bound: Fraction
+    c1_cardinality: int
 
     @property
     def redundancy_lb_bits_raw(self) -> float:
@@ -138,35 +141,44 @@ class BoundReport:
         """Raw lower bound clamped to 0 (redundancy is nonnegative)."""
         return max(0.0, self.redundancy_lb_bits_raw)
 
+    @property
+    def c1_redundancy(self) -> float:
+        """Achieved redundancy of the VT-style tandem construction at its best residues."""
+        return self.n * math.log2(self.q) - math.log2(self.c1_cardinality)
+
+    @property
+    def c2_redundancy(self) -> float:
+        """The run-profile palindromic construction guarantee log2(n) + log2(10)."""
+        return math.log2(self.n) + math.log2(10)
+
+    @property
+    def burst_redundancy(self) -> float:
+        """The reference burst-insertion redundancy log2(n) + log2(log2(n)) + 1;
+        nan below n = 2, where it is undefined."""
+        if self.n < 2:
+            return float("nan")
+        return math.log2(self.n) + math.log2(math.log2(self.n)) + 1
+
 
 def bound_report(n: int, ell: int, q: int) -> BoundReport:
-    """Assemble the single-error (t = 1) bound report for (n, ell, q).
+    """The single-error (t = 1) comparison row for (n, ell, q), read off the
+    one gap table T_n (`transform._gap_table`).
 
     The bound is the total weight of the explicit transversal over the
-    deletion hypergraph's actual vertex set: words of length n - i*ell only
-    exist as vertices when a chain of i deletions can reach them, i.e. when
-    n >= (i+1)*ell, so shorter-length terms drop out on degenerate
-    instances. It reads the gap tables of n and n - ell (`_gap_tables`).
+    deletion hypergraph's actual vertex set: words of length n - ell are
+    vertices only when a deletion reaches them, n >= 2 ell. Their histogram
+    reads the view T_n[: n - 2 ell + 1, 1:], which is T_{n-ell}
+    (`docs/decisions.md` D16). Refuses (ValueError) q < 2, ell < 1, n < 0
+    and ell > n.
     """
-    return _bound_report(n, ell, q, _gap_tables([n], ell, q))
-
-
-def _gap_tables(n_values, ell: int, q: int) -> dict[int, np.ndarray]:
-    """The gap table (`transform._gap_table`) of every length that the
-    reports of n_values read, once each: n, and n - ell when n >= 2 ell."""
-    lengths = {*n_values, *(n - ell for n in n_values if n >= 2 * ell)}
-    return {length: _gap_table(length, ell, q) for length in lengths}
-
-
-def _bound_report(n: int, ell: int, q: int, tables: dict[int, np.ndarray]) -> BoundReport:
-    """`bound_report` from the gap tables `_gap_tables` holds for n."""
-    t = 1
-    hist = _deletion_histogram(tables[n - t * ell], n - t * ell, ell, q) if n >= (t + 1) * ell else {}
-    bound = Fraction(_irreducible_count(tables[n], n, ell, q) + hist.get(0, 0))
+    table = _gap_table(n, ell, q)  # refuses q < 2, ell < 1 and n < 0
+    _, c1_cardinality = _c1_best_params(n, ell, q, table)  # refuses ell > n
+    hist = _deletion_histogram(table[: n - 2 * ell + 1, 1:], n - ell, ell, q) if n >= 2 * ell else {}
+    bound = Fraction(_irreducible_count(table, n, ell, q) + hist.get(0, 0))
     for i, cnt in hist.items():
         if i >= 1:
             bound += Fraction(cnt, i)
-    return BoundReport(n, ell, q, t, hist, bound)
+    return BoundReport(n, ell, q, 1, hist, bound, c1_cardinality)
 
 
 def gsp_bound_tandem(n: int, ell: int, q: int) -> Fraction:
@@ -450,52 +462,18 @@ def exact_optimum(
     """Size of the largest t-error-correcting code of length n for the given
     error family, by exact maximum independent set over the conflict graph
     (edges join words whose radius-t balls intersect, `conflict_edges`)."""
-    if t == 0:
-        return require_enumerable(n, q, limit)
     rows = all_words(n, q, limit=limit)
     return _max_independent_set(len(rows), *conflict_edges(rows, ErrorKind(family, ell), t, q))
 
 
-@dataclass(frozen=True)
-class RedundancyRow:
-    """One row of the redundancy comparison table (redundancy columns in bits)."""
-
-    n: int
-    report: BoundReport  # the sphere-packing bound and its lower bound on redundancy
-    c1_redundancy: float
-    c2_redundancy: float
-    burst_redundancy: float
-
-
-def redundancy_table(n_values, ell: int, q: int) -> list[RedundancyRow]:
-    """Redundancy comparison per length n: the sphere-packing lower bound,
-    the achieved redundancy of the VT-style tandem construction at its best
-    residues, the run-profile palindromic construction guarantee
-    log2(n) + log2(10), and the reference burst-insertion redundancy
-    log2(n) + log2(log2(n)) + 1.
+def redundancy_table(n_values, ell: int, q: int) -> list[BoundReport]:
+    """The redundancy comparison row (`bound_report`) of every length in
+    n_values, in order: the sphere-packing lower bound, the achieved
+    redundancy of the VT-style tandem construction at its best residues,
+    the run-profile palindromic construction guarantee and the reference
+    burst-insertion redundancy.
 
     Every column is exact counting or a closed form; no word space is read,
-    so no q^n guard applies (`docs/decisions.md`, D8). The c1 cardinality
-    comes from `codes.c1_best_params`. Each length's gap table is built
-    once per call and read by every count that needs it: the irreducible
-    count and the c1 residue counts of row n, and the deletion histogram of
-    row n + ell (D13)."""
-    n_values = list(n_values)
-    tables = _gap_tables(n_values, ell, q)
-    rows = []
-    for n in n_values:
-        report = _bound_report(n, ell, q, tables)
-        _, cardinality = _c1_best_params(n, ell, q, tables[n])
-        c1_red = n * math.log2(q) - math.log2(cardinality)
-        c2_red = math.log2(n) + math.log2(10)
-        burst = math.log2(n) + math.log2(math.log2(n)) + 1 if n >= 2 else float("nan")
-        rows.append(
-            RedundancyRow(
-                n=n,
-                report=report,
-                c1_redundancy=c1_red,
-                c2_redundancy=c2_red,
-                burst_redundancy=burst,
-            )
-        )
-    return rows
+    so no q^n guard applies (`docs/decisions.md`, D8). Each row builds one
+    gap table (D16)."""
+    return [bound_report(n, ell, q) for n in n_values]

@@ -191,11 +191,11 @@ def cmd_bound(args) -> tuple[int, list[dict]]:
         raise Refused(exc) from None
     print(f"{'n':>4} {'bound':>14} {'gsp_lb':>10} {'c1_red':>10} {'c2_red':>10} {'burst':>10}")
     rows = []
-    for red in table:
-        report, burst = red.report, red.burst_redundancy
+    for report in table:
+        c1, c2, burst = report.c1_redundancy, report.c2_redundancy, report.burst_redundancy
         print(
-            f"{red.n:>4} {_fraction_str(report.bound):>14} {report.redundancy_lb_bits:>10.6g} "
-            f"{red.c1_redundancy:>10.6g} {red.c2_redundancy:>10.6g} {burst:>10.6g}"
+            f"{report.n:>4} {_fraction_str(report.bound):>14} {report.redundancy_lb_bits:>10.6g} "
+            f"{c1:>10.6g} {c2:>10.6g} {burst:>10.6g}"
         )
         rows.append(
             {
@@ -209,8 +209,8 @@ def cmd_bound(args) -> tuple[int, list[dict]]:
                 "redundancy_lb_bits_raw": _f6(report.redundancy_lb_bits_raw),
                 "histogram": {str(k): v for k, v in sorted(report.histogram.items())},
                 "bound": _fraction_str(report.bound),
-                "c1_redundancy_bits": _f6(red.c1_redundancy),
-                "c2_redundancy_bits": _f6(red.c2_redundancy),
+                "c1_redundancy_bits": _f6(c1),
+                "c2_redundancy_bits": _f6(c2),
                 # undefined below n = 2: nan on stdout, null in JSON, an empty CSV cell
                 "burst_redundancy_bits": None if math.isnan(burst) else _f6(burst),
             }
@@ -475,7 +475,8 @@ def main(argv=None) -> int:
     """Run one subcommand. Each cmd_* prints its report and returns (status,
     machine rows); --out is written only when it ran, with status 0 (all
     checks passed) or 1 (a check or trial failed). Every refusal ends here
-    as one stderr line and status 2."""
+    as one stderr line and status 2, and so does running out of memory
+    where --force lifts the guard."""
     args = build_parser().parse_args(argv)
     try:
         if args.out:
@@ -488,6 +489,8 @@ def main(argv=None) -> int:
         print(f"refused: {exc}", file=sys.stderr)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"refused: out of memory: {exc}", file=sys.stderr)
     except OSError as exc:
         if args.out is None or exc.filename != args.out:
             raise

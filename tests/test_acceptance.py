@@ -493,9 +493,9 @@ def test_criterion_10_redundancy_table():
                 bad.append(("c2", ell, row.n))
             if row.burst_redundancy != math.log2(row.n) + math.log2(math.log2(row.n)) + 1:
                 bad.append(("burst", ell, row.n))
-            if row.report.redundancy_lb_bits < 0:
+            if row.redundancy_lb_bits < 0:
                 bad.append(("clamp", ell, row.n))
-            if row.report.redundancy_lb_bits > row.c1_redundancy + 1e-12:
-                bad.append(("consistency", ell, row.n, row.report.redundancy_lb_bits, row.c1_redundancy))
+            if row.redundancy_lb_bits > row.c1_redundancy + 1e-12:
+                bad.append(("consistency", ell, row.n, row.redundancy_lb_bits, row.c1_redundancy))
     _report("criterion 10: redundancy table columns and bound consistency", not bad)
     assert not bad, bad

@@ -108,6 +108,19 @@ def test_exact_optimum_examples():
         exact_optimum(30, 1, 1, 4)
 
 
+@pytest.mark.parametrize("family", [channel.TANDEM_DUP, channel.TANDEM_DEL, channel.PAL_DUP, channel.PAL_DEL])
+def test_exact_optimum_corrects_no_error_with_the_whole_space(family):
+    """At t = 0 no ball reaches past its centre, so the conflict graph has no
+    edge and every word is a codeword; the guard refuses with its own text."""
+    for q, n_max in ((2, 7), (3, 4)):
+        for n in range(n_max + 1):
+            for ell in (1, 2, 3):
+                assert exact_optimum(n, ell, 0, q, family) == q**n, (family, q, n, ell)
+    text = r"^instance too large: q\^n = 4\^30 = 1152921504606846976 words exceeds the guard 1048576$"
+    with pytest.raises(ValueError, match=text):
+        exact_optimum(30, 1, 0, 4, family)
+
+
 @pytest.mark.parametrize("check", [exact_optimum, transversal_check])
 def test_bound_checks_refuse_with_the_enumeration_guard_text(check):
     text = r"^instance too large: q\^n = 4\^30 = 1152921504606846976 words exceeds the guard 1048576$"
@@ -149,9 +162,9 @@ def test_redundancy_table_columns():
     for row in rows:
         assert row.c2_redundancy == math.log2(row.n) + math.log2(10)
         assert row.burst_redundancy == math.log2(row.n) + math.log2(math.log2(row.n)) + 1
-        assert row.report.redundancy_lb_bits >= 0
-        assert row.report.redundancy_lb_bits <= row.c1_redundancy
+        assert row.redundancy_lb_bits >= 0
+        assert row.redundancy_lb_bits <= row.c1_redundancy
     assert rows[2].burst_redundancy == 7  # 4 + 2 + 1 at n = 16
     clamped = redundancy_table([2], 1, 2)[0]
-    assert clamped.report.redundancy_lb_bits == 0
-    assert clamped.report.redundancy_lb_bits_raw == 0  # bound 4 = 2^2 exactly
+    assert clamped.redundancy_lb_bits == 0
+    assert clamped.redundancy_lb_bits_raw == 0  # bound 4 = 2^2 exactly

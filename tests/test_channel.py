@@ -390,3 +390,24 @@ def test_sample_single_error_duplications_follow_the_position_list():
                     p = positions[slow.randrange(len(positions))]
                     assert sample_single_error(x, kind, fast) == (apply_error(x, kind, p), p)
         assert fast.getstate() == slow.getstate()
+
+
+def test_sample_single_error_deletions_draw_from_the_position_list():
+    """A deletion takes its position from `deletion_positions` with one
+    `rng.randrange` call and applies it with `apply_error`; a word where no
+    deletion of the kind applies is refused and draws nothing."""
+    kinds = [tandem_del(ell) for ell in (1, 2)] + [pal_del(ell) for ell in (1, 2)]
+    words = [word(s, 3) for s in ((0,), (0, 1, 2), (1, 1, 0), (0, 1, 0, 1), (2, 1, 1, 2, 2, 0), (0, 1, 2, 2, 1, 0, 0, 1))]
+    for seed in range(3):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            for kind in kinds:
+                for x in words:
+                    positions = deletion_positions(x, kind)
+                    if not positions:
+                        with pytest.raises(ValueError, match="no position"):
+                            sample_single_error(x, kind, fast)
+                        continue
+                    p = positions[slow.randrange(len(positions))]
+                    assert sample_single_error(x, kind, fast) == (apply_error(x, kind, p), p)
+        assert fast.getstate() == slow.getstate()

@@ -441,6 +441,58 @@ def test_verify_refuses_keys_wider_than_int64(monkeypatch, capsys):
     assert err.startswith("refused: ") and "int64" in err and err.count("\n") == 1
 
 
+GUARDED_RUNS = [
+    ("verify", "--code", "cpf", "--n", "6", "--q", "2"),
+    ("simulate", "--code", "cpf", "--n", "6", "--q", "2", "--trials", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", GUARDED_RUNS, ids=["verify", "simulate"])
+def test_running_out_of_memory_is_refused(monkeypatch, tmp_path, capsys, argv):
+    """A codebook that --force lets past what memory holds ends in one
+    `refused:` line carrying the allocator's text, exit 2 and no --out. The
+    codebook route raises numpy's text here: whether a real huge request
+    fails at once depends on how the machine overcommits memory."""
+    text = "Unable to allocate 40.0 TiB for an array with shape (1099511627776, 40) and data type int8"
+
+    def exhausted(n, q, limit):
+        raise MemoryError(text)
+
+    monkeypatch.setattr(codes, "cpf_codebook_rows", exhausted)
+    out_path = tmp_path / "rows.json"
+    code, out, err = run_cli(capsys, *argv, "--force", "--out", str(out_path))
+    assert code == 2
+    assert err == f"refused: out of memory: {text}\n"
+    assert "Traceback" not in out + err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", GUARDED_RUNS, ids=["verify", "simulate"])
+def test_an_os_error_not_about_out_propagates(monkeypatch, tmp_path, capsys, argv):
+    """Only a failure to write --out is an input refusal; any other OSError
+    is a fault of the run and leaves `main` as it is, with no --out."""
+
+    def unreadable(n, q, limit):
+        raise OSError(5, "Input/output error", str(tmp_path / "elsewhere"))
+
+    monkeypatch.setattr(codes, "cpf_codebook_rows", unreadable)
+    out_path = tmp_path / "rows.json"
+    for extra in ((), ("--out", str(out_path))):
+        with pytest.raises(OSError, match="Input/output error"):
+            main([*argv, *extra])
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_a_codebook_past_the_array_size_limit_is_refused(capsys, command):
+    """--force lifts the guard to sys.maxsize words, and 2^62 words of 62
+    symbols pass it; numpy refuses that array's size before allocating
+    anything, and the codebook refusal turns that into one `refused:` line."""
+    code, out, err = run_cli(capsys, command, "--code", "cpf", "--n", "62", "--q", "2", "--force")
+    assert code == 2
+    assert err.startswith("refused: array is too big") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "args,decoder",
     [

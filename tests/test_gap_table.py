@@ -1,5 +1,5 @@
 """The tandem counts that read the gap table against the paper's formulas,
-and the table reuse of `redundancy_table`.
+and the one table that each `redundancy_table` row builds.
 
 `transform._gap_table` holds every tandem count (`docs/decisions.md`, D9):
 the run-length-limited counts, the irreducible count, the deletion sphere
@@ -13,7 +13,6 @@ import math
 import os
 import subprocess
 import sys
-from collections import Counter
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -171,6 +170,7 @@ def test_the_table_is_exact_past_int64():
         (c1_size_lower_bound, (5, 1, 1), "q must be >= 2"),
         (c1_size_lower_bound, (2, 3, 2), "ell exceeds word length"),
         (c1_best_params, (2, 3, 2), "ell exceeds word length"),
+        (bound_report, (2, 3, 2), "ell exceeds word length"),
     ],
 )
 def test_tandem_counts_refuse_invalid_arguments(count, args, message):
@@ -197,16 +197,16 @@ def test_codes_imports_without_bounds():
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_redundancy_table_equals_its_rows_counted_one_by_one(q, ell):
-    """The shared gap tables give every row the report and c1 cardinality
-    that the public counts give it alone, over ranges, gapped, descending
-    and repeated lengths."""
+    """Every row is the report that `bound_report` gives its length alone,
+    with the c1 cardinality that `c1_best_params` counts, over ranges,
+    gapped, descending and repeated lengths."""
     for n_values in (range(ell, 22), [4, 6, 8], [9, 5, 7], [4, 4], [3 * ell, ell, 2 * ell, 3 * ell]):
         n_values = [n for n in n_values if n >= ell]
         rows = redundancy_table(n_values, ell, q)
         assert [row.n for row in rows] == n_values
         for row in rows:
             n = row.n
-            assert row.report == bound_report(n, ell, q), (q, ell, n)
+            assert row == bound_report(n, ell, q), (q, ell, n)
             cardinality = c1_best_params(n, ell, q)[1]
             assert row.c1_redundancy == n * math.log2(q) - math.log2(cardinality), (q, ell, n)
 
@@ -230,13 +230,13 @@ SWEEP_TABLES = ((2, 2, 2, 19), (3, 1, 1, 12), (4, 3, 3, 10))  # (q, l, n range) 
 
 @pytest.mark.parametrize(
     "tables,row_by_row,per_call",
-    [(SWEEP_TABLES, 108, 38), (((2, 2, 2, 64),), 187, 63)],
+    [(SWEEP_TABLES, 76, 38), (((2, 2, 2, 64),), 126, 63)],
     ids=["sweep", "q2-l2-n64"],
 )
 def test_redundancy_table_builds_one_gap_table_per_length(gap_table_builds, tables, row_by_row, per_call):
-    """A table builds each length of {n} and {n - l : n >= 2l} once, where
-    counting its rows one by one builds T_n twice and T_{n-l} once. A second
-    identical call builds them all again: no table outlives its call."""
+    """A table builds T_n once for each of its rows, in order, where counting
+    a row's bound and its c1 cardinality one by one builds T_n twice. A
+    second identical call builds them all again: no table outlives its call."""
     for q, ell, first, last in tables:
         for n in range(first, last + 1):
             bound_report(n, ell, q)
@@ -248,6 +248,34 @@ def test_redundancy_table_builds_one_gap_table_per_length(gap_table_builds, tabl
             before = len(gap_table_builds)
             n_values = range(first, last + 1)
             redundancy_table(n_values, ell, q)
-            expected = {*n_values, *(n - ell for n in n_values if n >= 2 * ell)}
-            assert Counter(gap_table_builds[before:]) == Counter(expected), (q, ell, repeat)
+            assert gap_table_builds[before:] == list(n_values), (q, ell, repeat)
         assert len(gap_table_builds) == per_call, repeat
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_a_bound_row_builds_one_gap_table(gap_table_builds, q):
+    """A lone report builds T_n alone, and a gapped, descending list builds
+    the table of each listed length once, none of n - l."""
+    bound_report(9, 1, q)
+    assert gap_table_builds == [9]
+    gap_table_builds.clear()
+    redundancy_table([9, 5, 7], 1, q)
+    assert gap_table_builds == [9, 5, 7]
+
+
+def test_the_gap_table_of_n_less_l_is_a_view_of_the_gap_table_of_n():
+    """T_{n-l} is T_n less its first column and its rows past n - 2l, in
+    values and shape: the view that the deletion histogram of a bound row
+    reads (`docs/decisions.md` D16). Where q^n passes int64 and q^(n-l) does
+    not, the view keeps T_n's object dtype, with the same values."""
+    for q in (2, 3, 4, 5):
+        for ell in range(1, 6):
+            for n in range(2 * ell, (44 if q == 2 else 29) + 1):
+                view, table = _gap_table(n, ell, q)[: n - 2 * ell + 1, 1:], _gap_table(n - ell, ell, q)
+                assert view.shape == table.shape, (q, ell, n)
+                assert view.tolist() == table.tolist(), (q, ell, n)
+    for ell in (1, 2, 3):
+        for n in range(60, 71):
+            view, table = _gap_table(n, ell, 2)[: n - 2 * ell + 1, 1:], _gap_table(n - ell, ell, 2)
+            assert view.shape == table.shape and view.dtype == (object if 2**n > np.iinfo(np.int64).max else np.int64), (ell, n)
+            assert view.tolist() == table.tolist(), (ell, n)
