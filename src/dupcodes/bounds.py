@@ -162,23 +162,28 @@ class BoundReport:
 
 def bound_report(n: int, ell: int, q: int) -> BoundReport:
     """The single-error (t = 1) comparison row for (n, ell, q), read off the
-    one gap table T_n (`transform._gap_table`).
-
-    The bound is the total weight of the explicit transversal over the
-    deletion hypergraph's actual vertex set: words of length n - ell are
-    vertices only when a deletion reaches them, n >= 2 ell. Their histogram
-    reads the view T_n[: n - 2 ell + 1, 1:], which is T_{n-ell}
-    (`docs/decisions.md` D16). Refuses (ValueError) q < 2, ell < 1, n < 0
-    and ell > n.
+    one gap table T_n (`transform._gap_table`). Refuses (ValueError) q < 2,
+    ell < 1, n < 0 and ell > n.
     """
     table = _gap_table(n, ell, q)  # refuses q < 2, ell < 1 and n < 0
     _, c1_cardinality = _c1_best_params(n, ell, q, table)  # refuses ell > n
+    hist, bound = _transversal_total(table, n, ell, q)
+    return BoundReport(n, ell, q, 1, hist, bound, c1_cardinality)
+
+
+def _transversal_total(table: np.ndarray, n: int, ell: int, q: int) -> tuple[dict[int, int], Fraction]:
+    """(histogram, bound) off the gap table T_n of (n, ell), n >= ell: the
+    total weight of the explicit transversal over the deletion hypergraph's
+    actual vertex set. Words of length n - ell are vertices only when a
+    deletion reaches them, n >= 2 ell; their histogram reads the view
+    T_n[: n - 2 ell + 1, 1:], which is T_{n-ell} (`docs/decisions.md` D16).
+    """
     hist = _deletion_histogram(table[: n - 2 * ell + 1, 1:], n - ell, ell, q) if n >= 2 * ell else {}
     bound = Fraction(_irreducible_count(table, n, ell, q) + hist.get(0, 0))
     for i, cnt in hist.items():
         if i >= 1:
             bound += Fraction(cnt, i)
-    return BoundReport(n, ell, q, 1, hist, bound, c1_cardinality)
+    return hist, bound
 
 
 def gsp_bound_tandem(n: int, ell: int, q: int) -> Fraction:
@@ -189,7 +194,7 @@ def gsp_bound_tandem(n: int, ell: int, q: int) -> Fraction:
     """
     if n < ell:
         raise ValueError("need n >= ell")
-    return bound_report(n, ell, q).bound
+    return _transversal_total(_gap_table(n, ell, q), n, ell, q)[1]
 
 
 _BLOCK_OUTCOMES = 1 << 18  # single-error outcomes error_incidence holds as keys at a time

@@ -15,7 +15,8 @@ scales this package targets.
 
 The batch routes act on a batch of words given as the (N, n) int8 rows the
 wordspace kernels produce: `duplication_rows` returns every single
-duplication as rows, and `error_keys` returns the keys of every
+duplication as rows (`duplication_columns`: the one at a given position),
+and `error_keys` returns the keys of every
 single-error outcome without building them, one tandem error per gap of
 the difference tail (`docs/decisions.md`, D11).
 
@@ -149,6 +150,19 @@ def error_positions(x: Word, kind: ErrorKind) -> list[int]:
     if kind.is_duplication:
         return list(range(len(x) - kind.ell + 1))
     return deletion_positions(x, kind)
+
+
+def duplication_columns(n: int, kind: ErrorKind) -> np.ndarray:
+    """(n - ell + 1, n + ell) index table: x[table[p]] is the word x of
+    length n duplicated at position p."""
+    if not kind.is_duplication:
+        raise ValueError("duplication_columns requires a duplication kind")
+    ell = kind.ell
+    j = np.arange(n + ell)
+    p = np.arange(max(0, n - ell + 1))[:, None]
+    block = j - p - ell  # 0..ell-1 in the copy
+    copy = p + (block if kind.is_tandem else ell - 1 - block)
+    return np.where(block < 0, j, np.where(block < ell, copy, j - ell))
 
 
 def duplication_rows(rows, kind: ErrorKind) -> tuple[np.ndarray, np.ndarray]:
@@ -315,28 +329,3 @@ def same_outcome_predicate(x: Word, y: Word, ell: int, i: int, j: int, kind: str
         and all(Y(i + j + ell - m) == Y(i + j + ell + 1 + m) for m in range(ell))
         and all(X(i + 2 * ell + 1 + m) == Y(i + ell + 1 + m) for m in range(j))
     )
-
-
-def sample_single_error(x: Word, kind: ErrorKind, rng) -> tuple[Word, int]:
-    """Apply one uniformly random error of the kind; returns (word, position).
-
-    Provided for channel simulation only. Raises ValueError when no position
-    admits the error. A duplication draws its position with the one
-    `rng.randrange` call that indexing `error_positions` would make, so a
-    seeded rng gives the same sequence. It then builds the word inline, a
-    measured fast path: going through `apply_error` cost about 0.15 µs more
-    per trial (1.47 -> 1.60 µs for a binary word of length 19, Python
-    3.11.7 on a 2-CPU machine).
-    """
-    if kind.is_duplication:
-        s, ell = x.symbols, kind.ell
-        if len(s) < ell:
-            raise ValueError(f"no position in {x} admits {kind}")
-        p = rng.randrange(len(s) - ell + 1)
-        block = s[p : p + ell] if kind.family == TANDEM_DUP else s[p : p + ell][::-1]
-        return _unchecked_word(s[: p + ell] + block + s[p + ell :], x.q), p
-    positions = error_positions(x, kind)
-    if not positions:
-        raise ValueError(f"no position in {x} admits {kind}")
-    p = positions[rng.randrange(len(positions))]
-    return apply_error(x, kind, p), p

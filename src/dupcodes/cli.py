@@ -363,24 +363,30 @@ def cmd_simulate(args) -> tuple[int, list[dict]]:
     if not len(book):
         raise ValueError("empty codebook")
     kinds = code.kinds
-    successes = 0
-    failure = None
-    for _ in range(args.trials):
-        c = _word_of_row(book[rng.randrange(len(book))], code.q)
-        kind = kinds[0] if len(kinds) == 1 else kinds[rng.randrange(len(kinds))]
-        y, p = channel.sample_single_error(c, kind, rng)
-        try:
-            got = code.decode(y)
-        except codes.DecodingFailure:
-            got = None
-        if got == c:
-            successes += 1
-        elif failure is None:
-            failure = (c, kind, p, y, got)
+    tables = [channel.duplication_columns(code.n, kind) for kind in kinds]
+    successes, failure = 0, None
+    for start in range(0, args.trials, codes._DECODE_ROWS):
+        draws = []  # per trial, as the Word loop drew: codeword, kind (when several), position
+        for _ in range(min(codes._DECODE_ROWS, args.trials - start)):
+            i = rng.randrange(len(book))
+            k = rng.randrange(len(kinds)) if len(kinds) > 1 else 0
+            draws.append((i, k, rng.randrange(len(tables[k]))))
+        index, kind_of, position = np.array(draws).T
+        sent = book[index]
+        decoded = np.empty_like(sent)
+        for k, table in enumerate(tables):
+            at = np.flatnonzero(kind_of == k)
+            decoded[at] = code.decode_rows(sent[at[:, None], table[position[at]]])
+        ok = (decoded == sent).all(axis=1)
+        successes += int(ok.sum())
+        if failure is None and not ok.all():
+            t = int(np.argmin(ok))
+            k, p = kind_of[t], position[t]
+            c, y, got = (format_word(_word_of_row(row, code.q)) for row in (sent[t], sent[t][tables[k][p]], decoded[t]))
+            failure = f"counterexample: codeword {c} kind {kinds[k]} p={p} -> {y} decoded {None if -1 in decoded[t] else got}"
     print(f"{successes}/{args.trials} decoded correctly (seed {args.seed})")
     if failure:
-        c, k, p, y, got = failure
-        print(f"counterexample: codeword {format_word(c)} kind {k} p={p} -> {format_word(y)} decoded {got}", file=sys.stderr)
+        print(failure, file=sys.stderr)
     row = {
         "code": args.code,
         "n": args.n,

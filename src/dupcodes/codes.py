@@ -30,18 +30,18 @@ the trunk (`docs/decisions.md`, D4).
 
 Each construction class offers one interface: `best(n, q, ell)` builds
 the code with the best parameters, `kinds` lists the error kinds it
-corrects, and `member(x)`, `decode(y)`, `codebook(limit)` and
-`codebook_rows(limit)` delegate to the module functions below, which stay
-the public API. `check_correction` and the CLI's simulation loop use
-nothing but this interface.
+corrects, and `member(x)`, `decode(y)`, `decode_rows(rows)` (int8 rows,
+-1 where `decode` raises), `codebook(limit)` and `codebook_rows(limit)`
+delegate to the module functions below, which stay the public API.
+`check_correction` and the CLI's simulation loop use nothing but this
+interface, and decode through `decode_rows`.
 
-Members and decoders read the syndrome in one pass over the symbol tuple
-(`_c1_syndrome`, `_c2_syndrome`, `_has_mirrored_pair`) and build a Word
-only for the word they return (`docs/decisions.md`, D5). The c1 and c2
-scans find the nonzero positions and run starts in C (`itertools.compress`
-over an `operator.ne` map). c1 and c2 scan only the received word: the
-syndrome of a c1 repair follows from D4 (D12), and that of a c2 cut from
-the run that holds it (D14). cpf scans each repaired candidate too.
+Members and the c1 and c2 decoders read the syndrome in one pass over the
+symbol tuple and build a Word only for the word they return
+(`docs/decisions.md`, D5), finding nonzero positions and run starts in C
+(`itertools.compress` over an `operator.ne` map). The syndrome of a c1
+repair follows from D4 (D12), and that of a c2 cut from the run that holds
+it (D14). cpf decodes rows (`cpf_decode_rows`, D17).
 
 `check_correction` verifies single-error correction on arrays: it takes a
 codebook as the int8 rows of the kernels, builds every single duplication
@@ -49,9 +49,9 @@ with `channel.duplication_rows`, and looks up the valid deletion outcome
 keys (`channel.error_keys`) of every received word among the sorted
 codebook keys (`oracle_verdicts`). That one lookup replaces the enumeration
 of `oracle_decode` and also decides ball disjointness: two balls intersect
-exactly when some received word reaches a second codeword. The scalar
-decoder runs once per distinct (code, received word) of a block, and its
-rows are compared with the owner rows as int8 arrays. `oracle_decode` and
+exactly when some received word reaches a second codeword. Each distinct
+received word is decoded once, and compared with the owner rows as int8
+rows. `oracle_decode` and
 `disjoint_ball_violation` stay as the Word-level routes that the tests
 compare the array route against.
 
@@ -77,7 +77,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import countOf, eq, mul, ne, sub
+from operator import countOf, mul, ne, sub
 
 import numpy as np
 
@@ -86,6 +86,7 @@ from .transform import _count_dtype, _gap_table, _tail_length
 from .words import Word, _unchecked_word, _word_of_row, _words_of_rows
 from .wordspace import (
     MAX_ENUMERABLE,
+    _columns,
     all_words,
     distinct,
     key_rows,
@@ -94,6 +95,7 @@ from .wordspace import (
     pal2_free_mask,
     require_enumerable,
     run_stats,
+    runs_start,
     signature_scan,
 )
 
@@ -159,6 +161,9 @@ class TandemVTCode:
 
     def decode(self, y: Word) -> Word:
         return c1_decode(y, self)
+
+    def decode_rows(self, rows) -> np.ndarray:
+        return _decoded_rows(self, rows)
 
     def codebook(self, limit: int = MAX_ENUMERABLE) -> list[Word]:
         return list(_words_of_rows(self.codebook_rows(limit), self.q))
@@ -328,6 +333,9 @@ class PalindromicL2Code:
 
     def decode(self, y: Word) -> Word:
         return c2_decode(y, self)
+
+    def decode_rows(self, rows) -> np.ndarray:
+        return _decoded_rows(self, rows)
 
     def codebook(self, limit: int = MAX_ENUMERABLE) -> list[Word]:
         return list(_words_of_rows(self.codebook_rows(limit), self.q))
@@ -575,6 +583,9 @@ class PalindromeFreeCode:
             raise ValueError(f"alphabet mismatch: word q={y.q}, code q={self.q}")
         return cpf_decode(y, self.n)
 
+    def decode_rows(self, rows) -> np.ndarray:
+        return cpf_decode_rows(rows, self.n)
+
     def codebook(self, limit: int = MAX_ENUMERABLE) -> list[Word]:
         return list(_words_of_rows(self.codebook_rows(limit), self.q))
 
@@ -593,34 +604,51 @@ def cpf_member(x: Word) -> bool:
     return not _has_mirrored_pair(x.symbols)
 
 
-def cpf_decode(y: Word, n: int) -> Word:
-    """Correct one palindromic duplication of length |y| - n >= 2.
+_CUT_ROWS = 2048  # rows cpf_decode_rows cuts at a time, which bounds its temporaries (D17)
 
-    Tries the deletion at every position where the window mirrors the block
-    (only a position with an equal centre pair can) and returns the unique
-    palindrome-free outcome. Length-1 duplications
-    are outside this code's error model: a word of length n + 1 raises
-    DecodingFailure.
-    """
-    s = y.symbols
-    ell = len(s) - n
-    if ell < 0:
-        raise DecodingFailure("decoding failure: received word shorter than the code length")
+
+def cpf_decode_rows(rows, n: int) -> np.ndarray:
+    """The unique palindrome-free preimage of each row of an (N, n + ell)
+    batch, one ell per call, as (N, n) rows of its dtype; a row of -1 where
+    there is none or several, or ell is 1 or negative (D17)."""
+    rows = np.asarray(rows)
+    decoded = np.empty((len(rows), max(0, n)), dtype=rows.dtype)
+    for start in range(0, len(rows), _CUT_ROWS):
+        decoded[start : start + _CUT_ROWS] = _cpf_decoded_block(rows[start : start + _CUT_ROWS], n)
+    return decoded
+
+
+def _cpf_decoded_block(rows: np.ndarray, n: int) -> np.ndarray:
+    """`cpf_decode_rows` on at most _CUT_ROWS rows."""
+    N, m = rows.shape
+    ell = m - n
+    decoded = np.full((N, max(0, n)), -1, dtype=rows.dtype)
     if ell == 0:
-        if not _has_mirrored_pair(s):
-            return y
-        raise DecodingFailure("decoding failure: received word is not palindrome-free")
-    if ell == 1:
-        raise DecodingFailure("decoding failure: duplication length 1 is outside this code's model (lengths 2..n)")
-    survivors: set[tuple[int, ...]] = set()
-    for p in compress(range(len(s) - 2 * ell + 1), map(eq, s[ell - 1 :], s[ell:])):  # equal centre pairs
-        if s[p + ell : p + 2 * ell] == s[p : p + ell][::-1]:  # the window mirrors the block
-            repaired = s[: p + ell] + s[p + 2 * ell :]
-            if not _has_mirrored_pair(repaired):
-                survivors.add(repaired)
-    if len(survivors) == 1:
-        return _unchecked_word(survivors.pop(), y.q)
-    raise DecodingFailure(f"decoding failure: {len(survivors)} palindrome-free preimages")
+        free = pal2_free_mask(rows)
+        decoded[free] = rows[free]
+    if ell < 2:
+        return decoded
+    P = max(0, n - ell + 1)
+    cols = _columns(rows)
+    mirrored = np.ones((P, N), dtype=np.bool_)
+    for j in range(ell):  # x[p+ell+j] == x[p+ell-1-j], for every p at once
+        mirrored &= cols[ell + j : ell + j + P] == cols[ell - 1 - j : ell - 1 - j + P]
+    at, row = np.nonzero(mirrored)  # (position, row), position by position
+    y = rows[row]
+    cuts = np.where(np.arange(n) < at[:, None] + ell, y[:, :n], y[:, ell:])  # x[:p+ell] + x[p+2ell:]
+    free = pal2_free_mask(cuts)
+    row, cuts = row[free], cuts[free]
+    decoded[row] = cuts  # any one cut per row; the row fails where another cut differs
+    decoded[row[(decoded[row] != cuts).any(axis=1)]] = -1
+    return decoded
+
+
+def cpf_decode(y: Word, n: int) -> Word:
+    """`cpf_decode_rows` on the one row of y."""
+    [x] = cpf_decode_rows(np.array(y.symbols, dtype=np.int64).reshape(1, -1), n).tolist()
+    if -1 in x or not n and y.symbols:  # n = 0: only the empty word decodes
+        raise DecodingFailure(f"decoding failure: no one palindrome-free preimage under a duplication of length {len(y) - n}")
+    return _unchecked_word(tuple(x), y.q)
 
 
 def cpf_count_recursive(n: int, q: int) -> int:
@@ -803,22 +831,20 @@ def oracle_verdicts(book_keys, order, group, received, owner, kind: ErrorKind, g
 
 
 _BLOCK_ROWS = 1 << 15  # received words that check_correction holds as rows at a time
-_DECODE_ROWS = 256  # distinct received words that check_correction decodes at a time
+_DECODE_ROWS = 256  # rows _decoded_rows converts, and simulate decodes, at a time
 
 
-def _decoded_rows(group_codes, groups, rows, n: int) -> np.ndarray:
-    """What the decoder of group_codes[groups[i]] returns for each received
-    row i, as int8 rows of length n: a row of -1, which no codeword equals,
-    where it raises DecodingFailure or returns no word of length n over Z_q.
-    Converts _DECODE_ROWS rows to Python lists at a time."""
-    q = group_codes[0].q
+def _decoded_rows(code, rows) -> np.ndarray:
+    """`code.decode` of each row, one Word at a time (c1 and c2), as (N, n)
+    int8 rows; -1 where it raises or gives no word of length n over Z_q."""
+    q, n = code.q, code.n
     failed = (-1,) * n
     decoded = np.empty((len(rows), n), dtype=np.int8)
     for start in range(0, len(rows), _DECODE_ROWS):
         chunk = []
-        for g, y in zip(groups[start : start + _DECODE_ROWS].tolist(), rows[start : start + _DECODE_ROWS].tolist()):
+        for y in rows[start : start + _DECODE_ROWS].tolist():
             try:
-                x = group_codes[g].decode(_unchecked_word(tuple(y), q))
+                x = code.decode(_unchecked_word(tuple(y), q))
             except DecodingFailure:
                 x = None
             chunk.append(x.symbols if x is not None and x.q == q and len(x) == n else failed)
@@ -843,9 +869,8 @@ def check_correction(group_codes, book, group=None) -> list[tuple[ErrorKind, dic
 
     The codebook keys are packed and sorted once. Received words are built,
     looked up and decoded one block of codewords (about _BLOCK_ROWS
-    received words) at a time, and their distinct words are decoded
-    _DECODE_ROWS at a time; only per-group counts and clashes outlive a
-    block.
+    received words) at a time, each code's distinct words in one
+    `decode_rows` call; only per-group counts and clashes outlive a block.
     """
     q = group_codes[0].q
     if group is None:
@@ -867,7 +892,11 @@ def check_correction(group_codes, book, group=None) -> list[tuple[ErrorKind, dic
             # each distinct (code, received word) is decoded once; decoding before the lookup,
             # with the decoded rows freed before it, keeps verify's peak RSS down (D12)
             _, distinct_at, word_of = index
-            decoded = _decoded_rows(group_codes, group[owner[distinct_at]], received[distinct_at], book.shape[1])
+            groups = group[owner[distinct_at]]  # in key order: one run per code
+            decoded = np.empty((len(distinct_at), book.shape[1]), dtype=np.int8)
+            edges = np.append(np.flatnonzero(runs_start(groups)), len(groups)).tolist()
+            for lo, hi in zip(edges, edges[1:]):
+                decoded[lo:hi] = group_codes[groups[lo]].decode_rows(received[distinct_at[lo:hi]])
             recovered = (decoded[word_of] == book[owner]).all(axis=1)
             del decoded
             verdicts, clashes = oracle_verdicts(book_keys, order, group, received, owner, kind, group_codes, index)

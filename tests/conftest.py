@@ -12,14 +12,21 @@ profile. It is the reference that `codes._c2_syndrome` and
 rows. It is the reference that `channel.error_keys` and
 `bounds.error_incidence` are held to, and `tests/test_channel.py` holds it
 to `channel.apply_error` over every word at small sizes.
+
+`sample_single_error` is simulate's trial on the Word route, one error at a
+time: the reference for the order of its random draws. `cpf_decode_scalar`
+is the palindrome-free decoder on one symbol tuple, the differential
+oracle of `codes.cpf_decode_rows`.
 """
 
-from itertools import product
+from itertools import compress, product
+from operator import eq
 
 import numpy as np
 
-from dupcodes.channel import ErrorKind
-from dupcodes.words import Word
+from dupcodes.channel import TANDEM_DUP, ErrorKind, apply_error, error_positions
+from dupcodes.codes import DecodingFailure
+from dupcodes.words import Word, _unchecked_word
 
 
 def words_of(n: int, q: int):
@@ -80,3 +87,56 @@ def deletion_rows(rows, kind: ErrorKind) -> tuple[np.ndarray, np.ndarray]:
         outcomes[at, : p + ell] = kept[:, : p + ell]
         outcomes[at, p + ell :] = kept[:, p + 2 * ell :]
     return outcomes, source
+
+
+def sample_single_error(x: Word, kind: ErrorKind, rng) -> tuple[Word, int]:
+    """Apply one uniformly random error of the kind; returns (word, position).
+
+    Raises ValueError when no position admits the error. A duplication draws
+    its position with the one `rng.randrange(len(x) - ell + 1)` call that
+    indexing `error_positions` would make, so a seeded rng gives the same
+    sequence; a deletion draws an index into `error_positions`.
+    """
+    if kind.is_duplication:
+        s, ell = x.symbols, kind.ell
+        if len(s) < ell:
+            raise ValueError(f"no position in {x} admits {kind}")
+        p = rng.randrange(len(s) - ell + 1)
+        block = s[p : p + ell] if kind.family == TANDEM_DUP else s[p : p + ell][::-1]
+        return _unchecked_word(s[: p + ell] + block + s[p + ell :], x.q), p
+    positions = error_positions(x, kind)
+    if not positions:
+        raise ValueError(f"no position in {x} admits {kind}")
+    p = positions[rng.randrange(len(positions))]
+    return apply_error(x, kind, p), p
+
+
+def _has_mirrored_pair(s) -> bool:
+    return any(s[p + 1] == s[p + 2] and s[p] == s[p + 3] for p in range(len(s) - 3))
+
+
+def cpf_decode_scalar(y: Word, n: int) -> Word:
+    """The palindrome-free decoder one Word at a time: try the deletion at
+    every position where the window mirrors the block (only a position with
+    an equal centre pair can) and return the unique palindrome-free outcome.
+    A word of length n passes when it is palindrome-free; any other length
+    outside n+2..2n raises DecodingFailure."""
+    s = y.symbols
+    ell = len(s) - n
+    if ell < 0:
+        raise DecodingFailure("decoding failure: received word shorter than the code length")
+    if ell == 0:
+        if not _has_mirrored_pair(s):
+            return y
+        raise DecodingFailure("decoding failure: received word is not palindrome-free")
+    if ell == 1:
+        raise DecodingFailure("decoding failure: duplication length 1 is outside this code's model (lengths 2..n)")
+    survivors = set()
+    for p in compress(range(len(s) - 2 * ell + 1), map(eq, s[ell - 1 :], s[ell:])):  # equal centre pairs
+        if s[p + ell : p + 2 * ell] == s[p : p + ell][::-1]:  # the window mirrors the block
+            repaired = s[: p + ell] + s[p + 2 * ell :]
+            if not _has_mirrored_pair(repaired):
+                survivors.add(repaired)
+    if len(survivors) == 1:
+        return _unchecked_word(survivors.pop(), y.q)
+    raise DecodingFailure(f"decoding failure: {len(survivors)} palindrome-free preimages")

@@ -18,6 +18,8 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from dupcodes import channel
 from dupcodes.bounds import (
     deletion_histogram,
@@ -49,7 +51,6 @@ from dupcodes.codes import (
     c2_member,
     cpf_count_closed,
     cpf_count_recursive,
-    cpf_decode,
     cpf_lambda,
     cpf_member,
     cpf_rate,
@@ -329,15 +330,18 @@ def test_criterion_08_construction3_counting_and_decoder():
                 bad.append(("closed", q, n))
     for q in (2, 3):
         for n in range(1, 10):
-            book = PalindromeFreeCode(n, q).codebook()
+            code = PalindromeFreeCode(n, q)
+            book = code.codebook()
             for ell in range(2, n + 1):
                 if disjoint_ball_violation(book, pal_dup(ell), 1) is not None:
                     bad.append(("balls", q, n, ell))
                     continue
-                for c in book:
-                    for p in range(n - ell + 1):
-                        if cpf_decode(palindromic_duplicate(c, ell, p), n) != c:
-                            bad.append(("decode", q, n, ell, c, p))
+                # the received words on the Word route, decoded in one call per (q, n, ell)
+                sent = [(c, p) for c in book for p in range(n - ell + 1)]
+                received = np.array([palindromic_duplicate(c, ell, p).symbols for c, p in sent], dtype=np.int8)
+                for (c, p), got in zip(sent, code.decode_rows(received).tolist()):
+                    if tuple(got) != c.symbols:
+                        bad.append(("decode", q, n, ell, c, p))
     _report("criterion 8: palindrome-free counting and decoder (n<=9)", not bad)
     assert not bad, bad[:5]
 

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from dupcodes import channel
+from dupcodes import channel, codes
 from dupcodes.bounds import (
+    bound_report,
     deletion_histogram,
     exact_optimum,
     gsp_bound_tandem,
@@ -90,6 +91,28 @@ def test_gsp_bound_equals_brute_transversal_sum():
             elif len(v) == n - ell:
                 total += Fraction(1, size)
         assert gsp_bound_tandem(n, ell, q) == total, (n, ell, q)
+
+
+def test_gsp_bound_equals_the_bound_report_row():
+    """The bound alone and the bound of the whole `bound` row agree."""
+    for q in (2, 3, 4):
+        for ell in (1, 2, 3):
+            for n in range(ell, 25 if q == 2 else 13):
+                assert gsp_bound_tandem(n, ell, q) == bound_report(n, ell, q).bound, (n, ell, q)
+
+
+def test_gsp_bound_counts_no_c1_residues(monkeypatch):
+    """The bound reads the gap table only: the c1 residue count that a
+    `bound` row carries is never made."""
+
+    def no_count(*_):
+        raise AssertionError("gsp_bound_tandem counted c1 residues")
+
+    expected = bound_report(12, 2, 2).bound
+    monkeypatch.setattr(codes, "_c1_counts", no_count)
+    assert gsp_bound_tandem(12, 2, 2) == expected
+    with pytest.raises(AssertionError, match="counted c1 residues"):
+        bound_report(12, 2, 2)
 
 
 def test_transversal_check_examples():

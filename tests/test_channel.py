@@ -9,6 +9,7 @@ from dupcodes.channel import (
     ball_intersection,
     balls_intersect,
     deletion_positions,
+    duplication_columns,
     duplication_rows,
     error_ball,
     error_keys,
@@ -19,7 +20,6 @@ from dupcodes.channel import (
     palindromic_delete,
     palindromic_duplicate,
     same_outcome_predicate,
-    sample_single_error,
     tandem_del,
     tandem_delete,
     tandem_dup,
@@ -28,7 +28,7 @@ from dupcodes.channel import (
 from dupcodes.words import parse_word, word
 from dupcodes.wordspace import all_words, packed_keys, signature_scan
 
-from conftest import deletion_rows, words_of
+from conftest import deletion_rows, sample_single_error, words_of
 
 
 X = word((1, 1, 1, 1, 0, 2, 2, 0), 3)
@@ -305,8 +305,23 @@ def test_batch_twins_refuse_the_other_direction():
     rows = np.zeros((2, 4), dtype=np.int8)
     with pytest.raises(ValueError, match="duplication kind"):
         duplication_rows(rows, tandem_del(1))
+    with pytest.raises(ValueError, match="duplication kind"):
+        duplication_columns(4, pal_del(1))
     with pytest.raises(ValueError, match="deletion kind"):
         deletion_rows(rows, pal_dup(2))
+
+
+@pytest.mark.parametrize("kind", [tandem_dup(1), tandem_dup(3), pal_dup(1), pal_dup(2), pal_dup(4)], ids=str)
+def test_duplication_columns_read_the_duplicated_word(kind):
+    """Row p of the table reads the duplication at p from the word: one row
+    per position of `error_positions`, none when the block does not fit."""
+    for n in range(0, 7):
+        table = duplication_columns(n, kind)
+        assert table.shape == (max(0, n - kind.ell + 1), n + kind.ell)
+        for x in words_of(n, 3):
+            assert [tuple(np.array(x.symbols, dtype=np.int64)[row].tolist()) for row in table] == [
+                apply_error(x, kind, p).symbols for p in error_positions(x, kind)
+            ]
 
 
 def keys_by_row(key, source, N):

@@ -3,6 +3,7 @@ import csv
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,16 +16,26 @@ from dupcodes import codes, formulas
 from dupcodes.bounds import bound_report
 from dupcodes.channel import error_ball, tandem_dup
 from dupcodes.cli import main
-from dupcodes.words import Word, parse_word
+from dupcodes.words import Word, format_word, parse_word
 from dupcodes.wordspace import all_words
 
-from conftest import words_of
+from conftest import cpf_decode_scalar, sample_single_error, words_of
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def fail(*_):
+    """A Word decoder that fails everywhere."""
+    raise codes.DecodingFailure("decoding failure: injected")
+
+
+def no_rows(rows, n):
+    """A row decoder that fails everywhere: a row of -1 for every row."""
+    return np.full((len(rows), n), -1, dtype=np.int8)
 
 
 def test_sphere_pal_dup_example(capsys):
@@ -376,17 +387,15 @@ def test_verify_cpf_claims_the_closed_form_only_where_it_runs(capsys, n, report)
         (("--code", "c1", "--n", "6", "--l", "2", "--q", "2"), "oracle_verdicts"),
         (("--code", "c2", "--n", "6", "--q", "2"), "c2_decode"),
         (("--code", "c2", "--n", "6", "--q", "2"), "oracle_verdicts"),
-        (("--code", "cpf", "--n", "6", "--q", "2"), "cpf_decode"),
+        (("--code", "cpf", "--n", "6", "--q", "2"), "cpf_decode_rows"),
     ],
 )
 def test_verify_counts_decoding_failure_as_broken(monkeypatch, capsys, args, decoder):
-    def fail(*_):
-        raise codes.DecodingFailure("decoding failure: injected")
-
     def oracle_rejects_every_row(book_keys, order, group, received, *_):
         return np.zeros(len(received), dtype=bool), {}
 
-    monkeypatch.setattr(codes, decoder, oracle_rejects_every_row if decoder == "oracle_verdicts" else fail)
+    doubles = {"oracle_verdicts": oracle_rejects_every_row, "cpf_decode_rows": no_rows}
+    monkeypatch.setattr(codes, decoder, doubles.get(decoder, fail))
     code, out, _ = run_cli(capsys, "verify", *args)
     assert code == 1
     lines = out.splitlines()
@@ -398,19 +407,15 @@ def test_verify_counts_decoding_failure_as_broken(monkeypatch, capsys, args, dec
     "args,decoder,report",
     [
         (("--code", "c2", "--n", "6", "--q", "2"), "c2_decode", "FAIL {groups} parameter pairs with broken correction"),
-        (("--code", "cpf", "--n", "6", "--q", "2"), "cpf_decode", "FAIL 5 duplication lengths with broken correction"),
+        (("--code", "cpf", "--n", "6", "--q", "2"), "cpf_decode_rows", "FAIL 5 duplication lengths with broken correction"),
     ],
     ids=["c2", "cpf"],
 )
 def test_verify_failure_counts_parameter_pairs_and_lengths(monkeypatch, capsys, args, decoder, report):
     """A decoder that fails everywhere breaks every (a, b) group that exists
     at n=6, and each duplication length 2..6 of cpf, once."""
-
-    def fail(*_):
-        raise codes.DecodingFailure("decoding failure: injected")
-
     groups = len(codes.c2_groups(6)[0])
-    monkeypatch.setattr(codes, decoder, fail)
+    monkeypatch.setattr(codes, decoder, no_rows if decoder == "cpf_decode_rows" else fail)
     code, out, _ = run_cli(capsys, "verify", *args)
     assert code == 1
     assert report.format(groups=groups) in out.splitlines()
@@ -498,31 +503,39 @@ def test_a_codebook_past_the_array_size_limit_is_refused(capsys, command):
     [
         (("--code", "c1", "--n", "8", "--l", "1", "--q", "2"), "c1_decode"),
         (("--code", "c2", "--n", "9", "--q", "2"), "c2_decode"),
-        (("--code", "cpf", "--n", "8", "--q", "3"), "cpf_decode"),
+        (("--code", "cpf", "--n", "8", "--q", "3"), "cpf_decode_rows"),
     ],
     ids=["c1", "c2", "cpf"],
 )
 def test_simulate_counts_decoding_failure_as_a_failed_trial(monkeypatch, capsys, args, decoder):
     """simulate reaches each decoder through its module-level name: a decoder
-    that always fails loses every trial that had an error to correct."""
+    that always fails loses every trial that had an error to correct. The
+    row decoder sees each trial's received row once."""
+    decoded = []
 
-    def fail(*_):
-        raise codes.DecodingFailure("decoding failure: injected")
+    def counted_no_rows(rows, n):
+        decoded.extend(rows.tolist())
+        return no_rows(rows, n)
 
-    monkeypatch.setattr(codes, decoder, fail)
+    monkeypatch.setattr(codes, decoder, counted_no_rows if decoder == "cpf_decode_rows" else fail)
     code, out, err = run_cli(capsys, "simulate", *args, "--trials", "30", "--seed", "7")
     assert code == 1
     successes, trials = out.split()[0].split("/")
     assert int(trials) == 30 and int(successes) < 30
-    assert err.startswith("counterexample: ")
+    assert err.startswith("counterexample: ") and err.endswith(" decoded None\n")
+    assert len(decoded) == (30 if decoder == "cpf_decode_rows" else 0)
 
 
 def wrong_word(y, code):
     """The benchmark self-test's wrong decoder: a constant word of the code's
     length that never equals the codeword, whose first symbol every error
-    keeps. cpf_decode takes the code length itself."""
-    n = code if isinstance(code, int) else code.n
-    return Word((0,) * n, y.q) if y.symbols[0] else Word((1,) * n, y.q)
+    keeps."""
+    return Word((0,) * code.n, y.q) if y.symbols[0] else Word((1,) * code.n, y.q)
+
+
+def wrong_rows(rows, n):
+    """`wrong_word` on every row of a batch: the row decoder's wrong answer."""
+    return np.where(rows[:, :1] != 0, 0, 1).astype(np.int8).repeat(n, axis=1)
 
 
 @pytest.mark.parametrize(
@@ -530,17 +543,22 @@ def wrong_word(y, code):
     [
         ("c1_decode", ("--code", "c1", "--n", "6", "--l", "2", "--q", "2")),
         ("c2_decode", ("--code", "c2", "--n", "8", "--q", "2")),
-        ("cpf_decode", ("--code", "cpf", "--n", "6", "--q", "3")),
+        ("cpf_decode_rows", ("--code", "cpf", "--n", "6", "--q", "3")),
     ],
     ids=["c1", "c2", "cpf"],
 )
 def test_a_wrong_word_from_any_decoder_fails_verify_and_simulate(monkeypatch, capsys, decoder, args):
-    """verify and simulate reach every decoder through its module-level name,
-    with one Word per call: a decoder that returns a wrong Word breaks the
-    verify report and loses simulate trials."""
+    """verify and simulate reach every decoder through its module-level name:
+    c1 and c2 with one Word per call, cpf with a batch of rows. A decoder
+    that returns a wrong word breaks the verify report and loses simulate
+    trials; simulate decodes each trial once."""
     calls = []
 
     def recorded(y, code):
+        if decoder == "cpf_decode_rows":
+            assert isinstance(y, np.ndarray) and y.ndim == 2
+            calls.extend(y.tolist())
+            return wrong_rows(y, code)
         assert isinstance(y, Word)
         calls.append(y)
         return wrong_word(y, code)
@@ -951,3 +969,110 @@ def test_the_parser_carries_no_state_between_calls(tmp_path, capsys):
         )
         written = Path(sequence[i][-1]).read_bytes() if "--out" in sequence[i] else None
         assert (done.returncode, done.stdout, done.stderr, written) == passes[0][i]
+
+
+def word_loop_simulate(code, trials, seed, decode):
+    """simulate's trials on the Word route, as the CLI ran them before its
+    row route: one codeword, kind and error at a time through
+    `sample_single_error`, and one `decode(y)` call per trial. Returns
+    (successes, the counterexample line or "", the first failed trial or
+    None)."""
+    book = code.codebook_rows()
+    rng = random.Random(seed)
+    kinds = code.kinds
+    successes, failure, first = 0, "", None
+    for trial in range(trials):
+        c = Word(tuple(book[rng.randrange(len(book))].tolist()), code.q)
+        kind = kinds[0] if len(kinds) == 1 else kinds[rng.randrange(len(kinds))]
+        y, p = sample_single_error(c, kind, rng)
+        try:
+            got = decode(y)
+        except codes.DecodingFailure:
+            got = None
+        if got == c:
+            successes += 1
+        elif not failure:
+            failure = f"counterexample: codeword {format_word(c)} kind {kind} p={p} -> {format_word(y)} decoded {got}\n"
+            first = trial
+    return successes, failure, first
+
+
+SIMULATED = [
+    (codes.TandemVTCode.best(8, 2, 2), ("--code", "c1", "--n", "8", "--l", "2", "--q", "2"), "c1_decode"),
+    (codes.PalindromicL2Code.best(9, 2, 1), ("--code", "c2", "--n", "9", "--q", "2"), "c2_decode"),
+    (codes.PalindromeFreeCode(6, 3), ("--code", "cpf", "--n", "6", "--q", "3"), "cpf_decode_rows"),
+]
+
+
+def assert_simulate_matches_the_word_loop(capsys, tmp_path, code, args, trials, seed, decode):
+    """stdout, stderr, exit status and the --out text of one simulate run
+    against `word_loop_simulate`; returns (successes, first failed trial)."""
+    out_path = tmp_path / "simulate.json"
+    status, out, err = run_cli(capsys, "simulate", *args, "--trials", str(trials), "--seed", str(seed), "--out", str(out_path))
+    successes, failure, first = word_loop_simulate(code, trials, seed, decode)
+    flags = dict(zip(args[::2], args[1::2]))
+    row = {"code": flags["--code"], "n": code.n, "q": code.q, "l": int(flags.get("--l", 1)), "trials": trials,
+           "successes": successes, "seed": seed}
+    assert (status, out, err) == (int(successes < trials), f"{successes}/{trials} decoded correctly (seed {seed})\n", failure)
+    assert out_path.read_text() == json.dumps([row], indent=2, sort_keys=True) + "\n"
+    return successes, first
+
+
+@pytest.mark.parametrize("trials", [0, 1, codes._DECODE_ROWS, codes._DECODE_ROWS + 1])
+@pytest.mark.parametrize("code,args,decoder", SIMULATED, ids=["c1", "c2", "cpf"])
+def test_simulate_rows_match_the_word_loop(capsys, tmp_path, code, args, decoder, trials):
+    """The row route draws the same codeword, kind and position for every
+    trial, in blocks of _DECODE_ROWS, and reports byte for byte what the
+    Word loop reports, for seeds 0..9."""
+    decode = (lambda y: cpf_decode_scalar(y, code.n)) if decoder == "cpf_decode_rows" else code.decode
+    for seed in range(10):
+        assert assert_simulate_matches_the_word_loop(capsys, tmp_path, code, args, trials, seed, decode) == (trials, None)
+
+
+@pytest.mark.parametrize("wrong_on", ["one-late-word", "a-seventh"])
+@pytest.mark.parametrize("code,args,decoder", SIMULATED, ids=["c1", "c2", "cpf"])
+def test_simulate_reports_the_first_failed_trial_of_the_word_loop(monkeypatch, capsys, tmp_path, code, args, decoder, wrong_on):
+    """A decoder that is wrong on some received words: the same successes
+    and the same counterexample line (codeword, kind, position, received
+    word and wrong decoded word) as the Word loop. Wrong on one word, the
+    one of seed 0's trial 2 * _DECODE_ROWS, some seed's first failure falls
+    in a later block; wrong on about a seventh of the words, every run
+    fails many trials, which tell the first failure of a block from the
+    others."""
+    correct = (lambda y: cpf_decode_scalar(y, code.n)) if decoder == "cpf_decode_rows" else code.decode
+    seen = []
+    word_loop_simulate(code, 2 * codes._DECODE_ROWS + 1, 0, lambda y: seen.append(y) or correct(y))
+    target = seen[-1].symbols
+
+    def wrong_here(symbols):
+        if wrong_on == "one-late-word":
+            return symbols == target
+        return sum(s * 3**i for i, s in enumerate(symbols)) % 7 == 3
+
+    def decode(y):
+        return wrong_word(y, code) if wrong_here(y.symbols) else correct(y)
+
+    def row_decoder(rows, n):
+        return np.array([decode(Word(tuple(row), code.q)).symbols for row in rows.tolist()], dtype=np.int8).reshape(-1, n)
+
+    if decoder == "cpf_decode_rows":
+        monkeypatch.setattr(codes, decoder, row_decoder)
+    else:
+        original = getattr(codes, decoder)
+        monkeypatch.setattr(codes, decoder, lambda y, c: wrong_word(y, c) if wrong_here(y.symbols) else original(y, c))
+    trials = 3 * codes._DECODE_ROWS
+    runs = [assert_simulate_matches_the_word_loop(capsys, tmp_path, code, args, trials, seed, decode) for seed in range(10)]
+    if wrong_on == "one-late-word":
+        assert any(first is not None and first >= codes._DECODE_ROWS for _, first in runs), runs
+    else:
+        assert all(successes < trials - 10 for successes, _ in runs), runs
+
+
+def test_a_decoded_word_of_the_wrong_length_shows_as_none(monkeypatch, capsys):
+    """Announced: a Word decoder that returns a word of another length fails
+    the trial, and the counterexample line says `decoded None`, as for a
+    decoder that raises."""
+    monkeypatch.setattr(codes, "c2_decode", lambda y, code: Word((0,) * (code.n + 1), 2))
+    status, out, err = run_cli(capsys, "simulate", "--code", "c2", "--n", "9", "--trials", "5", "--seed", "1")
+    assert status == 1 and out == "0/5 decoded correctly (seed 1)\n"
+    assert err.startswith("counterexample: codeword ") and err.endswith(" decoded None\n")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dupcodes import channel
+from dupcodes import channel, codes
 from dupcodes.channel import palindromic_duplicate, tandem_duplicate
 from dupcodes.codes import (
     DecodingFailure,
@@ -27,6 +27,7 @@ from dupcodes.codes import (
     cpf_count_closed,
     cpf_count_recursive,
     cpf_decode,
+    cpf_decode_rows,
     cpf_lambda,
     cpf_member,
     cpf_rate,
@@ -37,7 +38,8 @@ from dupcodes.transform import derive, zero_signature
 from dupcodes.words import parse_word, run_profile, word
 from dupcodes.wordspace import all_words
 
-from conftest import run_checksum, words_of
+import conftest
+from conftest import cpf_decode_scalar, run_checksum, words_of
 
 
 def test_tandem_vt_code_validation():
@@ -280,11 +282,15 @@ def test_c2_decode_equals_the_two_pass_decoder_on_every_word(n):
                 assert outcome(c2_decode, y, code) == outcome(_two_pass_c2_decode, y, code), (code, y)
 
 
-@pytest.mark.parametrize("q,max_n", [(2, 6), (3, 4)])
+CPF_GRID = [(2, 6), (3, 4)]  # (q, largest n): every word of length n-1..2n+1
+
+
+@pytest.mark.parametrize("q,max_n", CPF_GRID)
 def test_cpf_decode_equals_the_oracle_on_every_word(q, max_n):
-    """Every word of length n-1..2n+1: a duplication of length 2..n, or of
-    length above n that no deletion undoes; a word of length n passes
-    exactly when it has no a b b a window."""
+    """Every word of length n-1..2n+1, one `decode_rows` call per length: a
+    duplication of length 2..n, or of length above n that no deletion
+    undoes; a word of length n passes exactly when it has no a b b a
+    window."""
 
     def member(w):
         s = w.symbols
@@ -292,11 +298,83 @@ def test_cpf_decode_equals_the_oracle_on_every_word(q, max_n):
 
     for n in range(1, max_n + 1):
         code = PalindromeFreeCode(n, q)
+        for m in range(max(0, n - 1), 2 * n + 2):
+            kind = channel.pal_dup(max(2, m - n)) if m == n or m >= n + 2 else None
+            for y, got in zip(words_of(m, q), code.decode_rows(all_words(m, q)).tolist()):
+                expected = (-1,) * n
+                if kind is not None:
+                    try:
+                        expected = oracle_decode(y, n, kind, member).symbols
+                    except DecodingFailure:
+                        pass
+                assert tuple(got) == expected, (n, y)
 
-        def kind_of_length(m):
-            return channel.pal_dup(max(2, m - n)) if m == n or m >= n + 2 else None
 
-        _assert_decoder_equals_the_oracle(code.decode, member, n, q, range(max(0, n - 1), 2 * n + 2), kind_of_length)
+@pytest.mark.parametrize("q,max_n", CPF_GRID)
+def test_cpf_decode_rows_equal_the_scalar_decoder_on_every_word(q, max_n):
+    """The row decoder against the Word-at-a-time decoder it replaced, on
+    every word of length n-1..2n+1 (n = 0 too): the same codeword, or a row
+    of -1 where the scalar decoder raises. The rows keep the batch's dtype.
+    Batches run up to 2^13 rows, past the _CUT_ROWS that are cut at once."""
+    for n in range(0, max_n + 1):
+        for m in range(max(0, n - 1), 2 * n + 2):
+            rows = all_words(m, q)
+            decoded = cpf_decode_rows(rows, n)
+            assert decoded.dtype == np.int8 and decoded.shape == (len(rows), n)
+            for y, got in zip(words_of(m, q), decoded.tolist()):
+                try:
+                    expected = cpf_decode_scalar(y, n).symbols
+                except DecodingFailure:
+                    expected = (-1,) * n
+                assert tuple(got) == expected, (n, y)
+
+
+@pytest.mark.parametrize("q,max_n", CPF_GRID)
+def test_cpf_decode_rows_fail_where_two_cuts_differ(monkeypatch, q, max_n):
+    """The code's balls are disjoint, so no received word has two different
+    palindrome-free cuts. With both filters patched to keep every mirrored
+    cut, such words appear, and both decoders must fail exactly those."""
+    monkeypatch.setattr(codes, "pal2_free_mask", lambda rows: np.ones(len(rows), dtype=bool))
+    monkeypatch.setattr(conftest, "_has_mirrored_pair", lambda s: False)
+    ambiguous = 0
+    for n in range(2, max_n + 1):
+        for m in range(n + 2, 2 * n + 1):
+            for y, got in zip(words_of(m, q), cpf_decode_rows(all_words(m, q), n).tolist()):
+                try:
+                    expected = cpf_decode_scalar(y, n).symbols
+                except DecodingFailure as failure:
+                    expected = (-1,) * n
+                    ambiguous += not str(failure).endswith(" 0 palindrome-free preimages")
+                assert tuple(got) == expected, (n, y)
+    assert ambiguous > 0
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 7])
+def test_cpf_decode_rows_of_an_empty_batch(m):
+    """No rows in, no rows out, at the lengths n-1, n, n+1 and n+2 of n = 5."""
+    decoded = cpf_decode_rows(np.zeros((0, m), dtype=np.int8), 5)
+    assert decoded.shape == (0, 5) and decoded.dtype == np.int8
+
+
+@pytest.mark.parametrize(
+    "code",
+    [TandemVTCode.best(6, 2, 2), TandemVTCode.best(5, 3, 1), *c2_groups(5)[0], PalindromeFreeCode(5, 2), PalindromeFreeCode(3, 3)],
+    ids=lambda code: f"{type(code).__name__}-{code.n}",
+)
+def test_decode_rows_equal_decode_row_by_row(code):
+    """Each construction's seventh interface member: `decode_rows` gives the
+    row of what `decode` returns for each word of length n-1 up to one past
+    the longest duplication, and a row of -1 where `decode` raises."""
+    for m in range(code.n - 1, code.n + max(kind.ell for kind in code.kinds) + 2):
+        expected = []
+        for y in words_of(m, code.q):
+            try:
+                expected.append(code.decode(y).symbols)
+            except DecodingFailure:
+                expected.append((-1,) * code.n)
+        decoded = code.decode_rows(all_words(m, code.q))
+        assert decoded.shape == (code.q**m, code.n)
+        assert [tuple(row) for row in decoded.tolist()] == expected, m
 
 
 def test_c1_best_params_cardinality_bounds():
@@ -379,19 +457,28 @@ def test_cpf_member_examples():
 
 
 def test_cpf_decode_roundtrip_and_errors():
+    """Every codeword and each of its palindromic duplications, built on the
+    Word route, decodes back to the codeword: one `decode_rows` call per
+    duplication length."""
     n = 7
     for q in (2, 3):
-        book = PalindromeFreeCode(n, q).codebook()
-        for c in book:
-            assert cpf_decode(c, n) == c
-            for ell in range(2, n + 1):
-                for p in range(n - ell + 1):
-                    y = palindromic_duplicate(c, ell, p)
-                    assert cpf_decode(y, n) == c
+        code = PalindromeFreeCode(n, q)
+        book = code.codebook()
+        rows = code.codebook_rows()
+        assert np.array_equal(code.decode_rows(rows), rows)
+        for ell in range(2, n + 1):
+            received = [palindromic_duplicate(c, ell, p) for c in book for p in range(n - ell + 1)]
+            decoded = code.decode_rows(np.array([y.symbols for y in received], dtype=np.int8))
+            assert np.array_equal(decoded, np.repeat(rows, n - ell + 1, axis=0)), ell
     with pytest.raises(DecodingFailure, match="length 1"):
         cpf_decode(word((0, 1, 0, 1, 0, 1, 0, 1), 2), 7)
     with pytest.raises(DecodingFailure):
         cpf_decode(word((0, 0, 0, 0), 2), 4)  # not palindrome-free
+    with pytest.raises(DecodingFailure, match="length -1"):
+        cpf_decode(word((0, 1, 2), 3), 4)  # shorter than n
+    with pytest.raises(DecodingFailure, match="length 3"):
+        cpf_decode(word((0, 1, 2), 3), 0)  # at n = 0 only the empty word decodes
+    assert cpf_decode(word((), 3), 0) == word((), 3)
 
 
 def test_cpf_counts():

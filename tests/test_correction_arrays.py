@@ -34,8 +34,9 @@ from dupcodes.wordspace import all_words, distinct, packed_keys
 @dataclass(frozen=True)
 class WordSet:
     """Any set of words of length n, posing as a code that corrects single
-    errors of one duplication kind: member is set membership, and decode
-    returns the unique member that one deletion reaches."""
+    errors of one duplication kind: member is set membership, decode
+    returns the unique member that one deletion reaches, and decode_rows
+    calls decode one Word per row, as c1 and c2 do."""
 
     n: int
     q: int
@@ -47,6 +48,9 @@ class WordSet:
 
     def decode(self, y):
         return oracle_decode(y, self.n, self.kinds[0], self.member)
+
+    def decode_rows(self, rows):
+        return codes._decoded_rows(self, rows)
 
 
 def word_set(rows, q, kind=channel.tandem_dup(1)):
@@ -275,6 +279,28 @@ def test_verify_decodes_each_distinct_received_word_once(monkeypatch, capsys, na
     trips = [(group_codes[g], y) for _, g, _, y in round_trips(group_codes, book, group)]
     assert len(calls) == len(set(calls)) < len(trips)
     assert set(calls) == set(trips)
+
+
+def test_verify_decodes_each_distinct_cpf_row_once(monkeypatch, capsys):
+    """The cpf row decoder gets each distinct received word of each
+    duplication length once, in batches of one length each."""
+    real = codes.cpf_decode_rows
+    lengths, rows = [], []
+
+    def recorded(batch, n):
+        lengths.append(batch.shape[1] - n)
+        rows.extend(map(tuple, batch.tolist()))
+        return real(batch, n)
+
+    monkeypatch.setattr(codes, "cpf_decode_rows", recorded)
+    assert main(["verify", "--code", "cpf", "--n", "6", "--q", "3"]) == 0
+    capsys.readouterr()
+    code = PalindromeFreeCode(6, 3)
+    book = code.codebook_rows()
+    trips = [y.symbols for _, _, _, y in round_trips([code], book, one_group(book))]
+    assert lengths == list(range(2, 7))  # one batch per duplication length
+    assert len(rows) == len(set(rows)) < len(trips)
+    assert set(rows) == set(trips)
 
 
 @pytest.mark.parametrize("name", ["c1", "c2"])
