@@ -30,16 +30,20 @@ the trunk (`docs/decisions.md`, D4).
 
 Each construction class offers one interface: `best(n, q, ell)` builds
 the code with the best parameters, `kinds` lists the error kinds it
-corrects, and `member(x)`, `decode(y)`, `decode_rows(rows)` (int8 rows,
--1 where `decode` raises), `codebook(limit)` and `codebook_rows(limit)`
-delegate to the module functions below, which stay the public API.
-`check_correction` and the CLI's simulation loop use nothing but this
-interface, and decode through `decode_rows`.
+corrects, and `member(x)`, `member_rows(rows)` (a bool per row),
+`decode(y)`, `decode_rows(rows)` (int8 rows, -1 where `decode` raises),
+`codebook(limit)` and `codebook_rows(limit)` delegate to the module
+functions below, which stay the public API. `check_correction` and the
+CLI's simulation loop use nothing but this interface, and decode through
+`decode_rows`.
 
-Members and the c1 and c2 decoders read the syndrome in one pass over the
-symbol tuple and build a Word only for the word they return
-(`docs/decisions.md`, D5), finding nonzero positions and run starts in C
-(`itertools.compress` over an `operator.ne` map). The syndrome of a c1
+Membership is one rule per construction, on rows (`c1_member_rows`,
+`c2_member_rows`, `cpf_member_rows`, D18): whole-matrix numpy over an
+(N, n) batch, apart from the kernels that build the codebooks, and
+`member(x)` is its one-row call. The c1 and c2 decoders read the syndrome
+in one pass over the symbol tuple and build a Word only for the word they
+return (`docs/decisions.md`, D5), finding nonzero positions and run starts
+in C (`itertools.compress` over an `operator.ne` map). The syndrome of a c1
 repair follows from D4 (D12), and that of a c2 cut from the run that holds
 it (D14). cpf decodes rows (`cpf_decode_rows`, D17).
 
@@ -104,6 +108,28 @@ class DecodingFailure(Exception):
     """Raised when a received word lies outside every codeword's error ball."""
 
 
+_CUT_ROWS = 2048  # rows that the row members and cpf_decode_rows take at a time, which bounds their temporaries
+
+
+def _by_cuts(block, rows: np.ndarray, out: np.ndarray, *args) -> np.ndarray:
+    """out, filled with block(cut, *args) for each cut of at most _CUT_ROWS
+    rows (D17, D18)."""
+    for start in range(0, len(rows), _CUT_ROWS):
+        out[start : start + _CUT_ROWS] = block(rows[start : start + _CUT_ROWS], *args)
+    return out
+
+
+def _row_of(x: Word) -> np.ndarray:
+    """The symbols of x as a (1, |x|) int64 batch."""
+    return np.array(x.symbols, dtype=np.int64).reshape(1, -1)
+
+
+def _runs(ordered) -> list[tuple[int, int]]:
+    """(lo, hi) of each run of equal values of a 1-D array."""
+    edges = np.append(np.flatnonzero(runs_start(ordered)), len(ordered)).tolist()
+    return list(zip(edges, edges[1:]))
+
+
 # ---------------------------------------------------------------------------
 # Construction 1: VT constraint on the tandem zero-signature
 # ---------------------------------------------------------------------------
@@ -117,12 +143,6 @@ def _c1_syndrome(s: tuple[int, ...], ell: int):
     nonzero = list(compress(range(m), map(ne, s, s[ell:])))
     sig = [(end - start - 1) // ell for start, end in zip([-1] + nonzero, nonzero + [m])]
     return nonzero, sig, sum(map(mul, sig, range(1, len(sig) + 1)))
-
-
-def _c1_holds(s: tuple[int, ...], code: "TandemVTCode") -> bool:
-    """The VT residue test on the symbols of a length-n word."""
-    _, sig, checksum = _c1_syndrome(s, code.ell)
-    return checksum % (len(sig) + 1) == code.a[len(sig) - 1]
 
 
 @dataclass(frozen=True)
@@ -159,6 +179,9 @@ class TandemVTCode:
     def member(self, x: Word) -> bool:
         return c1_member(x, self)
 
+    def member_rows(self, rows) -> np.ndarray:
+        return c1_member_rows(rows, self)
+
     def decode(self, y: Word) -> Word:
         return c1_decode(y, self)
 
@@ -174,12 +197,36 @@ class TandemVTCode:
 
 def c1_member(x: Word, code: TandemVTCode) -> bool:
     """Membership: the zero-signature of the difference tail satisfies the
-    VT residue for its length."""
+    VT residue for its length. `c1_member_rows` on the one row of x."""
     if x.q != code.q:
         raise ValueError(f"alphabet mismatch: word q={x.q}, code q={code.q}")
     if len(x) != code.n:
         raise ValueError(f"length mismatch: |x|={len(x)}, code n={code.n}")
-    return _c1_holds(x.symbols, code)
+    return bool(c1_member_rows(_row_of(x), code)[0])
+
+
+def c1_member_rows(rows, code: TandemVTCode) -> np.ndarray:
+    """`c1_member` of each row of an (N, n) batch over Z_q, as a bool array;
+    read off the rows apart from `signature_scan`, which builds the
+    codebook (D18)."""
+    rows = np.asarray(rows)
+    return _by_cuts(_c1_member_block, rows, np.empty(len(rows), dtype=np.bool_), code)
+
+
+def _c1_member_block(rows: np.ndarray, code: TandemVTCode) -> np.ndarray:
+    """`c1_member_rows` on at most _CUT_ROWS rows. A zero of the difference
+    tail that stands t places past the last nonzero before it (or past the
+    tail's start) ends an ell-block of its gap when ell divides t, so gap k
+    has sig_k such zeros, and each adds k to the checksum sum_k k*sig_k."""
+    ell, m = code.ell, code.n - code.ell
+    nonzero = rows[:, ell:] != rows[:, :m]
+    at = np.arange(m, dtype=np.int32)
+    past = at - np.maximum.accumulate(np.where(nonzero, at, -1), axis=1)  # t at a zero, 0 at a nonzero
+    gap = np.cumsum(nonzero, axis=1, dtype=np.int32)
+    gap += 1  # at a zero: the index k of its gap
+    gap *= ~nonzero & (past % ell == 0)
+    size, checksum = 1 + nonzero.sum(axis=1), gap.sum(axis=1)
+    return checksum % (size + 1) == np.asarray(code.a)[size - 1]
 
 
 def c1_decode(y: Word, code: TandemVTCode) -> Word:
@@ -197,7 +244,7 @@ def c1_decode(y: Word, code: TandemVTCode) -> Word:
         raise ValueError(f"alphabet mismatch: word q={y.q}, code q={code.q}")
     s = y.symbols
     if len(s) == n:
-        if _c1_holds(s, code):
+        if c1_member(y, code):
             return y
         raise DecodingFailure("decoding failure: received word is not a codeword")
     if len(s) != n + ell:
@@ -331,6 +378,9 @@ class PalindromicL2Code:
     def member(self, x: Word) -> bool:
         return c2_member(x, self)
 
+    def member_rows(self, rows) -> np.ndarray:
+        return c2_member_rows(rows, self)
+
     def decode(self, y: Word) -> Word:
         return c2_decode(y, self)
 
@@ -353,18 +403,34 @@ def _c2_syndrome(s: tuple[int, ...]):
     return starts, countOf(lengths, 1), len(s) * len(starts) - sum(starts)
 
 
-def _c2_holds(s: tuple[int, ...], code: "PalindromicL2Code") -> bool:
-    """The (a, b) syndrome test on the symbols of a length-n binary word."""
-    _, ones, checksum = _c2_syndrome(s)
-    return ones % 5 == code.a and checksum % (2 * code.n + 1) == code.b
-
-
 def c2_member(x: Word, code: PalindromicL2Code) -> bool:
+    """`c2_member_rows` on the one row of x."""
     if x.q != 2:
         raise ValueError("binary only: the run-profile construction requires q = 2")
     if len(x) != code.n:
         raise ValueError(f"length mismatch: |x|={len(x)}, code n={code.n}")
-    return _c2_holds(x.symbols, code)
+    return bool(c2_member_rows(_row_of(x), code)[0])
+
+
+def c2_member_rows(rows, code: PalindromicL2Code) -> np.ndarray:
+    """`c2_member` of each row of an (N, n) binary batch, as a bool array:
+    the (a, b) syndrome test, read off the rows apart from `run_stats` and
+    `_c2_completions`, which build the codebooks (D18)."""
+    rows = np.asarray(rows)
+    return _by_cuts(_c2_member_block, rows, np.empty(len(rows), dtype=np.bool_), code)
+
+
+def _c2_member_block(rows: np.ndarray, code: PalindromicL2Code) -> np.ndarray:
+    """`c2_member_rows` on at most _CUT_ROWS rows. A run starts where a
+    boundary (or the word's start) stands before a symbol, and a symbol with
+    one on both sides is a run of length 1. The run checksum is n per run
+    less each run start, and run i + 1 starts at boundary index i + 1."""
+    N, n = rows.shape
+    edges = np.ones((N, n + 1), dtype=np.bool_)  # edges[:, i]: a boundary, or the word's edge, before symbol i
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=edges[:, 1:n])
+    ones = (edges[:, :-1] & edges[:, 1:]).sum(axis=1)
+    checksum = n * edges[:, :n].sum(axis=1) - edges[:, 1:n] @ np.arange(1, n, dtype=np.int32)
+    return (ones % 5 == code.a) & (checksum % (2 * code.n + 1) == code.b)
 
 
 def _c2_cut_syndrome(s: tuple[int, ...], starts: list[int], ones: int, checksum: int, p: int, i: int):
@@ -405,7 +471,7 @@ def c2_decode(y: Word, code: PalindromicL2Code) -> Word:
     modulus = 2 * n + 1
     s = y.symbols
     if len(s) == n:
-        if _c2_holds(s, code):
+        if c2_member(y, code):
             return y
         raise DecodingFailure("decoding failure: received word is not a codeword")
     if len(s) != n + 2:
@@ -578,6 +644,9 @@ class PalindromeFreeCode:
             raise ValueError(f"length mismatch: |x|={len(x)}, code n={self.n}")
         return cpf_member(x)
 
+    def member_rows(self, rows) -> np.ndarray:
+        return cpf_member_rows(rows)
+
     def decode(self, y: Word) -> Word:
         if y.q != self.q:
             raise ValueError(f"alphabet mismatch: word q={y.q}, code q={self.q}")
@@ -593,18 +662,25 @@ class PalindromeFreeCode:
         return cpf_codebook_rows(self.n, self.q, limit)
 
 
-def _has_mirrored_pair(s: tuple[int, ...]) -> bool:
-    """True iff the symbols s contain a window a b b a (a = b allowed)."""
-    return any(s[p + 1] == s[p + 2] and s[p] == s[p + 3] for p in range(len(s) - 3))
-
-
 def cpf_member(x: Word) -> bool:
     """True iff x contains no window a b b a (equivalently, no length-2
-    palindromic deletion is possible). Words of length <= 3 always qualify."""
-    return not _has_mirrored_pair(x.symbols)
+    palindromic deletion is possible). Words of length <= 3 always qualify.
+    `cpf_member_rows` on the one row of x."""
+    return bool(cpf_member_rows(_row_of(x))[0])
 
 
-_CUT_ROWS = 2048  # rows cpf_decode_rows cuts at a time, which bounds its temporaries (D17)
+def cpf_member_rows(rows) -> np.ndarray:
+    """`cpf_member` of each row of an (N, n) batch, as a bool array: True
+    where no window a b b a stands, read off the rows apart from
+    `pal2_free_mask`, which builds the codebook and filters the decoder's
+    cuts (D18)."""
+    rows = np.asarray(rows)
+    return _by_cuts(_cpf_member_block, rows, np.empty(len(rows), dtype=np.bool_))
+
+
+def _cpf_member_block(x: np.ndarray) -> np.ndarray:
+    """`cpf_member_rows` on at most _CUT_ROWS rows."""
+    return ~((x[:, :-3] == x[:, 3:]) & (x[:, 1:-2] == x[:, 2:-1])).any(axis=1)
 
 
 def cpf_decode_rows(rows, n: int) -> np.ndarray:
@@ -612,10 +688,7 @@ def cpf_decode_rows(rows, n: int) -> np.ndarray:
     batch, one ell per call, as (N, n) rows of its dtype; a row of -1 where
     there is none or several, or ell is 1 or negative (D17)."""
     rows = np.asarray(rows)
-    decoded = np.empty((len(rows), max(0, n)), dtype=rows.dtype)
-    for start in range(0, len(rows), _CUT_ROWS):
-        decoded[start : start + _CUT_ROWS] = _cpf_decoded_block(rows[start : start + _CUT_ROWS], n)
-    return decoded
+    return _by_cuts(_cpf_decoded_block, rows, np.empty((len(rows), max(0, n)), dtype=rows.dtype), n)
 
 
 def _cpf_decoded_block(rows: np.ndarray, n: int) -> np.ndarray:
@@ -645,7 +718,7 @@ def _cpf_decoded_block(rows: np.ndarray, n: int) -> np.ndarray:
 
 def cpf_decode(y: Word, n: int) -> Word:
     """`cpf_decode_rows` on the one row of y."""
-    [x] = cpf_decode_rows(np.array(y.symbols, dtype=np.int64).reshape(1, -1), n).tolist()
+    [x] = cpf_decode_rows(_row_of(y), n).tolist()
     if -1 in x or not n and y.symbols:  # n = 0: only the empty word decodes
         raise DecodingFailure(f"decoding failure: no one palindrome-free preimage under a duplication of length {len(y) - n}")
     return _unchecked_word(tuple(x), y.q)
@@ -783,13 +856,13 @@ def oracle_verdicts(book_keys, order, group, received, owner, kind: ErrorKind, g
     index in group_codes of codeword i's code; `received` and `owner` come
     from `channel.duplication_rows` on some of the codewords, and `index`
     is `distinct(packed_keys(received, q, prefix=group[owner]))`: (keys, at,
-    word_of) of their distinct (code, received word) pairs. The scalar
-    `member` of the code is asked once per distinct (code, outcome) and
-    must agree with the lookup.
+    word_of) of their distinct (code, received word) pairs. The code's
+    `member_rows` is asked about each distinct (code, outcome) as a row,
+    one call per run of one code, and must agree with the lookup.
 
     Returns (verdicts, clashes). verdicts[r] is True when the lowest
     codeword that received row r reaches is its owner, it reaches no second
-    one, and `member` agrees on every outcome. Since the deletions invert
+    one, and `member_rows` agrees on every outcome. Since the deletions invert
     `duplication_rows` exactly, a second codeword means that two balls hold
     the received word, and it fails the rows of both owners. clashes maps
     each group with such a word among the rows to (key, i, j, word) for the
@@ -807,11 +880,12 @@ def oracle_verdicts(book_keys, order, group, received, owner, kind: ErrorKind, g
     at = np.minimum(np.searchsorted(book_keys, keys), len(book_keys) - 1)
     found = book_keys[at] == keys
     _, first, inverse = distinct(keys)
-    member = [
-        group_codes[g].member(_word_of_row(row, q))
-        for g, row in zip(outcome_group[first].tolist(), key_rows(keys[first] & ((1 << width) - 1), n, q))
-    ]
-    disagree = (np.array(member, dtype=bool) != found[first])[inverse]
+    outcomes, outcome_code = key_rows(keys[first] & ((1 << width) - 1), n, q), outcome_group[first]
+    member = np.empty(len(first), dtype=np.bool_)
+    for lo, hi in _runs(outcome_code):  # in key order: one run per code
+        member[lo:hi] = group_codes[outcome_code[lo]].member_rows(outcomes[lo:hi])
+    del outcomes, outcome_code  # freed before the reach arrays below, which keeps verify's peak RSS down (D18)
+    disagree = (member != found[first])[inverse]
     spoiled = np.bincount(source[disagree], minlength=len(distinct_at)) > 0
     # per distinct word: the lowest and second-lowest codeword its deletions reach
     none = len(order)
@@ -894,8 +968,7 @@ def check_correction(group_codes, book, group=None) -> list[tuple[ErrorKind, dic
             _, distinct_at, word_of = index
             groups = group[owner[distinct_at]]  # in key order: one run per code
             decoded = np.empty((len(distinct_at), book.shape[1]), dtype=np.int8)
-            edges = np.append(np.flatnonzero(runs_start(groups)), len(groups)).tolist()
-            for lo, hi in zip(edges, edges[1:]):
+            for lo, hi in _runs(groups):
                 decoded[lo:hi] = group_codes[groups[lo]].decode_rows(received[distinct_at[lo:hi]])
             recovered = (decoded[word_of] == book[owner]).all(axis=1)
             del decoded

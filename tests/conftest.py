@@ -17,6 +17,13 @@ to `channel.apply_error` over every word at small sizes.
 time: the reference for the order of its random draws. `cpf_decode_scalar`
 is the palindrome-free decoder on one symbol tuple, the differential
 oracle of `codes.cpf_decode_rows`.
+
+`c1_holds`, `c2_holds` and `_has_mirrored_pair` are the three membership
+rules on one symbol tuple, read off the one-pass syndromes of
+`docs/decisions.md` D5: the differential oracles of the row members
+(`c1_member_rows`, `c2_member_rows`, `cpf_member_rows`, D18).
+`reference_member(code)` is the matching Word predicate, which the
+`oracle_decode` loops of the tests take as their membership test.
 """
 
 from itertools import compress, product
@@ -25,7 +32,7 @@ from operator import eq
 import numpy as np
 
 from dupcodes.channel import TANDEM_DUP, ErrorKind, apply_error, error_positions
-from dupcodes.codes import DecodingFailure
+from dupcodes.codes import DecodingFailure, PalindromeFreeCode, PalindromicL2Code, TandemVTCode, _c1_syndrome, _c2_syndrome
 from dupcodes.words import Word, _unchecked_word
 
 
@@ -111,8 +118,33 @@ def sample_single_error(x: Word, kind: ErrorKind, rng) -> tuple[Word, int]:
     return apply_error(x, kind, p), p
 
 
+def c1_holds(s, code) -> bool:
+    """The VT residue test on the symbols of a length-n word."""
+    _, sig, checksum = _c1_syndrome(s, code.ell)
+    return checksum % (len(sig) + 1) == code.a[len(sig) - 1]
+
+
+def c2_holds(s, code) -> bool:
+    """The (a, b) syndrome test on the symbols of a length-n binary word."""
+    _, ones, checksum = _c2_syndrome(s)
+    return ones % 5 == code.a and checksum % (2 * code.n + 1) == code.b
+
+
 def _has_mirrored_pair(s) -> bool:
+    """True iff the symbols s contain a window a b b a (a = b allowed)."""
     return any(s[p + 1] == s[p + 2] and s[p] == s[p + 3] for p in range(len(s) - 3))
+
+
+def reference_member(code):
+    """The membership test of the code's construction on one Word, by the
+    scalar rule above; any other code keeps its own `member`."""
+    if isinstance(code, TandemVTCode):
+        return lambda w: c1_holds(w.symbols, code)
+    if isinstance(code, PalindromicL2Code):
+        return lambda w: c2_holds(w.symbols, code)
+    if isinstance(code, PalindromeFreeCode):
+        return lambda w: not _has_mirrored_pair(w.symbols)
+    return code.member
 
 
 def cpf_decode_scalar(y: Word, n: int) -> Word:

@@ -45,14 +45,12 @@ from dupcodes.codes import (
     TandemVTCode,
     c1_best_params,
     c1_decode,
-    c1_member,
     c1_size_lower_bound,
     c2_decode,
-    c2_member,
     cpf_count_closed,
     cpf_count_recursive,
     cpf_lambda,
-    cpf_member,
+    cpf_member_rows,
     cpf_rate,
     disjoint_ball_violation,
     oracle_decode,
@@ -68,8 +66,9 @@ from dupcodes.formulas import (
     tandem_dup_sphere_size,
 )
 from dupcodes.words import Word, parse_word, run_profile
+from dupcodes.wordspace import all_words
 
-from conftest import max_zero_run, run_checksum, words_of
+from conftest import max_zero_run, reference_member, run_checksum, words_of
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):
@@ -233,7 +232,7 @@ def test_criterion_06_construction1():
             if disjoint_ball_violation(book, tandem_dup(ell), 1) is not None:
                 bad.append(("balls", n, ell))
                 continue
-            member = lambda w: c1_member(w, code)
+            member = reference_member(code)
             for c in book:
                 if c1_decode(c, code) != c:
                     bad.append(("identity", n, ell, c))
@@ -274,7 +273,7 @@ def test_criterion_07_construction2():
                 if disjoint_ball_violation(book, pal_dup(2), 1) is not None:
                     bad.append(("balls", n, a, b))
                     continue
-                member = lambda w: c2_member(w, code)
+                member = reference_member(code)
                 for c in book:
                     if c2_decode(c, code) != c:
                         bad.append(("identity", n, a, b, c))
@@ -320,7 +319,7 @@ def test_criterion_08_construction3_counting_and_decoder():
     bad = []
     for q, max_n in ((2, 14), (3, 8)):
         for n in range(0, max_n + 1):
-            exhaustive = sum(1 for x in words_of(n, q) if cpf_member(x))
+            exhaustive = int(cpf_member_rows(all_words(n, q)).sum())
             if cpf_count_recursive(n, q) != exhaustive:
                 bad.append(("count", q, n))
     for q in (2, 3, 4, 5):

@@ -30,6 +30,7 @@ from dupcodes.codes import (
     cpf_decode_rows,
     cpf_lambda,
     cpf_member,
+    cpf_member_rows,
     cpf_rate,
     disjoint_ball_violation,
     oracle_decode,
@@ -39,7 +40,7 @@ from dupcodes.words import parse_word, run_profile, word
 from dupcodes.wordspace import all_words
 
 import conftest
-from conftest import cpf_decode_scalar, run_checksum, words_of
+from conftest import cpf_decode_scalar, reference_member, run_checksum, words_of
 
 
 def test_tandem_vt_code_validation():
@@ -78,7 +79,7 @@ def test_c1_decode_roundtrip_exhaustive_small():
             for p in range(n - ell + 1):
                 y = tandem_duplicate(c, ell, p)
                 assert c1_decode(y, code) == c
-                assert oracle_decode(y, n, kind, lambda w: c1_member(w, code)) == c
+                assert oracle_decode(y, n, kind, reference_member(code)) == c
 
 
 def test_c1_decode_failures():
@@ -100,14 +101,15 @@ def test_c1_decode_equals_the_oracle_on_every_word(q, max_n, ells):
     """Every word of length n + ell, not only the round trips: the decoder
     returns c exactly when `oracle_decode` does and raises DecodingFailure
     otherwise; a word of length n passes exactly when it is a codeword.
-    Checked at the best residues and at each residue shifted by one."""
+    Checked at the best residues and at each residue shifted by one, with
+    the scalar reference of the membership rule as the oracle's test."""
     for ell in ells:
         for n in range(ell, max_n + 1):
             best, _ = c1_best_params(n, ell, q)
             shifted = tuple((r + 1) % (s + 1) for s, r in enumerate(best, start=1))
             for a in (best, shifted):
                 code = TandemVTCode(n, q, ell, a)
-                member = code.member
+                member = reference_member(code)
                 for y in words_of(n, q):
                     if member(y):
                         assert c1_decode(y, code) == y
@@ -435,7 +437,7 @@ def test_c2_decode_identity_and_roundtrip_exhaustive():
             for p in range(n - 1):
                 y = palindromic_duplicate(x, 2, p)
                 assert c2_decode(y, code) == x
-                assert oracle_decode(y, n, channel.pal_dup(2), lambda w: c2_member(w, code)) == x
+                assert oracle_decode(y, n, channel.pal_dup(2), reference_member(code)) == x
 
 
 def test_c2_size_lower_bound_values():
@@ -488,7 +490,7 @@ def test_cpf_counts():
     assert cpf_count_recursive(8, 2) == 56
     for q, max_n in ((2, 12), (3, 7)):
         for n in range(0, max_n + 1):
-            assert cpf_count_recursive(n, q) == sum(1 for x in words_of(n, q) if cpf_member(x))
+            assert cpf_count_recursive(n, q) == cpf_member_rows(all_words(n, q)).sum()
 
 
 def test_cpf_count_closed_matches_recursive():
@@ -524,8 +526,8 @@ def test_palindrome_free_cascade():
     # 2-palindrome-free implies ell-palindrome-free for every ell >= 2
     for q, max_n in ((2, 10), (3, 7)):
         for n in range(1, max_n + 1):
-            for x in words_of(n, q):
-                if not cpf_member(x):
+            for x, free in zip(words_of(n, q), cpf_member_rows(all_words(n, q))):
+                if not free:
                     continue
                 for ell in range(2, n // 2 + 1):
                     assert channel.deletion_positions(x, channel.pal_del(ell)) == []
@@ -533,11 +535,7 @@ def test_palindrome_free_cascade():
 
 def test_oracle_decode_errors():
     (a, b), _ = c2_best_params(6)
-    code = PalindromicL2Code(6, a, b)
-
-    def member(w):
-        return c2_member(w, code)
-
+    member = reference_member(PalindromicL2Code(6, a, b))
     uncorrectable = None
     for y in words_of(8, 2):
         try:

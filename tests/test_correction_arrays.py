@@ -4,9 +4,11 @@ The clashes of `check_correction` must appear exactly where
 `disjoint_ball_violation` finds one, and name the group's smallest shared
 word and the first two codewords whose balls (`error_ball`) hold it;
 `oracle_verdicts` must accept a received word exactly where `oracle_decode`
-returns its codeword. Exhaustive over small codes, per (a, b) group for c2,
+returns its codeword, with the scalar membership references of `conftest`
+as its predicate. Exhaustive over small codes, per (a, b) group for c2,
 and over sets that correct nothing. The decoder runs once per distinct
-(code, received word), and its failures count once per round trip.
+(code, received word), and its failures count once per round trip. The
+membership cross-check asks `member_rows` about rows and builds no `Word`.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from dupcodes import channel, codes
+from dupcodes import channel, codes, words
 from dupcodes.channel import duplication_rows, error_ball
 from dupcodes.cli import main
 from dupcodes.codes import (
@@ -27,16 +29,19 @@ from dupcodes.codes import (
     oracle_decode,
     oracle_verdicts,
 )
-from dupcodes.words import format_word, word
+from dupcodes.words import Word, format_word, word
 from dupcodes.wordspace import all_words, distinct, packed_keys
+
+from conftest import reference_member
 
 
 @dataclass(frozen=True)
 class WordSet:
     """Any set of words of length n, posing as a code that corrects single
-    errors of one duplication kind: member is set membership, decode
-    returns the unique member that one deletion reaches, and decode_rows
-    calls decode one Word per row, as c1 and c2 do."""
+    errors of one duplication kind: member is set membership, member_rows
+    asks it one Word per row, decode returns the unique member that one
+    deletion reaches, and decode_rows calls decode one Word per row, as c1
+    and c2 do."""
 
     n: int
     q: int
@@ -45,6 +50,9 @@ class WordSet:
 
     def member(self, x):
         return x in self.words
+
+    def member_rows(self, rows):
+        return np.array([self.member(word(row, self.q)) for row in rows.tolist()], dtype=bool)
 
     def decode(self, y):
         return oracle_decode(y, self.n, self.kinds[0], self.member)
@@ -76,6 +84,7 @@ def compare_routes(group_codes, book, group):
     returns the groups with a clash in some kind."""
     q, n = group_codes[0].q, book.shape[1]
     words = [word(r, q) for r in book.tolist()]
+    predicates = [reference_member(code) for code in group_codes]
     book_keys = packed_keys(book, q, prefix=group)
     order = np.argsort(book_keys)
     clashing = set()
@@ -94,7 +103,7 @@ def compare_routes(group_codes, book, group):
         for r, y in enumerate(received.tolist()):
             c = words[owner[r]]
             try:
-                expected = oracle_decode(word(y, q), n, kind, group_codes[group[owner[r]]].member) == c
+                expected = oracle_decode(word(y, q), n, kind, predicates[group[owner[r]]]) == c
             except DecodingFailure:
                 expected = False
             assert verdicts[r] == expected, (kind, c, y)
@@ -158,9 +167,9 @@ def test_c1_codebook_with_a_wrong_residue_clashes_on_both_routes(n, q, ell):
 
 
 def test_oracle_rejects_rows_where_member_and_codebook_disagree():
-    """The scalar member is held against the codebook lookup: a row is
-    rejected when member disagrees on one of its deletion outcomes, in either
-    direction, and accepted otherwise."""
+    """The code's membership rule is held against the codebook lookup: a row
+    is rejected when member_rows disagrees on one of its deletion outcomes,
+    in either direction, and accepted otherwise."""
     code = TandemVTCode.best(6, 2, 1)
     book = code.codebook_rows()
     kind = channel.tandem_dup(1)
@@ -183,6 +192,40 @@ def test_oracle_rejects_rows_where_member_and_codebook_disagree():
     ]
     extra = next(x for reached in outcomes for x in reached if x not in words)  # member claims a non-codeword
     assert verdicts(words + [extra]) == [extra not in reached for reached in outcomes]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: ([TandemVTCode.best(7, 3, 2)], TandemVTCode.best(7, 3, 2).codebook_rows(), None),
+        lambda: c2_groups(8),
+        lambda: ([PalindromeFreeCode(6, 3)], PalindromeFreeCode(6, 3).codebook_rows(), None),
+    ],
+    ids=["c1", "c2", "cpf"],
+)
+def test_oracle_verdicts_build_no_word(monkeypatch, case):
+    """The member step hands each code's deletion outcomes to its
+    `member_rows` as rows: with every way to build a `Word` patched to
+    raise, `oracle_verdicts` still accepts every received row of a code
+    that corrects, on every kind, and reports no clash."""
+    group_codes, book, group = case()
+    group = one_group(book) if group is None else group
+    q = group_codes[0].q
+    book_keys = packed_keys(book, q, prefix=group)
+    order = np.argsort(book_keys)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Word was built")
+
+    monkeypatch.setattr(codes, "_word_of_row", refuse)
+    monkeypatch.setattr(codes, "_unchecked_word", refuse)
+    monkeypatch.setattr(words, "_new_word", refuse)
+    monkeypatch.setattr(Word, "__post_init__", refuse)
+    for kind in group_codes[0].kinds:
+        received, owner = duplication_rows(book, kind)
+        index = distinct(packed_keys(received, q, prefix=group[owner]))
+        verdicts, clashes = oracle_verdicts(book_keys[order], order, group, received, owner, kind, group_codes, index)
+        assert verdicts.all() and len(verdicts) == len(received) > 0 and clashes == {}, kind
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, 50])

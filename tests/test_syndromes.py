@@ -1,30 +1,38 @@
-"""The one-pass syndrome helpers behind every member and decoder, against
-the slow routes they replace: `derive` and `zero_signature` for c1,
-`run_profile` for c2, and the wordspace kernels for all three, on every
-word of each small length. The c1 scan runs every block length up to the
-word length, so the tails it slices off can be empty. The c1 repair is held
-to the syndrome update of `docs/decisions.md` D12, and the c2 cut to the
-closed form of D14."""
+"""The one-pass syndrome helpers behind the decoders and the scalar
+membership references, against the slow routes they replace: `derive` and
+`zero_signature` for c1, `run_profile` for c2, and the wordspace kernels for
+all three, on every word of each small length. The c1 scan runs every block
+length up to the word length, so the tails it slices off can be empty. The
+c1 repair is held to the syndrome update of `docs/decisions.md` D12, and the
+c2 cut to the closed form of D14. The row members of D18 are held to the
+scalar references on the same grid, and must call none of the kernels that
+build the codebooks."""
 
 from bisect import bisect_right
 from itertools import product
 
+import numpy as np
 import pytest
 
+from dupcodes import codes, wordspace
 from dupcodes.codes import (
+    PalindromeFreeCode,
+    PalindromicL2Code,
     TandemVTCode,
     _c1_syndrome,
     _c2_cut_syndrome,
     _c2_syndrome,
-    _has_mirrored_pair,
     c1_best_params,
     c1_decode,
+    c1_member_rows,
+    c2_member_rows,
+    cpf_member_rows,
 )
 from dupcodes.transform import derive, zero_signature
 from dupcodes.words import run_profile
 from dupcodes.wordspace import all_words, pal2_free_mask, run_stats, signature_scan
 
-from conftest import run_checksum, words_of
+from conftest import _has_mirrored_pair, c1_holds, c2_holds, run_checksum, words_of
 
 SIZES = [(2, n) for n in range(0, 11)] + [(3, n) for n in range(0, 7)] + [(4, n) for n in range(0, 6)]
 
@@ -110,3 +118,93 @@ def test_the_c2_cut_syndrome_equals_a_scan_of_the_cut_word(m):
                 cuts += 1
     # a window mirrors for 4 of its 16 fillings: (m - 3) * 2^(m-2) cuts
     assert cuts == (m - 3) * 2 ** (m - 2)
+
+
+def c1_codes(n, q, ell):
+    """n - ell + 2 codes whose residues together take every value 0..s at
+    every signature length s: code r requires r mod (s + 1)."""
+    sizes = range(1, n - ell + 2)
+    return [TandemVTCode(n, q, ell, tuple(r % (s + 1) for s in sizes)) for r in range(n - ell + 2)]
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q, n in SIZES if n >= 1])
+def test_c1_member_rows_equal_the_reference(q, n):
+    """Every word, every ell in 1..n (at ell = n the difference tail is
+    empty), and every residue at every signature length."""
+    rows, words = all_words(n, q), [x.symbols for x in words_of(n, q)]
+    for ell in range(1, n + 1):
+        for code in c1_codes(n, q, ell):
+            assert c1_member_rows(rows, code).tolist() == [c1_holds(s, code) for s in words], code
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_c2_member_rows_equal_the_reference(n):
+    """Every binary word, for every (a, b) up to n = 8 and for the best
+    (a, b) and each a beside it past that."""
+    rows, words = all_words(n, 2), [x.symbols for x in words_of(n, 2)]
+    if n <= 8:
+        group_codes = [PalindromicL2Code(n, a, b) for a in range(5) for b in range(2 * n + 1)]
+    else:
+        best = PalindromicL2Code.best(n, 2, 2)
+        group_codes = [PalindromicL2Code(n, a, best.b) for a in range(5)]
+    for code in group_codes:
+        assert c2_member_rows(rows, code).tolist() == [c2_holds(s, code) for s in words], code
+
+
+@pytest.mark.parametrize("q,n", SIZES)
+def test_cpf_member_rows_equal_the_reference(q, n):
+    """Every word, n < 4 too, where no window fits and every word is a
+    codeword."""
+    expected = [not _has_mirrored_pair(x.symbols) for x in words_of(n, q)]
+    assert cpf_member_rows(all_words(n, q)).tolist() == expected
+    assert n >= 4 or all(expected)
+
+
+def member_cases(n, q):
+    """(code, reference on a symbol tuple) for one code of each construction."""
+    c1, c2 = TandemVTCode.best(n, q, 2), PalindromicL2Code.best(n, 2, 2)
+    return [
+        (c1, lambda s: c1_holds(s, c1)),
+        (c2, lambda s: c2_holds(s, c2)),
+        (PalindromeFreeCode(n, q), lambda s: not _has_mirrored_pair(s)),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 4, 7])
+def test_member_rows_of_an_empty_batch(n):
+    for code, _ in member_cases(n, 2):
+        got = code.member_rows(np.zeros((0, n), dtype=np.int8))
+        assert got.dtype == np.bool_ and got.shape == (0,), code
+
+
+def test_member_rows_past_the_cut(monkeypatch):
+    """All 4096 binary words of length 12, twice _CUT_ROWS, in one call; and
+    the same answers with the cut lowered to 7 rows."""
+    rows, words = all_words(12, 2), [x.symbols for x in words_of(12, 2)]
+    assert len(rows) == 2 * codes._CUT_ROWS
+    cases = member_cases(12, 2)
+    for code, reference in cases:
+        assert code.member_rows(rows).tolist() == [reference(s) for s in words], code
+    expected = [code.member_rows(rows).tolist() for code, _ in cases]
+    monkeypatch.setattr(codes, "_CUT_ROWS", 7)
+    assert [code.member_rows(rows).tolist() for code, _ in cases] == expected
+
+
+@pytest.mark.parametrize("q,n", [(2, 9), (3, 6)])
+def test_member_rows_call_no_codebook_kernel(monkeypatch, q, n):
+    """The cross-check of `oracle_verdicts` tests the construction's own
+    rule: with the kernels that build the codebooks and filter the cpf cuts
+    patched to raise, each row member still gives the reference answers."""
+    rows, words = all_words(n, q), [x.symbols for x in words_of(n, q)]
+    cases = member_cases(n, q)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a codebook kernel was called")
+
+    for module in (codes, wordspace):
+        for name in ("signature_scan", "run_stats", "pal2_free_mask"):
+            monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(codes, "_c2_completions", refuse)
+    for code, reference in cases:
+        if code.q == q:
+            assert code.member_rows(rows).tolist() == [reference(s) for s in words], code
