@@ -12,14 +12,11 @@ from .channel import (
     TANDEM_DEL,
     TANDEM_DUP,
     ErrorKind,
-    ball_intersection,
-    balls_intersect,
     deletion_positions,
     error_ball,
     error_sphere,
     palindromic_delete,
     palindromic_duplicate,
-    same_outcome_predicate,
     tandem_delete,
     tandem_duplicate,
 )
@@ -34,9 +31,8 @@ from .codes import (
     c2_member,
     cpf_decode,
     cpf_member,
-    oracle_decode,
 )
-from .transform import DerivativePair, derive, zero_signature
+from .transform import derive, zero_signature
 from .words import Word, format_word, parse_word, run_profile, word
 
 __version__ = "0.1.0"
@@ -59,12 +55,8 @@ __all__ = [
     "deletion_positions",
     "error_sphere",
     "error_ball",
-    "balls_intersect",
-    "ball_intersection",
-    "same_outcome_predicate",
     "derive",
     "zero_signature",
-    "DerivativePair",
     "DecodingFailure",
     "TandemVTCode",
     "PalindromicL2Code",
@@ -75,5 +67,4 @@ __all__ = [
     "c2_decode",
     "cpf_member",
     "cpf_decode",
-    "oracle_decode",
 ]

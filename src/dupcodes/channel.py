@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .words import Word, _unchecked_word, require_same_alphabet
+from .words import Word, _unchecked_word
 from .wordspace import _columns, key_width, packed_keys
 
 TANDEM_DUP = "tandem-dup"
@@ -251,81 +251,3 @@ def error_sphere(x: Word, kind: ErrorKind, t: int) -> frozenset[Word]:
 def error_ball(x: Word, kind: ErrorKind, t: int) -> frozenset[Word]:
     """Union of the spheres of radius 0..t around x."""
     return _reach(x, kind, t, ball=True)
-
-
-def ball_intersection(x: Word, y: Word, kind: ErrorKind, t: int) -> frozenset[Word]:
-    """Common elements of the two radius-t balls; the witnesses that x and y
-    cannot coexist in a t-error-correcting code of this kind."""
-    require_same_alphabet(x, y)
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: |x|={len(x)} vs |y|={len(y)}")
-    return error_ball(x, kind, t) & error_ball(y, kind, t)
-
-
-def balls_intersect(x: Word, y: Word, kind: ErrorKind, t: int) -> bool:
-    """True iff the radius-t balls around x and y share an element."""
-    return bool(ball_intersection(x, y, kind, t))
-
-
-def same_outcome_predicate(x: Word, y: Word, ell: int, i: int, j: int, kind: str) -> bool:
-    """Decide rho_ell(x, i) == rho_ell(y, i+j) without applying the operations.
-
-    Evaluates the closed condition system on symbol positions (1-based
-    internally): for duplications the system splits into the cases j < ell
-    and j >= ell; deletions have a single system whose first two condition
-    groups assert that the mirrored pattern is present in x at i and in y
-    at i+j. The one-word variant is the specialisation y = x.
-
-    Position ranges are validated; within range the system is evaluated
-    literally, so a deletion pair whose patterns are absent yields False.
-    """
-    require_same_alphabet(x, y)
-    n = len(x)
-    if len(y) != n:
-        raise ValueError("x and y must have equal length")
-    if j <= 0:
-        raise ValueError("offset j must be positive")
-    if kind not in ("dup", "del"):
-        raise ValueError("kind must be 'dup' or 'del'")
-
-    sx = x.symbols
-    sy = y.symbols
-
-    def X(k):  # 1-based access
-        return sx[k - 1]
-
-    def Y(k):
-        return sy[k - 1]
-
-    if kind == "dup":
-        if not (0 <= i and i + j <= n - ell):
-            raise ValueError(f"invalid positions: need 0 <= i and i+j <= {n - ell}")
-        outside = all(
-            X(m) == Y(m)
-            for m in list(range(1, i + ell + 1)) + list(range(i + j + ell + 1, n + 1))
-        )
-        if j < ell:
-            return (
-                outside
-                and all(X(i + ell - m) == Y(i + ell + 1 + m) for m in range(j))
-                and all(X(i + 1 + m) == Y(i + 2 * j + 1 + m) for m in range(ell - j))
-                and all(X(i + ell + 1 + m) == Y(i + 2 * j - m) for m in range(j))
-            )
-        return (
-            outside
-            and all(X(i + ell - m) == Y(i + ell + 1 + m) for m in range(ell))
-            and all(X(i + ell + 1 + m) == Y(i + 2 * ell + 1 + m) for m in range(j - ell))
-            and all(X(i + j + 1 + m) == Y(i + j + ell - m) for m in range(ell))
-        )
-
-    if not (0 <= i and i + j <= n - 2 * ell):
-        raise ValueError(f"invalid positions: need 0 <= i and i+j <= {n - 2 * ell}")
-    return (
-        all(
-            X(m) == Y(m)
-            for m in list(range(1, i + ell + 1)) + list(range(i + j + 2 * ell + 1, n + 1))
-        )
-        and all(X(i + ell - m) == X(i + ell + 1 + m) for m in range(ell))
-        and all(Y(i + j + ell - m) == Y(i + j + ell + 1 + m) for m in range(ell))
-        and all(X(i + 2 * ell + 1 + m) == Y(i + ell + 1 + m) for m in range(j))
-    )

@@ -28,13 +28,13 @@ ell zeros at the start of gap k of the difference tail, one tandem
 deletion of the received word, which lowers entry k and keeps the head and
 the trunk (`docs/decisions.md`, D4).
 
-Each construction class offers one interface: `best(n, q, ell)` builds
-the code with the best parameters, `kinds` lists the error kinds it
-corrects, and `member(x)`, `member_rows(rows)` (a bool per row),
-`decode(y)`, `decode_rows(rows)` (int8 rows, -1 where `decode` raises),
-`codebook(limit)` and `codebook_rows(limit)` delegate to the module
-functions below, which stay the public API. `check_correction` and the
-CLI's simulation loop use nothing but this interface, and decode through
+Each construction class offers one interface of seven members:
+`best(n, q, ell)` builds the code with the best parameters, `kinds` lists
+the error kinds it corrects, and `member(x)`, `member_rows(rows)` (a bool
+per row), `decode(y)`, `decode_rows(rows)` (int8 rows, -1 where `decode`
+raises) and `codebook_rows(limit)` (the codewords as int8 rows) delegate
+to the module functions below. `check_correction` and the CLI's
+simulation loop use nothing but this interface, and decode through
 `decode_rows`.
 
 Membership is one rule per construction, on rows (`c1_member_rows`,
@@ -51,13 +51,13 @@ it (D14). cpf decodes rows (`cpf_decode_rows`, D17).
 codebook as the int8 rows of the kernels, builds every single duplication
 with `channel.duplication_rows`, and looks up the valid deletion outcome
 keys (`channel.error_keys`) of every received word among the sorted
-codebook keys (`oracle_verdicts`). That one lookup replaces the enumeration
-of `oracle_decode` and also decides ball disjointness: two balls intersect
-exactly when some received word reaches a second codeword. Each distinct
-received word is decoded once, and compared with the owner rows as int8
-rows. `oracle_decode` and
-`disjoint_ball_violation` stay as the Word-level routes that the tests
-compare the array route against.
+codebook keys (`oracle_verdicts`). That one lookup replaces a Word-level
+enumeration of deletion outcomes and also decides ball disjointness: two
+balls intersect exactly when some received word reaches a second codeword.
+Each distinct received word is decoded once, and compared with the owner
+rows as int8 rows. The Word-level routes that the tests compare the array
+route against, `oracle_decode` and `disjoint_ball_violation`, are
+references in `tests/conftest.py` (`docs/decisions.md`, D19).
 
 The c1 and cpf codebooks are enumerated with the wordspace kernels, in
 lexicographic word order. The c2 codebook grows one column at a time from
@@ -85,9 +85,9 @@ from operator import countOf, mul, ne, sub
 
 import numpy as np
 
-from .channel import ErrorKind, duplication_rows, error_ball, error_sphere, error_keys, pal_dup, tandem_dup
+from .channel import ErrorKind, duplication_rows, error_keys, pal_dup, tandem_dup
 from .transform import _count_dtype, _gap_table, _tail_length
-from .words import Word, _unchecked_word, _word_of_row, _words_of_rows
+from .words import Word, _unchecked_word, _word_of_row
 from .wordspace import (
     MAX_ENUMERABLE,
     _columns,
@@ -159,6 +159,8 @@ class TandemVTCode:
     a: tuple[int, ...]
 
     def __post_init__(self):
+        if self.q < 2:
+            raise ValueError("q must be >= 2")
         if not 1 <= self.ell <= self.n:
             raise ValueError("need 1 <= ell <= n")
         if len(self.a) != self.n - self.ell + 1:
@@ -187,9 +189,6 @@ class TandemVTCode:
 
     def decode_rows(self, rows) -> np.ndarray:
         return _decoded_rows(self, rows)
-
-    def codebook(self, limit: int = MAX_ENUMERABLE) -> list[Word]:
-        return list(_words_of_rows(self.codebook_rows(limit), self.q))
 
     def codebook_rows(self, limit: int = MAX_ENUMERABLE) -> np.ndarray:
         return c1_codebook_rows(self, limit)
@@ -386,9 +385,6 @@ class PalindromicL2Code:
 
     def decode_rows(self, rows) -> np.ndarray:
         return _decoded_rows(self, rows)
-
-    def codebook(self, limit: int = MAX_ENUMERABLE) -> list[Word]:
-        return list(_words_of_rows(self.codebook_rows(limit), self.q))
 
     def codebook_rows(self, limit: int = MAX_ENUMERABLE) -> np.ndarray:
         return c2_codebook_rows(self, limit)
@@ -628,6 +624,12 @@ class PalindromeFreeCode:
     n: int
     q: int
 
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("n must be >= 0")
+        if self.q < 2:
+            raise ValueError("q must be >= 2")
+
     @classmethod
     def best(cls, n: int, q: int, ell: int) -> "PalindromeFreeCode":
         """The code is unique for (n, q); ell is ignored."""
@@ -654,9 +656,6 @@ class PalindromeFreeCode:
 
     def decode_rows(self, rows) -> np.ndarray:
         return cpf_decode_rows(rows, self.n)
-
-    def codebook(self, limit: int = MAX_ENUMERABLE) -> list[Word]:
-        return list(_words_of_rows(self.codebook_rows(limit), self.q))
 
     def codebook_rows(self, limit: int = MAX_ENUMERABLE) -> np.ndarray:
         return cpf_codebook_rows(self.n, self.q, limit)
@@ -813,43 +812,11 @@ def cpf_codebook_rows(n: int, q: int, limit: int = MAX_ENUMERABLE) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def oracle_decode(y: Word, n: int, kind: ErrorKind, member) -> Word:
-    """Ground-truth decoder: enumerate all (|y|-n)/ell deletion outcomes of
-    the kind and return the unique one satisfying the membership predicate.
-
-    Raises DecodingFailure('uncorrectable ...') when no preimage is a member
-    and DecodingFailure('not a correcting code ...') when several are; the
-    latter signals a broken code, not a channel error.
-    """
-    if len(y) < n or (len(y) - n) % kind.ell != 0:
-        raise ValueError(f"received length {len(y)} unreachable from n={n} by {kind}")
-    t = (len(y) - n) // kind.ell
-    del_kind = kind.inverse() if kind.is_duplication else kind
-    survivors = [w for w in error_sphere(y, del_kind, t) if member(w)]
-    if not survivors:
-        raise DecodingFailure("uncorrectable: no codeword reaches the received word")
-    if len(survivors) > 1:
-        raise DecodingFailure("not a correcting code: several codewords reach the received word")
-    return survivors[0]
-
-
-def disjoint_ball_violation(codebook, kind: ErrorKind, t: int):
-    """First pair of codewords whose radius-t balls intersect, as
-    (first, second, shared word), or None when all balls are disjoint."""
-    owner: dict[Word, Word] = {}
-    for c in codebook:
-        for member in error_ball(c, kind, t):
-            prev = owner.get(member)
-            if prev is not None and prev != c:
-                return (prev, c, member)
-            owner[member] = c
-    return None
-
-
 def oracle_verdicts(book_keys, order, group, received, owner, kind: ErrorKind, group_codes, index):
-    """Array twin of `oracle_decode` and `disjoint_ball_violation` over a
-    batch of codebooks: one lookup of the codewords that the single
-    deletions of the inverse kind of each distinct received word reach.
+    """Array twin of the tests' Word-level `oracle_decode` and
+    `disjoint_ball_violation` over a batch of codebooks: one lookup of the
+    codewords that the single deletions of the inverse kind of each
+    distinct received word reach.
 
     book_keys are the sorted packed keys (group << bits) | key of the
     codewords, order[k] is the codeword of book_keys[k], and group[i] is the

@@ -26,7 +26,7 @@ def tandem_dup_sphere_size(x: Word, ell: int, t: int) -> int:
     """Size of the radius-t tandem duplication sphere: C(wt_H(v) + t, t)."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    v = derive(x, ell).v
+    _, v = derive(x, ell)
     return comb(_wt(v) + t, t)
 
 
@@ -53,7 +53,8 @@ def tandem_del_sphere_size(x: Word, ell: int, t: int) -> int:
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    sig = zero_signature(derive(x, ell).v, ell)
+    _, v = derive(x, ell)
+    sig = zero_signature(v, ell)
     if sum(sig) < t:
         return 0
     return _bounded_compositions(sig, t)

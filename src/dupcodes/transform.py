@@ -19,7 +19,6 @@ limited counts, the irreducible count and the deletion sphere histogram in
 and D10).
 """
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -27,23 +26,16 @@ import numpy as np
 from .words import Word, _unchecked_word
 
 
-@dataclass(frozen=True, slots=True)
-class DerivativePair:
-    """Head u of length ell and difference tail v (entries in Z_q)."""
-
-    u: Word
-    v: Word
-
-
-def derive(x: Word, ell: int) -> DerivativePair:
-    """ell-step derivative: u = first ell symbols, v_i = x_{i+ell} - x_i mod q."""
+def derive(x: Word, ell: int) -> tuple[Word, Word]:
+    """ell-step derivative (u, v): the head u, the first ell symbols, and the
+    difference tail v, v_i = x_{i+ell} - x_i mod q."""
     if ell < 1:
         raise ValueError("step ell must be >= 1")
     if len(x) < ell:
         raise ValueError(f"word of length {len(x)} too short for step ell={ell}")
     s = x.symbols
     v = tuple((s[i + ell] - s[i]) % x.q for i in range(len(s) - ell))
-    return DerivativePair(_unchecked_word(s[:ell], x.q), _unchecked_word(v, x.q))
+    return _unchecked_word(s[:ell], x.q), _unchecked_word(v, x.q)
 
 
 def zero_signature(v: Word, ell: int) -> tuple[int, ...]:

@@ -84,11 +84,6 @@ def word(symbols, q: int) -> Word:
     return Word(tuple(symbols), q)
 
 
-def require_same_alphabet(x: Word, y: Word):
-    if x.q != y.q:
-        raise ValueError(f"alphabet mismatch: q={x.q} vs q={y.q}")
-
-
 def parse_word(text: str, q: int) -> Word:
     """Parse the textual word format.
 

@@ -24,6 +24,15 @@ rules on one symbol tuple, read off the one-pass syndromes of
 (`c1_member_rows`, `c2_member_rows`, `cpf_member_rows`, D18).
 `reference_member(code)` is the matching Word predicate, which the
 `oracle_decode` loops of the tests take as their membership test.
+
+`balls_intersect`, `oracle_decode` and `disjoint_ball_violation` are the
+Word-level ball routes: the common words of two error balls, the decoder
+that enumerates every deletion outcome, and the first pair of codewords
+whose balls meet. They are the references that `bounds.conflict_edges`,
+`bounds.exact_optimum`, the constructions' decoders and
+`codes.oracle_verdicts` are held to (`docs/decisions.md`, D19).
+`codebook_words(code)` is a code's codebook as a list of Words, read off
+its `codebook_rows`.
 """
 
 from itertools import compress, product
@@ -31,9 +40,9 @@ from operator import eq
 
 import numpy as np
 
-from dupcodes.channel import TANDEM_DUP, ErrorKind, apply_error, error_positions
+from dupcodes.channel import TANDEM_DUP, ErrorKind, apply_error, error_ball, error_positions, error_sphere
 from dupcodes.codes import DecodingFailure, PalindromeFreeCode, PalindromicL2Code, TandemVTCode, _c1_syndrome, _c2_syndrome
-from dupcodes.words import Word, _unchecked_word
+from dupcodes.words import Word, _unchecked_word, _words_of_rows
 
 
 def words_of(n: int, q: int):
@@ -172,3 +181,52 @@ def cpf_decode_scalar(y: Word, n: int) -> Word:
     if len(survivors) == 1:
         return _unchecked_word(survivors.pop(), y.q)
     raise DecodingFailure(f"decoding failure: {len(survivors)} palindrome-free preimages")
+
+
+def codebook_words(code) -> list[Word]:
+    """The codewords of the code as Words, in the row order of `codebook_rows`."""
+    return list(_words_of_rows(code.codebook_rows(), code.q))
+
+
+def balls_intersect(x: Word, y: Word, kind: ErrorKind, t: int) -> frozenset[Word]:
+    """The common words of the radius-t balls around x and y: the witnesses
+    that x and y cannot both be codewords of a t-error-correcting code of
+    this kind, empty (false) when the balls are disjoint."""
+    if x.q != y.q:
+        raise ValueError(f"alphabet mismatch: q={x.q} vs q={y.q}")
+    if len(x) != len(y):
+        raise ValueError(f"length mismatch: |x|={len(x)} vs |y|={len(y)}")
+    return error_ball(x, kind, t) & error_ball(y, kind, t)
+
+
+def oracle_decode(y: Word, n: int, kind: ErrorKind, member) -> Word:
+    """Ground-truth decoder: enumerate all (|y|-n)/ell deletion outcomes of
+    the kind and return the unique one satisfying the membership predicate.
+
+    Raises DecodingFailure('uncorrectable ...') when no preimage is a member
+    and DecodingFailure('not a correcting code ...') when several are; the
+    latter signals a broken code, not a channel error.
+    """
+    if len(y) < n or (len(y) - n) % kind.ell != 0:
+        raise ValueError(f"received length {len(y)} unreachable from n={n} by {kind}")
+    t = (len(y) - n) // kind.ell
+    del_kind = kind.inverse() if kind.is_duplication else kind
+    survivors = [w for w in error_sphere(y, del_kind, t) if member(w)]
+    if not survivors:
+        raise DecodingFailure("uncorrectable: no codeword reaches the received word")
+    if len(survivors) > 1:
+        raise DecodingFailure("not a correcting code: several codewords reach the received word")
+    return survivors[0]
+
+
+def disjoint_ball_violation(codebook, kind: ErrorKind, t: int):
+    """First pair of codewords whose radius-t balls intersect, as
+    (first, second, shared word), or None when all balls are disjoint."""
+    owner: dict[Word, Word] = {}
+    for c in codebook:
+        for member in error_ball(c, kind, t):
+            prev = owner.get(member)
+            if prev is not None and prev != c:
+                return (prev, c, member)
+            owner[member] = c
+    return None

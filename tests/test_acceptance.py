@@ -52,8 +52,6 @@ from dupcodes.codes import (
     cpf_lambda,
     cpf_member_rows,
     cpf_rate,
-    disjoint_ball_violation,
-    oracle_decode,
 )
 from dupcodes.formulas import (
     pal_del_sphere_size_l1,
@@ -68,7 +66,15 @@ from dupcodes.formulas import (
 from dupcodes.words import Word, parse_word, run_profile
 from dupcodes.wordspace import all_words
 
-from conftest import max_zero_run, reference_member, run_checksum, words_of
+from conftest import (
+    codebook_words,
+    disjoint_ball_violation,
+    max_zero_run,
+    oracle_decode,
+    reference_member,
+    run_checksum,
+    words_of,
+)
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):
@@ -225,7 +231,7 @@ def test_criterion_06_construction1():
         for n in range(ell, 11):
             a, cardinality = c1_best_params(n, ell, 2)
             code = TandemVTCode(n, 2, ell, a)
-            book = code.codebook()
+            book = codebook_words(code)
             assert len(book) == cardinality
             if cardinality < c1_size_lower_bound(n, ell, 2):
                 bad.append(("cardinality", n, ell))
@@ -330,7 +336,7 @@ def test_criterion_08_construction3_counting_and_decoder():
     for q in (2, 3):
         for n in range(1, 10):
             code = PalindromeFreeCode(n, q)
-            book = code.codebook()
+            book = codebook_words(code)
             for ell in range(2, n + 1):
                 if disjoint_ball_violation(book, pal_dup(ell), 1) is not None:
                     bad.append(("balls", q, n, ell))

@@ -32,7 +32,6 @@ from dupcodes.bounds import (
 )
 from dupcodes.channel import (
     ErrorKind,
-    balls_intersect,
     duplication_rows,
     error_ball,
     error_sphere,
@@ -42,7 +41,7 @@ from dupcodes.channel import (
 from dupcodes.words import word
 from dupcodes.wordspace import all_words, packed_keys, runs_start
 
-from conftest import deletion_rows
+from conftest import balls_intersect, deletion_rows
 
 FAMILIES = (channel.TANDEM_DUP, channel.TANDEM_DEL, channel.PAL_DUP, channel.PAL_DEL)
 

@@ -16,7 +16,7 @@ from dupcodes.bounds import (
 from dupcodes.channel import error_sphere, tandem_del
 from dupcodes.wordspace import all_words
 
-from conftest import rll_weight_oracle, words_of
+from conftest import balls_intersect, rll_weight_oracle, words_of
 
 
 def test_rll_weight_count_examples():
@@ -161,7 +161,7 @@ def test_exact_optimum_palindromic_kind():
     from itertools import combinations
 
     words = list(words_of(4, 2))
-    from dupcodes.channel import balls_intersect, pal_dup
+    from dupcodes.channel import pal_dup
 
     best = 1
     for size in range(len(words), 0, -1):

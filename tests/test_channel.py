@@ -6,8 +6,6 @@ import pytest
 from dupcodes.channel import (
     ErrorKind,
     apply_error,
-    ball_intersection,
-    balls_intersect,
     deletion_positions,
     duplication_columns,
     duplication_rows,
@@ -19,7 +17,6 @@ from dupcodes.channel import (
     pal_dup,
     palindromic_delete,
     palindromic_duplicate,
-    same_outcome_predicate,
     tandem_del,
     tandem_delete,
     tandem_dup,
@@ -28,7 +25,7 @@ from dupcodes.channel import (
 from dupcodes.words import parse_word, word
 from dupcodes.wordspace import all_words, packed_keys, signature_scan
 
-from conftest import deletion_rows, sample_single_error, words_of
+from conftest import balls_intersect, deletion_rows, sample_single_error, words_of
 
 
 X = word((1, 1, 1, 1, 0, 2, 2, 0), 3)
@@ -104,11 +101,11 @@ def test_balls_intersect_counterexamples():
     c1 = word((0, 1, 0, 1, 0, 1), 2)
     c2 = word((0, 1, 0, 0, 1, 1), 2)
     assert balls_intersect(c1, c2, pal_dup(2), 1)
-    assert ball_intersection(c1, c2, pal_dup(2), 1) == {word((0, 1, 0, 0, 1, 1, 0, 1), 2)}
+    assert balls_intersect(c1, c2, pal_dup(2), 1) == {word((0, 1, 0, 0, 1, 1, 0, 1), 2)}
     d1 = word((0, 1, 1, 0, 1, 0), 2)
     d2 = word((0, 1, 1, 1, 1, 0), 2)
     assert not balls_intersect(d1, d2, pal_dup(2), 1)
-    assert ball_intersection(d1, d2, pal_del(2), 1) == {word((0, 1, 1, 0), 2)}
+    assert balls_intersect(d1, d2, pal_del(2), 1) == {word((0, 1, 1, 0), 2)}
     assert balls_intersect(c1, c1, tandem_dup(1), 0)
     with pytest.raises(ValueError, match="length"):
         balls_intersect(c1, word((0, 1), 2), pal_dup(2), 1)
@@ -137,6 +134,71 @@ def test_roundtrip_delete_of_duplicate():
                     for p in range(n - ell + 1):
                         assert tandem_delete(tandem_duplicate(x, ell, p), ell, p) == x
                         assert palindromic_delete(palindromic_duplicate(x, ell, p), ell, p) == x
+
+
+def same_outcome_predicate(x, y, ell: int, i: int, j: int, kind: str) -> bool:
+    """Decide rho_ell(x, i) == rho_ell(y, i+j) without applying the operations.
+
+    Evaluates the paper's closed condition system on symbol positions
+    (1-based internally): for duplications the system splits into the cases
+    j < ell and j >= ell; deletions have a single system whose first two
+    condition groups assert that the mirrored pattern is present in x at i
+    and in y at i+j. The one-word variant is the specialisation y = x.
+
+    Position ranges are validated; within range the system is evaluated
+    literally, so a deletion pair whose patterns are absent yields False.
+    """
+    if x.q != y.q:
+        raise ValueError(f"alphabet mismatch: q={x.q} vs q={y.q}")
+    n = len(x)
+    if len(y) != n:
+        raise ValueError("x and y must have equal length")
+    if j <= 0:
+        raise ValueError("offset j must be positive")
+    if kind not in ("dup", "del"):
+        raise ValueError("kind must be 'dup' or 'del'")
+
+    sx = x.symbols
+    sy = y.symbols
+
+    def X(k):  # 1-based access
+        return sx[k - 1]
+
+    def Y(k):
+        return sy[k - 1]
+
+    if kind == "dup":
+        if not (0 <= i and i + j <= n - ell):
+            raise ValueError(f"invalid positions: need 0 <= i and i+j <= {n - ell}")
+        outside = all(
+            X(m) == Y(m)
+            for m in list(range(1, i + ell + 1)) + list(range(i + j + ell + 1, n + 1))
+        )
+        if j < ell:
+            return (
+                outside
+                and all(X(i + ell - m) == Y(i + ell + 1 + m) for m in range(j))
+                and all(X(i + 1 + m) == Y(i + 2 * j + 1 + m) for m in range(ell - j))
+                and all(X(i + ell + 1 + m) == Y(i + 2 * j - m) for m in range(j))
+            )
+        return (
+            outside
+            and all(X(i + ell - m) == Y(i + ell + 1 + m) for m in range(ell))
+            and all(X(i + ell + 1 + m) == Y(i + 2 * ell + 1 + m) for m in range(j - ell))
+            and all(X(i + j + 1 + m) == Y(i + j + ell - m) for m in range(ell))
+        )
+
+    if not (0 <= i and i + j <= n - 2 * ell):
+        raise ValueError(f"invalid positions: need 0 <= i and i+j <= {n - 2 * ell}")
+    return (
+        all(
+            X(m) == Y(m)
+            for m in list(range(1, i + ell + 1)) + list(range(i + j + 2 * ell + 1, n + 1))
+        )
+        and all(X(i + ell - m) == X(i + ell + 1 + m) for m in range(ell))
+        and all(Y(i + j + ell - m) == Y(i + j + ell + 1 + m) for m in range(ell))
+        and all(X(i + 2 * ell + 1 + m) == Y(i + ell + 1 + m) for m in range(j))
+    )
 
 
 def test_same_outcome_predicate_examples():

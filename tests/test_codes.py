@@ -32,15 +32,21 @@ from dupcodes.codes import (
     cpf_member,
     cpf_member_rows,
     cpf_rate,
-    disjoint_ball_violation,
-    oracle_decode,
 )
 from dupcodes.transform import derive, zero_signature
 from dupcodes.words import parse_word, run_profile, word
 from dupcodes.wordspace import all_words
 
 import conftest
-from conftest import cpf_decode_scalar, reference_member, run_checksum, words_of
+from conftest import (
+    codebook_words,
+    cpf_decode_scalar,
+    disjoint_ball_violation,
+    oracle_decode,
+    reference_member,
+    run_checksum,
+    words_of,
+)
 
 
 def test_tandem_vt_code_validation():
@@ -49,6 +55,12 @@ def test_tandem_vt_code_validation():
         TandemVTCode(4, 2, 2, (0, 1))
     with pytest.raises(ValueError):
         TandemVTCode(4, 2, 2, (2, 1, 2))  # a_1 > 1
+
+
+def test_the_smallest_valid_constructions_build():
+    """The refusals stop at their bounds: q = 2 and, for cpf, n = 0."""
+    assert TandemVTCode(1, 2, 1, (0,)).codebook_rows().shape == (2, 1)
+    assert PalindromeFreeCode(0, 2).codebook_rows().shape == (1, 0)
 
 
 def test_c1_membership_roundtrip_invariance():
@@ -72,7 +84,7 @@ def test_c1_decode_roundtrip_exhaustive_small():
     for n, ell, q in [(6, 2, 2), (6, 1, 2), (5, 1, 3)]:
         a, _ = c1_best_params(n, ell, q)
         code = TandemVTCode(n, q, ell, a)
-        book = code.codebook()
+        book = codebook_words(code)
         kind = channel.tandem_dup(ell)
         for c in book:
             assert c1_decode(c, code) == c
@@ -386,7 +398,7 @@ def test_c1_best_params_cardinality_bounds():
         a, cardinality = c1_best_params(n, ell, q)
         assert cardinality >= c1_size_lower_bound(n, ell, q)
         code = TandemVTCode(n, q, ell, a)
-        assert len(code.codebook()) == cardinality
+        assert len(code.codebook_rows()) == cardinality
 
 
 def test_c1_best_params_matches_scalar_recount():
@@ -396,7 +408,8 @@ def test_c1_best_params_matches_scalar_recount():
     for n, ell, q in [(1, 1, 2), (4, 1, 2), (7, 2, 2), (9, 3, 2), (5, 1, 3), (6, 2, 3), (4, 2, 4)]:
         counts = {}  # (signature length, residue) -> words
         for x in words_of(n, q):
-            sig = zero_signature(derive(x, ell).v, ell)
+            _, v = derive(x, ell)
+            sig = zero_signature(v, ell)
             key = (len(sig), sum(k * c for k, c in enumerate(sig, start=1)) % (len(sig) + 1))
             counts[key] = counts.get(key, 0) + 1
         a, total = [], 0
@@ -447,7 +460,7 @@ def test_c2_size_lower_bound_values():
     (a, b), best = c2_best_params(8)
     assert best >= math.ceil(Fraction(256, 85))  # >= 4
     code = PalindromicL2Code(8, a, b)
-    assert len(code.codebook()) == best
+    assert len(code.codebook_rows()) == best
 
 
 def test_cpf_member_examples():
@@ -465,7 +478,7 @@ def test_cpf_decode_roundtrip_and_errors():
     n = 7
     for q in (2, 3):
         code = PalindromeFreeCode(n, q)
-        book = code.codebook()
+        book = codebook_words(code)
         rows = code.codebook_rows()
         assert np.array_equal(code.decode_rows(rows), rows)
         for ell in range(2, n + 1):
@@ -580,7 +593,7 @@ def test_construction_interface(cls, n, q, ell, kinds):
     code = cls.best(n, q, ell)
     assert isinstance(code, cls) and code.n == n
     assert list(code.kinds) == kinds
-    book = code.codebook()
+    book = codebook_words(code)
     assert book and all(code.member(c) for c in book)
     for kind in code.kinds:
         for c in book:
@@ -599,7 +612,7 @@ def test_c2_codebooks_partition_the_word_space():
     sizes = np.bincount(group, minlength=len(group_codes))
     assert len(rows) == sizes.sum() == 2**n and sizes.min() > 0
     for g, code in enumerate(group_codes):
-        assert [word(r, 2) for r in rows[group == g].tolist()] == code.codebook()
+        assert [word(r, 2) for r in rows[group == g].tolist()] == codebook_words(code)
     assert sizes.max() == c2_best_params(n)[1]
 
 
@@ -662,13 +675,21 @@ def test_palindrome_free_decode_refuses_other_alphabets():
         (lambda: PalindromicL2Code(4, 0, -1), "b must be in 0..8"),
         (lambda: c2_member(word((0, 1, 1), 2), PalindromicL2Code(4, 0, 0)), "length mismatch"),
         (lambda: c2_decode(word((0, 1, 2, 0), 3), PalindromicL2Code(4, 0, 0)), "binary only"),
+        (lambda: TandemVTCode(4, 1, 1, (0, 1, 2, 3)), "q must be >= 2"),
+        (lambda: PalindromeFreeCode(5, 1), "q must be >= 2"),
+        (lambda: PalindromeFreeCode(-2, 3), "n must be >= 0"),
+        (lambda: PalindromeFreeCode.best(-1, 2, 2), "n must be >= 0"),
     ],
     ids=[
         "c1-ell-above-n", "c1-member-alphabet", "c1-decode-alphabet", "c2-n-below-1", "c2-a-above-4",
         "c2-a-below-0", "c2-b-above-2n", "c2-b-below-0", "c2-member-length", "c2-decode-ternary",
+        "c1-q-below-2", "cpf-q-below-2", "cpf-n-below-0", "cpf-best-n-below-0",
     ],
 )
 def test_construction_refusals_name_what_is_wrong(call, message):
+    """Each refusal is made where the parameters or the word enter: a code
+    that no word space holds is refused when it is built, not when its
+    codebook is enumerated or its rows are decoded."""
     with pytest.raises(ValueError, match=message):
         call()
 

@@ -25,14 +25,12 @@ from dupcodes.codes import (
     TandemVTCode,
     c2_groups,
     check_correction,
-    disjoint_ball_violation,
-    oracle_decode,
     oracle_verdicts,
 )
 from dupcodes.words import Word, format_word, word
 from dupcodes.wordspace import all_words, distinct, packed_keys
 
-from conftest import reference_member
+from conftest import disjoint_ball_violation, oracle_decode, reference_member
 
 
 @dataclass(frozen=True)

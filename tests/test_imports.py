@@ -9,8 +9,12 @@ that deleting a function leaves behind. A module-level function or class
 whose name starts with `_` must be named (or imported) somewhere in the
 package, which catches a private helper that only its own tests still call.
 A public module-level function or class must be named somewhere in the
-package, listed in `dupcodes.__all__` or named by the benchmark harness
-(`perfbench/*.py`), which catches public code that only the tests read.
+package outside `__init__`, named by the benchmark harness
+(`perfbench/*.py`) or listed as a paper count or a user entry point below,
+which catches public code that only the tests read: a re-export in
+`__init__` and its `__all__` is not a reader. Every kept entry point has a
+line in README's "Public surface", and every top-level helper of
+`tests/conftest.py` is named by some test module.
 In `cli.py` only `main` may `return 2` or print an `error:` or `refused:`
 line; a subcommand raises its refusal instead. Importing `dupcodes.cli`
 builds no argparse parser: the first `main` call does.
@@ -30,6 +34,9 @@ PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
 # Paper counts that only the tests call, each held to an enumeration oracle.
 TESTED_PAPER_COUNTS = {"bounds.rll_weight_count", "bounds.irreducible_count"}
+# The paper's operations that nothing in the package calls: entry points for
+# users, which README's quick start runs.
+KEPT_PUBLIC = {"channel.tandem_duplicate", "channel.tandem_delete", "channel.palindromic_duplicate"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -99,17 +106,18 @@ def test_every_private_definition_is_referenced():
 
 def unreferenced_publics(sources: dict[str, str], outside: list[str]) -> list[str]:
     """The module-level public functions and classes of the package (module
-    name -> source) that no module and no `outside` source names, sorted as
-    module.name. A name in `__all__` is named by its import in `__init__`.
-    An outside source names what any of its words spells, in strings too:
-    the benchmark selects functions by name."""
+    name -> source) that no module but `__init__` and no `outside` source
+    names, sorted as module.name: a re-export is not a reader. An outside
+    source names what any of its words spells, in strings too: the
+    benchmark selects functions by name."""
     defined, used = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 defined.append((module, node.name))
-        used |= named(tree)
+        if module != "__init__":
+            used |= named(tree)
     for source in outside:
         used.update(re.findall(r"\w+", source))
     return sorted(f"{module}.{name}" for module, name in defined if name not in used)
@@ -123,13 +131,55 @@ def test_the_guard_finds_an_unreferenced_public_definition():
         "b": "from . import a\n\ndef public():\n    return a.used()\n",
     }
     outside = ["OPS = {'a.benched': ('a', r'benched')}\n"]
-    assert unreferenced_publics(sources, outside) == ["a.Gone", "a.dead", "b.public"]
+    assert unreferenced_publics(sources, outside) == ["a.Gone", "a.dead", "a.exported", "b.public"]
 
 
 def test_every_public_definition_is_referenced():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     outside = [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))]
-    assert unreferenced_publics(sources, outside) == sorted(TESTED_PAPER_COUNTS)
+    assert unreferenced_publics(sources, outside) == sorted(TESTED_PAPER_COUNTS | KEPT_PUBLIC)
+
+
+def public_surface(readme: str) -> set[str]:
+    """The names that README's "Public surface" section gives a line each:
+    the backquoted name that opens a list item."""
+    section = readme.split("\n## Public surface\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"^- `(\w+)", section, re.M))
+
+
+def test_the_public_surface_is_listed_in_the_readme():
+    """Every name of `dupcodes.__all__` and every kept entry point has its
+    line in README, and README lists no name that the package does not
+    export."""
+    import dupcodes
+
+    listed = public_surface((PACKAGE.parents[1] / "README.md").read_text())
+    assert listed == set(dupcodes.__all__)
+    assert {name.split(".")[1] for name in KEPT_PUBLIC} <= listed
+
+
+def unnamed_helpers(helpers: str, tests: list[str]) -> list[str]:
+    """The top-level functions of the helpers source that no tests source
+    names, sorted. A tests source names what any of its words spells, in
+    strings too: `monkeypatch.setattr` takes a helper by name."""
+    used = {name for source in tests for name in re.findall(r"\w+", source)}
+    tree = ast.parse(helpers)
+    return sorted(node.name for node in tree.body if isinstance(node, ast.FunctionDef) and node.name not in used)
+
+
+def test_the_guard_finds_an_unnamed_conftest_helper():
+    helpers = "def used():\n    pass\n\ndef patched():\n    pass\n\ndef dead():\n    return used()\n"
+    tests = [
+        "from conftest import used\n",
+        "import conftest\n\ndef test(monkeypatch):\n    monkeypatch.setattr(conftest, 'patched', None)\n",
+    ]
+    assert unnamed_helpers(helpers, tests) == ["dead"]
+
+
+def test_every_conftest_helper_is_named_by_a_test_module():
+    tests_dir = Path(__file__).resolve().parent
+    tests = [path.read_text() for path in sorted(tests_dir.glob("test_*.py"))]
+    assert unnamed_helpers((tests_dir / "conftest.py").read_text(), tests) == []
 
 
 def exits_outside_main(source: str) -> list[str]:

@@ -131,6 +131,5 @@ def test_channel_and_transform_outputs_pass_the_symbol_check(q, symbols, ell):
             for r in deletion_positions(y, deletion):
                 _passes_symbol_check(apply_error(y, deletion, r))
     if len(x) >= ell:
-        pair = derive(x, ell)
-        for z in (pair.u, pair.v):
+        for z in derive(x, ell):
             _passes_symbol_check(z)

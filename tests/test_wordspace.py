@@ -23,7 +23,8 @@ from conftest import run_checksum
 
 def _scalar_signature(row, ell, q):
     x = Word(tuple(int(s) for s in row), q)
-    sig = zero_signature(derive(x, ell).v, ell)
+    _, v = derive(x, ell)
+    sig = zero_signature(v, ell)
     checksum = sum(k * c for k, c in enumerate(sig, start=1))
     weight = sum(1 for c in sig if c > 0)
     return len(sig), weight, checksum
