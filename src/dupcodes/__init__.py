@@ -26,11 +26,7 @@ from .codes import (
     PalindromicL2Code,
     TandemVTCode,
     c1_decode,
-    c1_member,
     c2_decode,
-    c2_member,
-    cpf_decode,
-    cpf_member,
 )
 from .transform import derive, zero_signature
 from .words import Word, format_word, parse_word, run_profile, word
@@ -61,10 +57,6 @@ __all__ = [
     "TandemVTCode",
     "PalindromicL2Code",
     "PalindromeFreeCode",
-    "c1_member",
     "c1_decode",
-    "c2_member",
     "c2_decode",
-    "cpf_member",
-    "cpf_decode",
 ]

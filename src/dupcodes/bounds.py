@@ -148,7 +148,10 @@ class BoundReport:
 
     @property
     def c2_redundancy(self) -> float:
-        """The run-profile palindromic construction guarantee log2(n) + log2(10)."""
+        """The paper's reference formula log2(n) + log2(10) for the run-profile
+        palindromic construction; not a bound: from n = 40 on it is below the
+        exact redundancy of c2's best (a, b) class, which the pigeonhole
+        value log2(5(2n+1)) stays above."""
         return math.log2(self.n) + math.log2(10)
 
     @property
@@ -475,8 +478,9 @@ def redundancy_table(n_values, ell: int, q: int) -> list[BoundReport]:
     """The redundancy comparison row (`bound_report`) of every length in
     n_values, in order: the sphere-packing lower bound, the achieved
     redundancy of the VT-style tandem construction at its best residues,
-    the run-profile palindromic construction guarantee and the reference
-    burst-insertion redundancy.
+    the paper's reference formula for the run-profile palindromic
+    construction (`BoundReport.c2_redundancy`, not a bound) and the
+    reference burst-insertion redundancy.
 
     Every column is exact counting or a closed form; no word space is read,
     so no q^n guard applies (`docs/decisions.md`, D8). Each row builds one

@@ -15,7 +15,8 @@ scales this package targets.
 
 The batch routes act on a batch of words given as the (N, n) int8 rows the
 wordspace kernels produce: `duplication_rows` returns every single
-duplication as rows (`duplication_columns`: the one at a given position),
+duplication as rows, one gather through the index table of
+`duplication_columns` (which also gives the one at a given position),
 and `error_keys` returns the keys of every
 single-error outcome without building them, one tandem error per gap of
 the difference tail (`docs/decisions.md`, D11).
@@ -170,21 +171,16 @@ def duplication_rows(rows, kind: ErrorKind) -> tuple[np.ndarray, np.ndarray]:
 
     With P = n - ell + 1 positions, received[i * P + p] is row i duplicated
     at position p, an (N * P, n + ell) array of the rows' dtype, and
-    owner[i * P + p] = i: outputs come row by row, positions ascending.
+    owner[i * P + p] = i: outputs come row by row, positions ascending. One
+    gather through the `duplication_columns` table, which simulate reads too.
     """
     if not kind.is_duplication:
         raise ValueError("duplication_rows requires a duplication kind")
     rows = np.asarray(rows)
     N, n = rows.shape
-    ell = kind.ell
-    P = max(0, n - ell + 1)
-    out = np.empty((N, P, n + ell), dtype=rows.dtype)
-    for p in range(P):
-        block = rows[:, p : p + ell]
-        out[:, p, : p + ell] = rows[:, : p + ell]
-        out[:, p, p + ell : p + 2 * ell] = block if kind.is_tandem else block[:, ::-1]
-        out[:, p, p + 2 * ell :] = rows[:, p + ell :]
-    return out.reshape(N * P, n + ell), np.repeat(np.arange(N), P)
+    table = duplication_columns(n, kind)
+    P = len(table)
+    return np.take(rows, table, axis=1).reshape(N * P, n + kind.ell), np.repeat(np.arange(N), P)
 
 
 def error_keys(rows, kind: ErrorKind, q: int) -> tuple[np.ndarray, np.ndarray]:

@@ -32,20 +32,23 @@ Each construction class offers one interface of seven members:
 `best(n, q, ell)` builds the code with the best parameters, `kinds` lists
 the error kinds it corrects, and `member(x)`, `member_rows(rows)` (a bool
 per row), `decode(y)`, `decode_rows(rows)` (int8 rows, -1 where `decode`
-raises) and `codebook_rows(limit)` (the codewords as int8 rows) delegate
-to the module functions below. `check_correction` and the CLI's
-simulation loop use nothing but this interface, and decode through
-`decode_rows`.
+raises) and `codebook_rows(limit)` (the codewords as int8 rows) are the
+construction's rules themselves, with no module-level twin (D20). Only
+`decode` of c1 and c2 forwards, to `c1_decode` and `c2_decode`, which it
+looks up at call time: `perfbench/selftest.py` patches those names.
+`check_correction` and the CLI's simulation loop use nothing but this
+interface, and decode through `decode_rows`.
 
-Membership is one rule per construction, on rows (`c1_member_rows`,
-`c2_member_rows`, `cpf_member_rows`, D18): whole-matrix numpy over an
-(N, n) batch, apart from the kernels that build the codebooks, and
-`member(x)` is its one-row call. The c1 and c2 decoders read the syndrome
-in one pass over the symbol tuple and build a Word only for the word they
-return (`docs/decisions.md`, D5), finding nonzero positions and run starts
-in C (`itertools.compress` over an `operator.ne` map). The syndrome of a c1
-repair follows from D4 (D12), and that of a c2 cut from the run that holds
-it (D14). cpf decodes rows (`cpf_decode_rows`, D17).
+Membership is one rule per construction, on rows (`member_rows`, D18):
+whole-matrix numpy over an (N, n) batch, apart from the kernels that build
+the codebooks, and `member(x)` is its one-row call. The c1 and c2 decoders
+read the syndrome in one pass over the symbol tuple and build a Word only
+for the word they return (`docs/decisions.md`, D5), finding nonzero
+positions and run starts in C (`itertools.compress` over an `operator.ne`
+map). The syndrome of a c1 repair follows from D4 (D12), and that of a c2
+cut from the run that holds it (D14). cpf decodes rows
+(`PalindromeFreeCode.decode_rows`, D17), and its `decode(y)` is a one-row
+call.
 
 `check_correction` verifies single-error correction on arrays: it takes a
 codebook as the int8 rows of the kernels, builds every single duplication
@@ -108,7 +111,7 @@ class DecodingFailure(Exception):
     """Raised when a received word lies outside every codeword's error ball."""
 
 
-_CUT_ROWS = 2048  # rows that the row members and cpf_decode_rows take at a time, which bounds their temporaries
+_CUT_ROWS = 2048  # rows that the row members and cpf's decode_rows take at a time, which bounds their temporaries
 
 
 def _by_cuts(block, rows: np.ndarray, out: np.ndarray, *args) -> np.ndarray:
@@ -179,10 +182,20 @@ class TandemVTCode:
         return (tandem_dup(self.ell),)
 
     def member(self, x: Word) -> bool:
-        return c1_member(x, self)
+        """Membership: the zero-signature of the difference tail satisfies the
+        VT residue for its length. `member_rows` on the one row of x."""
+        if x.q != self.q:
+            raise ValueError(f"alphabet mismatch: word q={x.q}, code q={self.q}")
+        if len(x) != self.n:
+            raise ValueError(f"length mismatch: |x|={len(x)}, code n={self.n}")
+        return bool(self.member_rows(_row_of(x))[0])
 
     def member_rows(self, rows) -> np.ndarray:
-        return c1_member_rows(rows, self)
+        """`member` of each row of an (N, n) batch over Z_q, as a bool array;
+        read off the rows apart from `signature_scan`, which builds the
+        codebook (D18)."""
+        rows = np.asarray(rows)
+        return _by_cuts(_c1_member_block, rows, np.empty(len(rows), dtype=np.bool_), self)
 
     def decode(self, y: Word) -> Word:
         return c1_decode(y, self)
@@ -191,29 +204,14 @@ class TandemVTCode:
         return _decoded_rows(self, rows)
 
     def codebook_rows(self, limit: int = MAX_ENUMERABLE) -> np.ndarray:
-        return c1_codebook_rows(self, limit)
-
-
-def c1_member(x: Word, code: TandemVTCode) -> bool:
-    """Membership: the zero-signature of the difference tail satisfies the
-    VT residue for its length. `c1_member_rows` on the one row of x."""
-    if x.q != code.q:
-        raise ValueError(f"alphabet mismatch: word q={x.q}, code q={code.q}")
-    if len(x) != code.n:
-        raise ValueError(f"length mismatch: |x|={len(x)}, code n={code.n}")
-    return bool(c1_member_rows(_row_of(x), code)[0])
-
-
-def c1_member_rows(rows, code: TandemVTCode) -> np.ndarray:
-    """`c1_member` of each row of an (N, n) batch over Z_q, as a bool array;
-    read off the rows apart from `signature_scan`, which builds the
-    codebook (D18)."""
-    rows = np.asarray(rows)
-    return _by_cuts(_c1_member_block, rows, np.empty(len(rows), dtype=np.bool_), code)
+        """All codewords as int8 rows in lexicographic order."""
+        arr, sig_len, residues = _c1_keys(self.n, self.ell, self.q, limit)
+        wanted = np.asarray(self.a, dtype=np.int64)[sig_len - 1]
+        return arr[residues == wanted]
 
 
 def _c1_member_block(rows: np.ndarray, code: TandemVTCode) -> np.ndarray:
-    """`c1_member_rows` on at most _CUT_ROWS rows. A zero of the difference
+    """`TandemVTCode.member_rows` on at most _CUT_ROWS rows. A zero of the difference
     tail that stands t places past the last nonzero before it (or past the
     tail's start) ends an ell-block of its gap when ell divides t, so gap k
     has sig_k such zeros, and each adds k to the checksum sum_k k*sig_k."""
@@ -243,7 +241,7 @@ def c1_decode(y: Word, code: TandemVTCode) -> Word:
         raise ValueError(f"alphabet mismatch: word q={y.q}, code q={code.q}")
     s = y.symbols
     if len(s) == n:
-        if c1_member(y, code):
+        if code.member(y):
             return y
         raise DecodingFailure("decoding failure: received word is not a codeword")
     if len(s) != n + ell:
@@ -328,13 +326,6 @@ def c1_size_lower_bound(n: int, ell: int, q: int) -> Fraction:
     return q**ell * sum(Fraction(math.comb(m, w) * (q - 1) ** w, w + 2) for w in range(m + 1))
 
 
-def c1_codebook_rows(code: TandemVTCode, limit: int = MAX_ENUMERABLE) -> np.ndarray:
-    """All codewords as int8 rows in lexicographic order."""
-    arr, sig_len, residues = _c1_keys(code.n, code.ell, code.q, limit)
-    wanted = np.asarray(code.a, dtype=np.int64)[sig_len - 1]
-    return arr[residues == wanted]
-
-
 # ---------------------------------------------------------------------------
 # Construction 2: binary, palindromic duplications of length 2
 # ---------------------------------------------------------------------------
@@ -375,10 +366,19 @@ class PalindromicL2Code:
         return (pal_dup(2),)
 
     def member(self, x: Word) -> bool:
-        return c2_member(x, self)
+        """`member_rows` on the one row of x."""
+        if x.q != 2:
+            raise ValueError("binary only: the run-profile construction requires q = 2")
+        if len(x) != self.n:
+            raise ValueError(f"length mismatch: |x|={len(x)}, code n={self.n}")
+        return bool(self.member_rows(_row_of(x))[0])
 
     def member_rows(self, rows) -> np.ndarray:
-        return c2_member_rows(rows, self)
+        """`member` of each row of an (N, n) binary batch, as a bool array:
+        the (a, b) syndrome test, read off the rows apart from `run_stats` and
+        `_c2_completions`, which build the codebooks (D18)."""
+        rows = np.asarray(rows)
+        return _by_cuts(_c2_member_block, rows, np.empty(len(rows), dtype=np.bool_), self)
 
     def decode(self, y: Word) -> Word:
         return c2_decode(y, self)
@@ -387,7 +387,30 @@ class PalindromicL2Code:
         return _decoded_rows(self, rows)
 
     def codebook_rows(self, limit: int = MAX_ENUMERABLE) -> np.ndarray:
-        return c2_codebook_rows(self, limit)
+        """All codewords as int8 rows in lexicographic order, grown one column
+        at a time from the prefixes that can still reach (a, b)
+        (`docs/decisions.md`, D14). A prefix's state is (length-1 runs, run
+        checksum, its last run is one symbol long), with the last run counted
+        as if it ended there. A prefix is kept while `_c2_completions` has a way
+        to finish it in (a, b), so every kept prefix ends in a codeword and no
+        more rows than codewords are live at any length. Refuses (ValueError)
+        the n that `all_words` refuses at this `limit`."""
+        n, modulus = self.n, 2 * self.n + 1
+        require_enumerable(n, 2, limit)
+        ways = _c2_completions(n)
+        rows = np.array([[0], [1]], dtype=np.int8)
+        ones, checksum, single = np.ones(2, dtype=np.int64), np.full(2, n, dtype=np.int64), np.ones(2, dtype=bool)
+        for p in range(1, n + 1):
+            live = ways[p, single.view(np.int8), (self.a - ones) % 5, (self.b - checksum) % modulus] > 0
+            rows, ones, checksum, single = rows[live], ones[live], checksum[live], single[live]
+            if p == n:
+                return rows
+            bits = np.tile(np.array([0, 1], dtype=np.int8), len(rows))  # each prefix + 0, then + 1
+            rows = np.column_stack((np.repeat(rows, 2, axis=0), bits))
+            new_run = rows[:, p] != rows[:, p - 1]
+            ones = np.repeat(ones, 2) + new_run - (np.repeat(single, 2) & ~new_run)
+            checksum = np.repeat(checksum, 2) + (n - p) * new_run
+            single = new_run
 
 
 def _c2_syndrome(s: tuple[int, ...]):
@@ -399,25 +422,8 @@ def _c2_syndrome(s: tuple[int, ...]):
     return starts, countOf(lengths, 1), len(s) * len(starts) - sum(starts)
 
 
-def c2_member(x: Word, code: PalindromicL2Code) -> bool:
-    """`c2_member_rows` on the one row of x."""
-    if x.q != 2:
-        raise ValueError("binary only: the run-profile construction requires q = 2")
-    if len(x) != code.n:
-        raise ValueError(f"length mismatch: |x|={len(x)}, code n={code.n}")
-    return bool(c2_member_rows(_row_of(x), code)[0])
-
-
-def c2_member_rows(rows, code: PalindromicL2Code) -> np.ndarray:
-    """`c2_member` of each row of an (N, n) binary batch, as a bool array:
-    the (a, b) syndrome test, read off the rows apart from `run_stats` and
-    `_c2_completions`, which build the codebooks (D18)."""
-    rows = np.asarray(rows)
-    return _by_cuts(_c2_member_block, rows, np.empty(len(rows), dtype=np.bool_), code)
-
-
 def _c2_member_block(rows: np.ndarray, code: PalindromicL2Code) -> np.ndarray:
-    """`c2_member_rows` on at most _CUT_ROWS rows. A run starts where a
+    """`PalindromicL2Code.member_rows` on at most _CUT_ROWS rows. A run starts where a
     boundary (or the word's start) stands before a symbol, and a symbol with
     one on both sides is a run of length 1. The run checksum is n per run
     less each run start, and run i + 1 starts at boundary index i + 1."""
@@ -467,7 +473,7 @@ def c2_decode(y: Word, code: PalindromicL2Code) -> Word:
     modulus = 2 * n + 1
     s = y.symbols
     if len(s) == n:
-        if c2_member(y, code):
+        if code.member(y):
             return y
         raise DecodingFailure("decoding failure: received word is not a codeword")
     if len(s) != n + 2:
@@ -584,33 +590,6 @@ def c2_size_lower_bound(n: int) -> Fraction:
     return Fraction(2**n, 5 * (2 * n + 1))
 
 
-def c2_codebook_rows(code: PalindromicL2Code, limit: int = MAX_ENUMERABLE) -> np.ndarray:
-    """All codewords as int8 rows in lexicographic order, grown one column
-    at a time from the prefixes that can still reach (a, b)
-    (`docs/decisions.md`, D14). A prefix's state is (length-1 runs, run
-    checksum, its last run is one symbol long), with the last run counted
-    as if it ended there. A prefix is kept while `_c2_completions` has a way
-    to finish it in (a, b), so every kept prefix ends in a codeword and no
-    more rows than codewords are live at any length. Refuses (ValueError)
-    the n that `all_words` refuses at this `limit`."""
-    n, modulus = code.n, 2 * code.n + 1
-    require_enumerable(n, 2, limit)
-    ways = _c2_completions(n)
-    rows = np.array([[0], [1]], dtype=np.int8)
-    ones, checksum, single = np.ones(2, dtype=np.int64), np.full(2, n, dtype=np.int64), np.ones(2, dtype=bool)
-    for p in range(1, n + 1):
-        live = ways[p, single.view(np.int8), (code.a - ones) % 5, (code.b - checksum) % modulus] > 0
-        rows, ones, checksum, single = rows[live], ones[live], checksum[live], single[live]
-        if p == n:
-            return rows
-        bits = np.tile(np.array([0, 1], dtype=np.int8), len(rows))  # each prefix + 0, then + 1
-        rows = np.column_stack((np.repeat(rows, 2, axis=0), bits))
-        new_run = rows[:, p] != rows[:, p - 1]
-        ones = np.repeat(ones, 2) + new_run - (np.repeat(single, 2) & ~new_run)
-        checksum = np.repeat(checksum, 2) + (n - p) * new_run
-        single = new_run
-
-
 # ---------------------------------------------------------------------------
 # Construction 3: palindrome-free words, any duplication length >= 2
 # ---------------------------------------------------------------------------
@@ -640,58 +619,52 @@ class PalindromeFreeCode:
         return tuple(pal_dup(ell) for ell in range(2, self.n + 1))
 
     def member(self, x: Word) -> bool:
+        """True iff x contains no window a b b a (equivalently, no length-2
+        palindromic deletion is possible). Words of length <= 3 always qualify.
+        `member_rows` on the one row of x."""
         if x.q != self.q:
             raise ValueError(f"alphabet mismatch: word q={x.q}, code q={self.q}")
         if len(x) != self.n:
             raise ValueError(f"length mismatch: |x|={len(x)}, code n={self.n}")
-        return cpf_member(x)
+        return bool(self.member_rows(_row_of(x))[0])
 
     def member_rows(self, rows) -> np.ndarray:
-        return cpf_member_rows(rows)
+        """`member` of each row of an (N, n) batch, as a bool array: True
+        where no window a b b a stands, read off the rows apart from
+        `pal2_free_mask`, which builds the codebook and filters the decoder's
+        cuts (D18)."""
+        rows = np.asarray(rows)
+        return _by_cuts(_cpf_member_block, rows, np.empty(len(rows), dtype=np.bool_))
 
     def decode(self, y: Word) -> Word:
+        """`decode_rows` on the one row of y."""
         if y.q != self.q:
             raise ValueError(f"alphabet mismatch: word q={y.q}, code q={self.q}")
-        return cpf_decode(y, self.n)
+        [x] = self.decode_rows(_row_of(y)).tolist()
+        if -1 in x or not self.n and y.symbols:  # n = 0: only the empty word decodes
+            raise DecodingFailure(f"decoding failure: no one palindrome-free preimage under a duplication of length {len(y) - self.n}")
+        return _unchecked_word(tuple(x), y.q)
 
     def decode_rows(self, rows) -> np.ndarray:
-        return cpf_decode_rows(rows, self.n)
+        """The unique palindrome-free preimage of each row of an (N, n + ell)
+        batch, one ell per call, as (N, n) rows of its dtype; a row of -1 where
+        there is none or several, or ell is 1 or negative (D17)."""
+        rows = np.asarray(rows)
+        return _by_cuts(_cpf_decoded_block, rows, np.empty((len(rows), max(0, self.n)), dtype=rows.dtype), self.n)
 
     def codebook_rows(self, limit: int = MAX_ENUMERABLE) -> np.ndarray:
-        return cpf_codebook_rows(self.n, self.q, limit)
-
-
-def cpf_member(x: Word) -> bool:
-    """True iff x contains no window a b b a (equivalently, no length-2
-    palindromic deletion is possible). Words of length <= 3 always qualify.
-    `cpf_member_rows` on the one row of x."""
-    return bool(cpf_member_rows(_row_of(x))[0])
-
-
-def cpf_member_rows(rows) -> np.ndarray:
-    """`cpf_member` of each row of an (N, n) batch, as a bool array: True
-    where no window a b b a stands, read off the rows apart from
-    `pal2_free_mask`, which builds the codebook and filters the decoder's
-    cuts (D18)."""
-    rows = np.asarray(rows)
-    return _by_cuts(_cpf_member_block, rows, np.empty(len(rows), dtype=np.bool_))
+        """All 2-palindrome-free words of length n as int8 rows in lexicographic order."""
+        arr = all_words(self.n, self.q, limit=limit)
+        return arr[pal2_free_mask(arr)]
 
 
 def _cpf_member_block(x: np.ndarray) -> np.ndarray:
-    """`cpf_member_rows` on at most _CUT_ROWS rows."""
+    """`PalindromeFreeCode.member_rows` on at most _CUT_ROWS rows."""
     return ~((x[:, :-3] == x[:, 3:]) & (x[:, 1:-2] == x[:, 2:-1])).any(axis=1)
 
 
-def cpf_decode_rows(rows, n: int) -> np.ndarray:
-    """The unique palindrome-free preimage of each row of an (N, n + ell)
-    batch, one ell per call, as (N, n) rows of its dtype; a row of -1 where
-    there is none or several, or ell is 1 or negative (D17)."""
-    rows = np.asarray(rows)
-    return _by_cuts(_cpf_decoded_block, rows, np.empty((len(rows), max(0, n)), dtype=rows.dtype), n)
-
-
 def _cpf_decoded_block(rows: np.ndarray, n: int) -> np.ndarray:
-    """`cpf_decode_rows` on at most _CUT_ROWS rows."""
+    """`PalindromeFreeCode.decode_rows` on at most _CUT_ROWS rows."""
     N, m = rows.shape
     ell = m - n
     decoded = np.full((N, max(0, n)), -1, dtype=rows.dtype)
@@ -713,14 +686,6 @@ def _cpf_decoded_block(rows: np.ndarray, n: int) -> np.ndarray:
     decoded[row] = cuts  # any one cut per row; the row fails where another cut differs
     decoded[row[(decoded[row] != cuts).any(axis=1)]] = -1
     return decoded
-
-
-def cpf_decode(y: Word, n: int) -> Word:
-    """`cpf_decode_rows` on the one row of y."""
-    [x] = cpf_decode_rows(_row_of(y), n).tolist()
-    if -1 in x or not n and y.symbols:  # n = 0: only the empty word decodes
-        raise DecodingFailure(f"decoding failure: no one palindrome-free preimage under a duplication of length {len(y) - n}")
-    return _unchecked_word(tuple(x), y.q)
 
 
 def cpf_count_recursive(n: int, q: int) -> int:
@@ -799,12 +764,6 @@ def cpf_rate(q: int, n=None) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     return math.log(cpf_count_recursive(n, q), q) / n
-
-
-def cpf_codebook_rows(n: int, q: int, limit: int = MAX_ENUMERABLE) -> np.ndarray:
-    """All 2-palindrome-free words of length n as int8 rows in lexicographic order."""
-    arr = all_words(n, q, limit=limit)
-    return arr[pal2_free_mask(arr)]
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,12 @@ to `channel.apply_error` over every word at small sizes.
 `sample_single_error` is simulate's trial on the Word route, one error at a
 time: the reference for the order of its random draws. `cpf_decode_scalar`
 is the palindrome-free decoder on one symbol tuple, the differential
-oracle of `codes.cpf_decode_rows`.
+oracle of `codes.PalindromeFreeCode.decode_rows`.
 
 `c1_holds`, `c2_holds` and `_has_mirrored_pair` are the three membership
 rules on one symbol tuple, read off the one-pass syndromes of
 `docs/decisions.md` D5: the differential oracles of the row members
-(`c1_member_rows`, `c2_member_rows`, `cpf_member_rows`, D18).
+(each construction's `member_rows`, D18).
 `reference_member(code)` is the matching Word predicate, which the
 `oracle_decode` loops of the tests take as their membership test.
 

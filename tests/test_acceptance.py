@@ -50,7 +50,6 @@ from dupcodes.codes import (
     cpf_count_closed,
     cpf_count_recursive,
     cpf_lambda,
-    cpf_member_rows,
     cpf_rate,
 )
 from dupcodes.formulas import (
@@ -325,7 +324,7 @@ def test_criterion_08_construction3_counting_and_decoder():
     bad = []
     for q, max_n in ((2, 14), (3, 8)):
         for n in range(0, max_n + 1):
-            exhaustive = int(cpf_member_rows(all_words(n, q)).sum())
+            exhaustive = int(PalindromeFreeCode(n, q).member_rows(all_words(n, q)).sum())
             if cpf_count_recursive(n, q) != exhaustive:
                 bad.append(("count", q, n))
     for q in (2, 3, 4, 5):
@@ -373,7 +372,7 @@ _LEDGER = "docs/decisions.md"
 
 
 def _has_length4_palindrome(s) -> bool:
-    """True iff s has an a b b a window (a = b allowed); written apart from cpf_member."""
+    """True iff s has an a b b a window (a = b allowed); written apart from PalindromeFreeCode.member."""
     return any(s[p : p + 4] == s[p : p + 4][::-1] for p in range(len(s) - 3))
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -191,3 +192,15 @@ def test_redundancy_table_columns():
     clamped = redundancy_table([2], 1, 2)[0]
     assert clamped.redundancy_lb_bits == 0
     assert clamped.redundancy_lb_bits_raw == 0  # bound 4 = 2^2 exactly
+
+
+def test_the_c2_column_is_a_reference_formula_not_a_bound():
+    """log2(n) + log2(10) lies below the exact redundancy n - log2|C| of
+    c2's best (a, b) class from n = 40 on, so it bounds nothing; the
+    pigeonhole value log2(5(2n+1)) stays at or above the exact redundancy.
+    Both compared in integers: 10n |C| < 2^n and 2^n <= 5(2n+1) |C|."""
+    for n in range(1, 65):
+        _, size = codes.c2_best_params(n)
+        assert 2**n <= 5 * (2 * n + 1) * size, n
+        if n >= 40:
+            assert 10 * n * size < 2**n, n

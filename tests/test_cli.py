@@ -38,6 +38,16 @@ def no_rows(rows, n):
     return np.full((len(rows), n), -1, dtype=np.int8)
 
 
+def patch_decoder(monkeypatch, decoder, double):
+    """Patch what verify and simulate reach: `codes.c1_decode`,
+    `codes.c2_decode` or `codes.oracle_verdicts` by name, or for
+    "cpf_decode_rows" cpf's `decode_rows`, with double(rows, n) in its place."""
+    if decoder == "cpf_decode_rows":
+        monkeypatch.setattr(codes.PalindromeFreeCode, "decode_rows", lambda code, rows: double(rows, code.n))
+    else:
+        monkeypatch.setattr(codes, decoder, double)
+
+
 def test_sphere_pal_dup_example(capsys):
     code, out, _ = run_cli(
         capsys, "sphere", "--word", "11110220", "--q", "3", "--kind", "pal-dup", "--l", "2", "--t", "1"
@@ -395,7 +405,7 @@ def test_verify_counts_decoding_failure_as_broken(monkeypatch, capsys, args, dec
         return np.zeros(len(received), dtype=bool), {}
 
     doubles = {"oracle_verdicts": oracle_rejects_every_row, "cpf_decode_rows": no_rows}
-    monkeypatch.setattr(codes, decoder, doubles.get(decoder, fail))
+    patch_decoder(monkeypatch, decoder, doubles.get(decoder, fail))
     code, out, _ = run_cli(capsys, "verify", *args)
     assert code == 1
     lines = out.splitlines()
@@ -415,7 +425,7 @@ def test_verify_failure_counts_parameter_pairs_and_lengths(monkeypatch, capsys, 
     """A decoder that fails everywhere breaks every (a, b) group that exists
     at n=6, and each duplication length 2..6 of cpf, once."""
     groups = len(codes.c2_groups(6)[0])
-    monkeypatch.setattr(codes, decoder, no_rows if decoder == "cpf_decode_rows" else fail)
+    patch_decoder(monkeypatch, decoder, no_rows if decoder == "cpf_decode_rows" else fail)
     code, out, _ = run_cli(capsys, "verify", *args)
     assert code == 1
     assert report.format(groups=groups) in out.splitlines()
@@ -424,7 +434,7 @@ def test_verify_failure_counts_parameter_pairs_and_lengths(monkeypatch, capsys, 
 def test_verify_names_a_clashing_pair_and_their_shared_word(monkeypatch, capsys):
     """With every word of length 6 as the codebook, the balls clash; the FAIL
     line names two codewords and a word that both balls hold."""
-    monkeypatch.setattr(codes, "c1_codebook_rows", lambda code, limit: all_words(code.n, code.q, limit))
+    monkeypatch.setattr(codes.TandemVTCode, "codebook_rows", lambda code, limit: all_words(code.n, code.q, limit))
     code, out, _ = run_cli(capsys, "verify", "--code", "c1", "--n", "6", "--l", "2", "--q", "2")
     assert code == 1
     [line] = [line for line in out.splitlines() if line.startswith("FAIL balls intersect: ")]
@@ -439,7 +449,7 @@ def test_verify_refuses_keys_wider_than_int64(monkeypatch, capsys):
     """cpf at n=40 duplicates up to 40 symbols: received words of length 80
     need 80-bit keys. The codebook stands in for one that a larger machine
     could enumerate."""
-    monkeypatch.setattr(codes, "cpf_codebook_rows", lambda n, q, limit: np.zeros((0, n), dtype=np.int8))
+    monkeypatch.setattr(codes.PalindromeFreeCode, "codebook_rows", lambda code, limit: np.zeros((0, code.n), dtype=np.int8))
     code, out, err = run_cli(capsys, "verify", "--code", "cpf", "--n", "40", "--q", "2", "--force")
     assert code == 2
     assert out == ""
@@ -460,10 +470,10 @@ def test_running_out_of_memory_is_refused(monkeypatch, tmp_path, capsys, argv):
     fails at once depends on how the machine overcommits memory."""
     text = "Unable to allocate 40.0 TiB for an array with shape (1099511627776, 40) and data type int8"
 
-    def exhausted(n, q, limit):
+    def exhausted(code, limit):
         raise MemoryError(text)
 
-    monkeypatch.setattr(codes, "cpf_codebook_rows", exhausted)
+    monkeypatch.setattr(codes.PalindromeFreeCode, "codebook_rows", exhausted)
     out_path = tmp_path / "rows.json"
     code, out, err = run_cli(capsys, *argv, "--force", "--out", str(out_path))
     assert code == 2
@@ -477,10 +487,10 @@ def test_an_os_error_not_about_out_propagates(monkeypatch, tmp_path, capsys, arg
     """Only a failure to write --out is an input refusal; any other OSError
     is a fault of the run and leaves `main` as it is, with no --out."""
 
-    def unreadable(n, q, limit):
+    def unreadable(code, limit):
         raise OSError(5, "Input/output error", str(tmp_path / "elsewhere"))
 
-    monkeypatch.setattr(codes, "cpf_codebook_rows", unreadable)
+    monkeypatch.setattr(codes.PalindromeFreeCode, "codebook_rows", unreadable)
     out_path = tmp_path / "rows.json"
     for extra in ((), ("--out", str(out_path))):
         with pytest.raises(OSError, match="Input/output error"):
@@ -508,16 +518,17 @@ def test_a_codebook_past_the_array_size_limit_is_refused(capsys, command):
     ids=["c1", "c2", "cpf"],
 )
 def test_simulate_counts_decoding_failure_as_a_failed_trial(monkeypatch, capsys, args, decoder):
-    """simulate reaches each decoder through its module-level name: a decoder
-    that always fails loses every trial that had an error to correct. The
-    row decoder sees each trial's received row once."""
+    """simulate reaches the c1 and c2 decoders through their module-level
+    names and cpf's through its `decode_rows`: a decoder that always fails
+    loses every trial that had an error to correct. The row decoder sees
+    each trial's received row once."""
     decoded = []
 
     def counted_no_rows(rows, n):
         decoded.extend(rows.tolist())
         return no_rows(rows, n)
 
-    monkeypatch.setattr(codes, decoder, counted_no_rows if decoder == "cpf_decode_rows" else fail)
+    patch_decoder(monkeypatch, decoder, counted_no_rows if decoder == "cpf_decode_rows" else fail)
     code, out, err = run_cli(capsys, "simulate", *args, "--trials", "30", "--seed", "7")
     assert code == 1
     successes, trials = out.split()[0].split("/")
@@ -548,8 +559,9 @@ def wrong_rows(rows, n):
     ids=["c1", "c2", "cpf"],
 )
 def test_a_wrong_word_from_any_decoder_fails_verify_and_simulate(monkeypatch, capsys, decoder, args):
-    """verify and simulate reach every decoder through its module-level name:
-    c1 and c2 with one Word per call, cpf with a batch of rows. A decoder
+    """verify and simulate reach the c1 and c2 decoders through their
+    module-level names, one Word per call, and cpf's through its
+    `decode_rows`, a batch of rows per call. A decoder
     that returns a wrong word breaks the verify report and loses simulate
     trials; simulate decodes each trial once."""
     calls = []
@@ -563,7 +575,7 @@ def test_a_wrong_word_from_any_decoder_fails_verify_and_simulate(monkeypatch, ca
         calls.append(y)
         return wrong_word(y, code)
 
-    monkeypatch.setattr(codes, decoder, recorded)
+    patch_decoder(monkeypatch, decoder, recorded)
     code, out, _ = run_cli(capsys, "verify", *args)
     assert code == 1 and calls
     lines = out.splitlines()
@@ -865,7 +877,7 @@ def test_simulate_c2_equals_the_word_space_scan_route(monkeypatch, tmp_path, cap
     results = []
     for route in ("grown", "scan"):
         if route == "scan":
-            monkeypatch.setattr(codes, "c2_codebook_rows", scan)
+            monkeypatch.setattr(codes.PalindromicL2Code, "codebook_rows", scan)
         path = tmp_path / f"{route}.json"
         argv = ("simulate", "--code", "c2", "--n", str(n), "--trials", "150", "--seed", str(seed), "--out", str(path))
         results.append((run_cli(capsys, *argv), path.read_bytes()))
@@ -1056,10 +1068,10 @@ def test_simulate_reports_the_first_failed_trial_of_the_word_loop(monkeypatch, c
         return np.array([decode(Word(tuple(row), code.q)).symbols for row in rows.tolist()], dtype=np.int8).reshape(-1, n)
 
     if decoder == "cpf_decode_rows":
-        monkeypatch.setattr(codes, decoder, row_decoder)
+        patch_decoder(monkeypatch, decoder, row_decoder)
     else:
         original = getattr(codes, decoder)
-        monkeypatch.setattr(codes, decoder, lambda y, c: wrong_word(y, c) if wrong_here(y.symbols) else original(y, c))
+        patch_decoder(monkeypatch, decoder, lambda y, c: wrong_word(y, c) if wrong_here(y.symbols) else original(y, c))
     trials = 3 * codes._DECODE_ROWS
     runs = [assert_simulate_matches_the_word_loop(capsys, tmp_path, code, args, trials, seed, decode) for seed in range(10)]
     if wrong_on == "one-late-word":

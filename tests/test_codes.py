@@ -15,22 +15,15 @@ from dupcodes.codes import (
     TandemVTCode,
     c1_best_params,
     c1_decode,
-    c1_member,
     c1_size_lower_bound,
     _c2_keys,
     c2_best_params,
-    c2_codebook_rows,
     c2_decode,
     c2_groups,
-    c2_member,
     c2_size_lower_bound,
     cpf_count_closed,
     cpf_count_recursive,
-    cpf_decode,
-    cpf_decode_rows,
     cpf_lambda,
-    cpf_member,
-    cpf_member_rows,
     cpf_rate,
 )
 from dupcodes.transform import derive, zero_signature
@@ -68,16 +61,16 @@ def test_c1_membership_roundtrip_invariance():
     from dupcodes.channel import tandem_delete
 
     for x in words_of(6, 2):
-        member = c1_member(x, code)
+        member = code.member(x)
         for p in range(5):
             y = tandem_duplicate(x, 2, p)
-            assert c1_member(tandem_delete(y, 2, p), code) == member
+            assert code.member(tandem_delete(y, 2, p)) == member
 
 
 def test_c1_member_length_mismatch():
     code = TandemVTCode.best(6, 2, 2)
     with pytest.raises(ValueError, match="length"):
-        c1_member(word((0, 1), 2), code)
+        code.member(word((0, 1), 2))
 
 
 def test_c1_decode_roundtrip_exhaustive_small():
@@ -103,7 +96,7 @@ def test_c1_decode_failures():
         c1_decode(y, code)
     with pytest.raises(DecodingFailure):
         c1_decode(word((0, 1, 0), 2), code)  # bad length
-    non_member = next(x for x in words_of(6, 2) if not c1_member(x, code))
+    non_member = next(x for x in words_of(6, 2) if not code.member(x))
     with pytest.raises(DecodingFailure):
         c1_decode(non_member, code)
 
@@ -333,7 +326,7 @@ def test_cpf_decode_rows_equal_the_scalar_decoder_on_every_word(q, max_n):
     for n in range(0, max_n + 1):
         for m in range(max(0, n - 1), 2 * n + 2):
             rows = all_words(m, q)
-            decoded = cpf_decode_rows(rows, n)
+            decoded = PalindromeFreeCode(n, q).decode_rows(rows)
             assert decoded.dtype == np.int8 and decoded.shape == (len(rows), n)
             for y, got in zip(words_of(m, q), decoded.tolist()):
                 try:
@@ -353,7 +346,7 @@ def test_cpf_decode_rows_fail_where_two_cuts_differ(monkeypatch, q, max_n):
     ambiguous = 0
     for n in range(2, max_n + 1):
         for m in range(n + 2, 2 * n + 1):
-            for y, got in zip(words_of(m, q), cpf_decode_rows(all_words(m, q), n).tolist()):
+            for y, got in zip(words_of(m, q), PalindromeFreeCode(n, q).decode_rows(all_words(m, q)).tolist()):
                 try:
                     expected = cpf_decode_scalar(y, n).symbols
                 except DecodingFailure as failure:
@@ -366,7 +359,7 @@ def test_cpf_decode_rows_fail_where_two_cuts_differ(monkeypatch, q, max_n):
 @pytest.mark.parametrize("m", [4, 5, 6, 7])
 def test_cpf_decode_rows_of_an_empty_batch(m):
     """No rows in, no rows out, at the lengths n-1, n, n+1 and n+2 of n = 5."""
-    decoded = cpf_decode_rows(np.zeros((0, m), dtype=np.int8), 5)
+    decoded = PalindromeFreeCode(5, 2).decode_rows(np.zeros((0, m), dtype=np.int8))
     assert decoded.shape == (0, 5) and decoded.dtype == np.int8
 
 
@@ -425,13 +418,13 @@ def test_c1_best_params_matches_scalar_recount():
 def test_c2_member_examples():
     code = PalindromicL2Code(8, 4, 13)
     x = parse_word("01011001", 2)
-    assert c2_member(x, code)
-    assert not c2_member(x, PalindromicL2Code(8, 0, 13))
+    assert code.member(x)
+    assert not PalindromicL2Code(8, 0, 13).member(x)
     n = 6
     const = word((0,) * n, 2)
-    assert c2_member(const, PalindromicL2Code(n, 0, n % (2 * n + 1)))
+    assert PalindromicL2Code(n, 0, n % (2 * n + 1)).member(const)
     with pytest.raises(ValueError, match="binary"):
-        c2_member(word((0, 1, 2), 3), PalindromicL2Code(3, 0, 0))
+        PalindromicL2Code(3, 0, 0).member(word((0, 1, 2), 3))
 
 
 def test_c2_decode_worked_example():
@@ -464,11 +457,11 @@ def test_c2_size_lower_bound_values():
 
 
 def test_cpf_member_examples():
-    assert cpf_member(parse_word("012122", 3))
-    assert not cpf_member(parse_word("012212", 3))
-    assert cpf_member(word((0, 0, 0), 2))
-    assert cpf_member(word((1, 1), 4))
-    assert not cpf_member(word((0, 0, 0, 0), 2))
+    assert PalindromeFreeCode(6, 3).member(parse_word("012122", 3))
+    assert not PalindromeFreeCode(6, 3).member(parse_word("012212", 3))
+    assert PalindromeFreeCode(3, 2).member(word((0, 0, 0), 2))
+    assert PalindromeFreeCode(2, 4).member(word((1, 1), 4))
+    assert not PalindromeFreeCode(4, 2).member(word((0, 0, 0, 0), 2))
 
 
 def test_cpf_decode_roundtrip_and_errors():
@@ -486,14 +479,14 @@ def test_cpf_decode_roundtrip_and_errors():
             decoded = code.decode_rows(np.array([y.symbols for y in received], dtype=np.int8))
             assert np.array_equal(decoded, np.repeat(rows, n - ell + 1, axis=0)), ell
     with pytest.raises(DecodingFailure, match="length 1"):
-        cpf_decode(word((0, 1, 0, 1, 0, 1, 0, 1), 2), 7)
+        PalindromeFreeCode(7, 2).decode(word((0, 1, 0, 1, 0, 1, 0, 1), 2))
     with pytest.raises(DecodingFailure):
-        cpf_decode(word((0, 0, 0, 0), 2), 4)  # not palindrome-free
+        PalindromeFreeCode(4, 2).decode(word((0, 0, 0, 0), 2))  # not palindrome-free
     with pytest.raises(DecodingFailure, match="length -1"):
-        cpf_decode(word((0, 1, 2), 3), 4)  # shorter than n
+        PalindromeFreeCode(4, 3).decode(word((0, 1, 2), 3))  # shorter than n
     with pytest.raises(DecodingFailure, match="length 3"):
-        cpf_decode(word((0, 1, 2), 3), 0)  # at n = 0 only the empty word decodes
-    assert cpf_decode(word((), 3), 0) == word((), 3)
+        PalindromeFreeCode(0, 3).decode(word((0, 1, 2), 3))  # at n = 0 only the empty word decodes
+    assert PalindromeFreeCode(0, 3).decode(word((), 3)) == word((), 3)
 
 
 def test_cpf_counts():
@@ -503,7 +496,7 @@ def test_cpf_counts():
     assert cpf_count_recursive(8, 2) == 56
     for q, max_n in ((2, 12), (3, 7)):
         for n in range(0, max_n + 1):
-            assert cpf_count_recursive(n, q) == cpf_member_rows(all_words(n, q)).sum()
+            assert cpf_count_recursive(n, q) == PalindromeFreeCode(n, q).member_rows(all_words(n, q)).sum()
 
 
 def test_cpf_count_closed_matches_recursive():
@@ -539,7 +532,7 @@ def test_palindrome_free_cascade():
     # 2-palindrome-free implies ell-palindrome-free for every ell >= 2
     for q, max_n in ((2, 10), (3, 7)):
         for n in range(1, max_n + 1):
-            for x, free in zip(words_of(n, q), cpf_member_rows(all_words(n, q))):
+            for x, free in zip(words_of(n, q), PalindromeFreeCode(n, q).member_rows(all_words(n, q))):
                 if not free:
                     continue
                 for ell in range(2, n // 2 + 1):
@@ -625,7 +618,7 @@ def test_c2_codebook_rows_equal_the_word_space_scan(n):
     modulus = 2 * n + 1
     for a in range(5):
         for b in range(modulus):
-            book = c2_codebook_rows(PalindromicL2Code(n, a, b))
+            book = PalindromicL2Code(n, a, b).codebook_rows()
             expected = rows[keys == a * modulus + b]
             assert book.dtype == np.int8 and book.shape == expected.shape, (a, b)
             assert np.array_equal(book, expected), (a, b)
@@ -638,7 +631,7 @@ def test_c2_codebook_rows_refuse_what_all_words_refuses(n, limit):
     with pytest.raises(ValueError) as scan:
         all_words(n, 2, limit=limit)
     with pytest.raises(ValueError) as grown:
-        c2_codebook_rows(PalindromicL2Code(n, 0, 0), limit)
+        PalindromicL2Code(n, 0, 0).codebook_rows(limit)
     assert str(grown.value) == str(scan.value) == (
         f"instance too large: q^n = 2^{n} = {2**n} words exceeds the guard {limit}"
     )
@@ -666,24 +659,29 @@ def test_palindrome_free_decode_refuses_other_alphabets():
     "call,message",
     [
         (lambda: TandemVTCode(3, 2, 4, ()), "1 <= ell <= n"),
-        (lambda: c1_member(word((0, 1, 2, 0), 3), TandemVTCode.best(4, 2, 1)), "alphabet mismatch"),
+        (lambda: TandemVTCode.best(4, 2, 1).member(word((0, 1, 2, 0), 3)), "alphabet mismatch"),
         (lambda: c1_decode(word((0, 1, 2, 0), 3), TandemVTCode.best(4, 2, 1)), "alphabet mismatch"),
         (lambda: PalindromicL2Code(0, 0, 0), "n must be >= 1"),
         (lambda: PalindromicL2Code(4, 5, 0), "a must be in 0..4"),
         (lambda: PalindromicL2Code(4, -1, 0), "a must be in 0..4"),
         (lambda: PalindromicL2Code(4, 0, 9), "b must be in 0..8"),
         (lambda: PalindromicL2Code(4, 0, -1), "b must be in 0..8"),
-        (lambda: c2_member(word((0, 1, 1), 2), PalindromicL2Code(4, 0, 0)), "length mismatch"),
+        (lambda: PalindromicL2Code(4, 0, 0).member(word((0, 1, 1), 2)), "length mismatch"),
         (lambda: c2_decode(word((0, 1, 2, 0), 3), PalindromicL2Code(4, 0, 0)), "binary only"),
         (lambda: TandemVTCode(4, 1, 1, (0, 1, 2, 3)), "q must be >= 2"),
         (lambda: PalindromeFreeCode(5, 1), "q must be >= 2"),
         (lambda: PalindromeFreeCode(-2, 3), "n must be >= 0"),
         (lambda: PalindromeFreeCode.best(-1, 2, 2), "n must be >= 0"),
+        (lambda: TandemVTCode.best(4, 2, 1).member(word((0, 1, 1), 2)), "length mismatch"),
+        (lambda: PalindromicL2Code(4, 0, 0).member(word((0, 1, 2, 0), 3)), "binary only"),
+        (lambda: PalindromeFreeCode(4, 2).member(word((0, 1, 2, 0), 3)), "alphabet mismatch"),
+        (lambda: PalindromeFreeCode(4, 2).member(word((0, 1, 1), 2)), "length mismatch"),
     ],
     ids=[
         "c1-ell-above-n", "c1-member-alphabet", "c1-decode-alphabet", "c2-n-below-1", "c2-a-above-4",
         "c2-a-below-0", "c2-b-above-2n", "c2-b-below-0", "c2-member-length", "c2-decode-ternary",
         "c1-q-below-2", "cpf-q-below-2", "cpf-n-below-0", "cpf-best-n-below-0",
+        "c1-member-length", "c2-member-ternary", "cpf-member-alphabet", "cpf-member-length",
     ],
 )
 def test_construction_refusals_name_what_is_wrong(call, message):

@@ -325,15 +325,15 @@ def test_verify_decodes_each_distinct_received_word_once(monkeypatch, capsys, na
 def test_verify_decodes_each_distinct_cpf_row_once(monkeypatch, capsys):
     """The cpf row decoder gets each distinct received word of each
     duplication length once, in batches of one length each."""
-    real = codes.cpf_decode_rows
+    real = codes.PalindromeFreeCode.decode_rows
     lengths, rows = [], []
 
-    def recorded(batch, n):
-        lengths.append(batch.shape[1] - n)
+    def recorded(code, batch):
+        lengths.append(batch.shape[1] - code.n)
         rows.extend(map(tuple, batch.tolist()))
-        return real(batch, n)
+        return real(code, batch)
 
-    monkeypatch.setattr(codes, "cpf_decode_rows", recorded)
+    monkeypatch.setattr(codes.PalindromeFreeCode, "decode_rows", recorded)
     assert main(["verify", "--code", "cpf", "--n", "6", "--q", "3"]) == 0
     capsys.readouterr()
     code = PalindromeFreeCode(6, 3)

@@ -15,7 +15,10 @@ which catches public code that only the tests read: a re-export in
 `__init__` and its `__all__` is not a reader. Every kept entry point has a
 line in README's "Public surface", and every top-level helper of
 `tests/conftest.py` is named by some test module.
-In `cli.py` only `main` may `return 2` or print an `error:` or `refused:`
+A method of a construction in `cli.CONSTRUCTIONS` holds its rule itself:
+it is not a bare `return f(...)` of a public module-level function of
+`codes`, apart from the decoders that the benchmark self-test patches by
+name. In `cli.py` only `main` may `return 2` or print an `error:` or `refused:`
 line; a subcommand raises its refusal instead. Importing `dupcodes.cli`
 builds no argparse parser: the first `main` call does.
 """
@@ -37,6 +40,10 @@ TESTED_PAPER_COUNTS = {"bounds.rll_weight_count", "bounds.irreducible_count"}
 # The paper's operations that nothing in the package calls: entry points for
 # users, which README's quick start runs.
 KEPT_PUBLIC = {"channel.tandem_duplicate", "channel.tandem_delete", "channel.palindromic_duplicate"}
+# Module functions of `codes` that a construction method may forward to:
+# perfbench/selftest.py patches them by name with a wrong decoder, so
+# `decode` must look them up at call time (`docs/decisions.md`, D20).
+FORWARDED = {"c1_decode", "c2_decode"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -180,6 +187,53 @@ def test_every_conftest_helper_is_named_by_a_test_module():
     tests_dir = Path(__file__).resolve().parent
     tests = [path.read_text() for path in sorted(tests_dir.glob("test_*.py"))]
     assert unnamed_helpers((tests_dir / "conftest.py").read_text(), tests) == []
+
+
+def forwarding_methods(source: str, classes: set[str]) -> list[str]:
+    """The methods of the named classes of the module source whose body, a
+    docstring aside, is one bare `return f(...)` of a public module-level
+    function f of the module, as Class.method:f, sorted."""
+    tree = ast.parse(source)
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    found = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef) or cls.name not in classes:
+            continue
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef):
+                continue
+            body = method.body
+            if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str):
+                body = body[1:]
+            call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id in functions:
+                found.append(f"{cls.name}.{method.name}:{call.func.id}")
+    return sorted(found)
+
+
+def test_the_guard_finds_a_method_that_forwards_to_a_twin():
+    source = (
+        "def twin(x, code):\n    return x\n\n"
+        "def _helper(x):\n    return x\n\n"
+        "class Code:\n"
+        "    def member(self, x):\n        \"\"\"Doc.\"\"\"\n        return twin(x, self)\n\n"
+        "    def member_rows(self, rows):\n        return _helper(rows)\n\n"
+        "    def decode(self, y):\n        if y:\n            return twin(y, self)\n        return y\n\n"
+        "    def codebook_rows(self, limit):\n        return self.member(limit)\n\n"
+        "class Other:\n    def member(self, x):\n        return twin(x, self)\n"
+    )
+    assert forwarding_methods(source, {"Code"}) == ["Code.member:twin"]
+
+
+def test_no_construction_method_forwards_to_a_module_twin():
+    """Each rule of a construction has one name, its method: a new
+    construction writes no module-level twin of the interface."""
+    from dupcodes import cli
+
+    classes = {cls.__name__ for cls, _ in cli.CONSTRUCTIONS.values()}
+    found = forwarding_methods((PACKAGE / "codes.py").read_text(), classes)
+    assert [entry for entry in found if entry.split(":")[1] not in FORWARDED] == []
+    assert {entry.split(":")[1] for entry in found} == FORWARDED
 
 
 def exits_outside_main(source: str) -> list[str]:

@@ -6,7 +6,7 @@ length up to the word length, so the tails it slices off can be empty. The
 c1 repair is held to the syndrome update of `docs/decisions.md` D12, and the
 c2 cut to the closed form of D14. The row members of D18 are held to the
 scalar references on the same grid, and must call none of the kernels that
-build the codebooks."""
+build the codebooks; each `member` equals its one-row call of them."""
 
 from bisect import bisect_right
 from itertools import product
@@ -24,9 +24,6 @@ from dupcodes.codes import (
     _c2_syndrome,
     c1_best_params,
     c1_decode,
-    c1_member_rows,
-    c2_member_rows,
-    cpf_member_rows,
 )
 from dupcodes.transform import derive, zero_signature
 from dupcodes.words import run_profile
@@ -134,7 +131,7 @@ def test_c1_member_rows_equal_the_reference(q, n):
     rows, words = all_words(n, q), [x.symbols for x in words_of(n, q)]
     for ell in range(1, n + 1):
         for code in c1_codes(n, q, ell):
-            assert c1_member_rows(rows, code).tolist() == [c1_holds(s, code) for s in words], code
+            assert code.member_rows(rows).tolist() == [c1_holds(s, code) for s in words], code
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -148,7 +145,7 @@ def test_c2_member_rows_equal_the_reference(n):
         best = PalindromicL2Code.best(n, 2, 2)
         group_codes = [PalindromicL2Code(n, a, best.b) for a in range(5)]
     for code in group_codes:
-        assert c2_member_rows(rows, code).tolist() == [c2_holds(s, code) for s in words], code
+        assert code.member_rows(rows).tolist() == [c2_holds(s, code) for s in words], code
 
 
 @pytest.mark.parametrize("q,n", SIZES)
@@ -156,8 +153,21 @@ def test_cpf_member_rows_equal_the_reference(q, n):
     """Every word, n < 4 too, where no window fits and every word is a
     codeword."""
     expected = [not _has_mirrored_pair(x.symbols) for x in words_of(n, q)]
-    assert cpf_member_rows(all_words(n, q)).tolist() == expected
+    assert PalindromeFreeCode(n, q).member_rows(all_words(n, q)).tolist() == expected
     assert n >= 4 or all(expected)
+
+
+@pytest.mark.parametrize("q,n", SIZES)
+def test_member_is_the_one_row_call_of_member_rows(q, n):
+    """`member(x)` of every word equals x's row of one `member_rows` call
+    over all the words: c1 at every ell in 1..n with its best residues, the
+    best c2 class (binary words), and cpf (n = 0 too)."""
+    rows, words = all_words(n, q), list(words_of(n, q))
+    constructions = [TandemVTCode.best(n, q, ell) for ell in range(1, n + 1)] + [PalindromeFreeCode(n, q)]
+    if q == 2 and n >= 1:
+        constructions.append(PalindromicL2Code.best(n, 2, 2))
+    for code in constructions:
+        assert [code.member(x) for x in words] == code.member_rows(rows).tolist(), code
 
 
 def member_cases(n, q):
