@@ -43,7 +43,7 @@ from . import channel
 from .channel import ErrorKind, error_keys, tandem_del
 from .codes import _c1_best_params
 from .transform import _gap_table
-from .words import _words_of_rows
+from .words import _word_of_row
 from .wordspace import (
     MAX_ENUMERABLE,
     all_words,
@@ -341,7 +341,7 @@ def transversal_check(n: int, ell: int, t: int, q: int, limit: int = MAX_ENUMERA
     for i, (centre, key) in enumerate(levels):
         np.add.at(total, centre, _scaled_weights(sizes[i], scale, i == t, dtype)[key])
     deficits = np.flatnonzero(total < scale)
-    return (not len(deficits), list(_words_of_rows(rows[deficits], q)))
+    return (not len(deficits), [_word_of_row(row, q) for row in rows[deficits]])
 
 
 def _component_labels(N: int, low, high) -> np.ndarray:

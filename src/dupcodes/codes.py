@@ -32,12 +32,14 @@ Each construction class offers one interface of seven members:
 `best(n, q, ell)` builds the code with the best parameters, `kinds` lists
 the error kinds it corrects, and `member(x)`, `member_rows(rows)` (a bool
 per row), `decode(y)`, `decode_rows(rows)` (int8 rows, -1 where `decode`
-raises) and `codebook_rows(limit)` (the codewords as int8 rows) are the
-construction's rules themselves, with no module-level twin (D20). Only
-`decode` of c1 and c2 forwards, to `c1_decode` and `c2_decode`, which it
-looks up at call time: `perfbench/selftest.py` patches those names.
-`check_correction` and the CLI's simulation loop use nothing but this
-interface, and decode through `decode_rows`.
+raises) and `codebook_rows(limit)` (the codewords as int8 rows). Their
+base `_Construction` holds the Word adapters, once (D21): `member(x)`, the
+alphabet refusal and the Word loop `decode_rows` of c1 and c2. The other
+members are the construction's rules themselves, with no module-level twin
+(D20). Only `decode` of c1 and c2 forwards, to `c1_decode` and
+`c2_decode`, which it looks up at call time: `perfbench/selftest.py`
+patches those names. `check_correction` and the CLI's simulation loop use
+nothing but this interface, and decode through `decode_rows`.
 
 Membership is one rule per construction, on rows (`member_rows`, D18):
 whole-matrix numpy over an (N, n) batch, apart from the kernels that build
@@ -112,6 +114,7 @@ class DecodingFailure(Exception):
 
 
 _CUT_ROWS = 2048  # rows that the row members and cpf's decode_rows take at a time, which bounds their temporaries
+_DECODE_ROWS = 256  # rows that the Word loop decode_rows and simulate's trial blocks take at a time; at _CUT_ROWS rows, verify's peak RSS rose 0.9 MB and simulate's 1.1 MB (D21)
 
 
 def _by_cuts(block, rows: np.ndarray, out: np.ndarray, *args) -> np.ndarray:
@@ -125,6 +128,41 @@ def _by_cuts(block, rows: np.ndarray, out: np.ndarray, *args) -> np.ndarray:
 def _row_of(x: Word) -> np.ndarray:
     """The symbols of x as a (1, |x|) int64 batch."""
     return np.array(x.symbols, dtype=np.int64).reshape(1, -1)
+
+
+class _Construction:
+    """The Word adapters of the construction interface (D21). A subclass
+    writes its rules: `best`, `kinds`, `member_rows`, `decode` and
+    `codebook_rows`, and a row `decode_rows` if it decodes rows (cpf)."""
+
+    def member(self, x: Word) -> bool:
+        """`member_rows` on the one row of x."""
+        self._require_alphabet(x.q)
+        if len(x) != self.n:
+            raise ValueError(f"length mismatch: |x|={len(x)}, code n={self.n}")
+        return bool(self.member_rows(_row_of(x))[0])
+
+    def _require_alphabet(self, q: int) -> None:
+        """Refuses (ValueError) a word over Z_q, unless the code is over Z_q."""
+        if q != self.q:
+            raise ValueError(f"alphabet mismatch: word q={q}, code q={self.q}")
+
+    def decode_rows(self, rows) -> np.ndarray:
+        """`decode` of each row, one Word at a time (c1 and c2), as (N, n)
+        int8 rows; -1 where it raises or gives no word of length n over Z_q."""
+        q, n = self.q, self.n
+        failed = (-1,) * n
+        decoded = np.empty((len(rows), n), dtype=np.int8)
+        for start in range(0, len(rows), _DECODE_ROWS):
+            chunk = []
+            for y in rows[start : start + _DECODE_ROWS].tolist():
+                try:
+                    x = self.decode(_unchecked_word(tuple(y), q))
+                except DecodingFailure:
+                    x = None
+                chunk.append(x.symbols if x is not None and x.q == q and len(x) == n else failed)
+            decoded[start : start + len(chunk)] = chunk
+        return decoded
 
 
 def _runs(ordered) -> list[tuple[int, int]]:
@@ -149,7 +187,7 @@ def _c1_syndrome(s: tuple[int, ...], ell: int):
 
 
 @dataclass(frozen=True)
-class TandemVTCode:
+class TandemVTCode(_Construction):
     """Length-n code over Z_q correcting one tandem duplication of length ell.
 
     `a[s-1]` is the VT residue required of zero-signatures of length s, for
@@ -181,27 +219,16 @@ class TandemVTCode:
     def kinds(self) -> tuple[ErrorKind, ...]:
         return (tandem_dup(self.ell),)
 
-    def member(self, x: Word) -> bool:
-        """Membership: the zero-signature of the difference tail satisfies the
-        VT residue for its length. `member_rows` on the one row of x."""
-        if x.q != self.q:
-            raise ValueError(f"alphabet mismatch: word q={x.q}, code q={self.q}")
-        if len(x) != self.n:
-            raise ValueError(f"length mismatch: |x|={len(x)}, code n={self.n}")
-        return bool(self.member_rows(_row_of(x))[0])
-
     def member_rows(self, rows) -> np.ndarray:
-        """`member` of each row of an (N, n) batch over Z_q, as a bool array;
-        read off the rows apart from `signature_scan`, which builds the
-        codebook (D18)."""
+        """`member` of each row of an (N, n) batch over Z_q, as a bool array.
+        Membership: the zero-signature of the difference tail satisfies the
+        VT residue for its length; read off the rows apart from
+        `signature_scan`, which builds the codebook (D18)."""
         rows = np.asarray(rows)
         return _by_cuts(_c1_member_block, rows, np.empty(len(rows), dtype=np.bool_), self)
 
     def decode(self, y: Word) -> Word:
         return c1_decode(y, self)
-
-    def decode_rows(self, rows) -> np.ndarray:
-        return _decoded_rows(self, rows)
 
     def codebook_rows(self, limit: int = MAX_ENUMERABLE) -> np.ndarray:
         """All codewords as int8 rows in lexicographic order."""
@@ -237,8 +264,7 @@ def c1_decode(y: Word, code: TandemVTCode) -> Word:
     a codeword without a second scan (`docs/decisions.md`, D12).
     """
     n, ell = code.n, code.ell
-    if y.q != code.q:
-        raise ValueError(f"alphabet mismatch: word q={y.q}, code q={code.q}")
+    code._require_alphabet(y.q)
     s = y.symbols
     if len(s) == n:
         if code.member(y):
@@ -332,7 +358,7 @@ def c1_size_lower_bound(n: int, ell: int, q: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class PalindromicL2Code:
+class PalindromicL2Code(_Construction):
     """Binary length-n code correcting one palindromic duplication of
     length 2: r^(1)(x) = a mod 5 and run checksum C(x) = b mod 2n+1."""
 
@@ -365,13 +391,10 @@ class PalindromicL2Code:
     def kinds(self) -> tuple[ErrorKind, ...]:
         return (pal_dup(2),)
 
-    def member(self, x: Word) -> bool:
-        """`member_rows` on the one row of x."""
-        if x.q != 2:
+    def _require_alphabet(self, q: int) -> None:
+        """Refuses (ValueError) a word that is not binary."""
+        if q != 2:
             raise ValueError("binary only: the run-profile construction requires q = 2")
-        if len(x) != self.n:
-            raise ValueError(f"length mismatch: |x|={len(x)}, code n={self.n}")
-        return bool(self.member_rows(_row_of(x))[0])
 
     def member_rows(self, rows) -> np.ndarray:
         """`member` of each row of an (N, n) binary batch, as a bool array:
@@ -382,9 +405,6 @@ class PalindromicL2Code:
 
     def decode(self, y: Word) -> Word:
         return c2_decode(y, self)
-
-    def decode_rows(self, rows) -> np.ndarray:
-        return _decoded_rows(self, rows)
 
     def codebook_rows(self, limit: int = MAX_ENUMERABLE) -> np.ndarray:
         """All codewords as int8 rows in lexicographic order, grown one column
@@ -467,8 +487,7 @@ def c2_decode(y: Word, code: PalindromicL2Code) -> Word:
     distinct preimage survives. The modulus always uses the code's n,
     never the received length.
     """
-    if y.q != 2:
-        raise ValueError("binary only: the run-profile construction requires q = 2")
+    code._require_alphabet(y.q)
     n = code.n
     modulus = 2 * n + 1
     s = y.symbols
@@ -596,7 +615,7 @@ def c2_size_lower_bound(n: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class PalindromeFreeCode:
+class PalindromeFreeCode(_Construction):
     """Code of all 2-palindrome-free words of length n over Z_q; corrects a
     single palindromic duplication of any length 2..n."""
 
@@ -618,28 +637,18 @@ class PalindromeFreeCode:
     def kinds(self) -> tuple[ErrorKind, ...]:
         return tuple(pal_dup(ell) for ell in range(2, self.n + 1))
 
-    def member(self, x: Word) -> bool:
-        """True iff x contains no window a b b a (equivalently, no length-2
-        palindromic deletion is possible). Words of length <= 3 always qualify.
-        `member_rows` on the one row of x."""
-        if x.q != self.q:
-            raise ValueError(f"alphabet mismatch: word q={x.q}, code q={self.q}")
-        if len(x) != self.n:
-            raise ValueError(f"length mismatch: |x|={len(x)}, code n={self.n}")
-        return bool(self.member_rows(_row_of(x))[0])
-
     def member_rows(self, rows) -> np.ndarray:
         """`member` of each row of an (N, n) batch, as a bool array: True
-        where no window a b b a stands, read off the rows apart from
-        `pal2_free_mask`, which builds the codebook and filters the decoder's
-        cuts (D18)."""
+        where no window a b b a stands (equivalently, no length-2 palindromic
+        deletion is possible), so words of length <= 3 always qualify. Read
+        off the rows apart from `pal2_free_mask`, which builds the codebook
+        and filters the decoder's cuts (D18)."""
         rows = np.asarray(rows)
         return _by_cuts(_cpf_member_block, rows, np.empty(len(rows), dtype=np.bool_))
 
     def decode(self, y: Word) -> Word:
         """`decode_rows` on the one row of y."""
-        if y.q != self.q:
-            raise ValueError(f"alphabet mismatch: word q={y.q}, code q={self.q}")
+        self._require_alphabet(y.q)
         [x] = self.decode_rows(_row_of(y)).tolist()
         if -1 in x or not self.n and y.symbols:  # n = 0: only the empty word decodes
             raise DecodingFailure(f"decoding failure: no one palindrome-free preimage under a duplication of length {len(y) - self.n}")
@@ -831,25 +840,6 @@ def oracle_verdicts(book_keys, order, group, received, owner, kind: ErrorKind, g
 
 
 _BLOCK_ROWS = 1 << 15  # received words that check_correction holds as rows at a time
-_DECODE_ROWS = 256  # rows _decoded_rows converts, and simulate decodes, at a time
-
-
-def _decoded_rows(code, rows) -> np.ndarray:
-    """`code.decode` of each row, one Word at a time (c1 and c2), as (N, n)
-    int8 rows; -1 where it raises or gives no word of length n over Z_q."""
-    q, n = code.q, code.n
-    failed = (-1,) * n
-    decoded = np.empty((len(rows), n), dtype=np.int8)
-    for start in range(0, len(rows), _DECODE_ROWS):
-        chunk = []
-        for y in rows[start : start + _DECODE_ROWS].tolist():
-            try:
-                x = code.decode(_unchecked_word(tuple(y), q))
-            except DecodingFailure:
-                x = None
-            chunk.append(x.symbols if x is not None and x.q == q and len(x) == n else failed)
-        decoded[start : start + len(chunk)] = chunk
-    return decoded
 
 
 def check_correction(group_codes, book, group=None) -> list[tuple[ErrorKind, dict, np.ndarray]]:

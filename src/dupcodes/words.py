@@ -67,18 +67,6 @@ def _word_of_row(row, q: int) -> Word:
     return _unchecked_word(tuple(row.tolist()), q)
 
 
-_ROW_BLOCK = 4096  # rows converted to Python lists at a time
-
-
-def _words_of_rows(rows, q: int):
-    """The words of an (N, n) integer array whose symbols lie in 0..q-1, as
-    the wordspace kernels produce them, in row order. Converts one block of
-    rows at a time, so no list of all rows is ever built."""
-    for start in range(0, len(rows), _ROW_BLOCK):
-        for row in rows[start : start + _ROW_BLOCK].tolist():
-            yield _unchecked_word(tuple(row), q)
-
-
 def word(symbols, q: int) -> Word:
     """Convenience constructor accepting any iterable of symbols."""
     return Word(tuple(symbols), q)

@@ -42,7 +42,7 @@ import numpy as np
 
 from dupcodes.channel import TANDEM_DUP, ErrorKind, apply_error, error_ball, error_positions, error_sphere
 from dupcodes.codes import DecodingFailure, PalindromeFreeCode, PalindromicL2Code, TandemVTCode, _c1_syndrome, _c2_syndrome
-from dupcodes.words import Word, _unchecked_word, _words_of_rows
+from dupcodes.words import Word, _unchecked_word, _word_of_row
 
 
 def words_of(n: int, q: int):
@@ -185,7 +185,7 @@ def cpf_decode_scalar(y: Word, n: int) -> Word:
 
 def codebook_words(code) -> list[Word]:
     """The codewords of the code as Words, in the row order of `codebook_rows`."""
-    return list(_words_of_rows(code.codebook_rows(), code.q))
+    return [_word_of_row(row, code.q) for row in code.codebook_rows()]
 
 
 def balls_intersect(x: Word, y: Word, kind: ErrorKind, t: int) -> frozenset[Word]:

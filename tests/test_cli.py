@@ -1088,3 +1088,20 @@ def test_a_decoded_word_of_the_wrong_length_shows_as_none(monkeypatch, capsys):
     status, out, err = run_cli(capsys, "simulate", "--code", "c2", "--n", "9", "--trials", "5", "--seed", "1")
     assert status == 1 and out == "0/5 decoded correctly (seed 1)\n"
     assert err.startswith("counterexample: codeword ") and err.endswith(" decoded None\n")
+
+
+def test_a_decoded_word_over_another_alphabet_fails_verify_and_simulate(monkeypatch, capsys):
+    """A Word decoder that returns the right symbols over Z_{q+1} fails each
+    round trip: verify reports broken correction, and simulate loses every
+    trial with a `decoded None` counterexample, as for a decoder that
+    raises."""
+    for name in ("c1_decode", "c2_decode"):
+        right = getattr(codes, name)
+        monkeypatch.setattr(codes, name, lambda y, code, right=right: Word(right(y, code).symbols, code.q + 1))
+    status, out, _ = run_cli(capsys, "verify", "--code", "c1", "--n", "6", "--l", "2", "--q", "2")
+    lines = out.splitlines()
+    assert status == 1 and lines[-1] == "FAIL"
+    assert any(line.startswith("FAIL ") and "broken" in line for line in lines)
+    status, out, err = run_cli(capsys, "simulate", "--code", "c2", "--n", "9", "--trials", "5", "--seed", "1")
+    assert status == 1 and out == "0/5 decoded correctly (seed 1)\n"
+    assert err.startswith("counterexample: codeword ") and err.endswith(" decoded None\n")

@@ -34,12 +34,12 @@ from conftest import disjoint_ball_violation, oracle_decode, reference_member
 
 
 @dataclass(frozen=True)
-class WordSet:
+class WordSet(codes._Construction):
     """Any set of words of length n, posing as a code that corrects single
     errors of one duplication kind: member is set membership, member_rows
     asks it one Word per row, decode returns the unique member that one
-    deletion reaches, and decode_rows calls decode one Word per row, as c1
-    and c2 do."""
+    deletion reaches, and decode_rows calls decode one Word per row, the
+    Word loop that c1 and c2 inherit."""
 
     n: int
     q: int
@@ -54,9 +54,6 @@ class WordSet:
 
     def decode(self, y):
         return oracle_decode(y, self.n, self.kinds[0], self.member)
-
-    def decode_rows(self, rows):
-        return codes._decoded_rows(self, rows)
 
 
 def word_set(rows, q, kind=channel.tandem_dup(1)):

@@ -18,9 +18,12 @@ line in README's "Public surface", and every top-level helper of
 A method of a construction in `cli.CONSTRUCTIONS` holds its rule itself:
 it is not a bare `return f(...)` of a public module-level function of
 `codes`, apart from the decoders that the benchmark self-test patches by
-name. In `cli.py` only `main` may `return 2` or print an `error:` or `refused:`
-line; a subcommand raises its refusal instead. Importing `dupcodes.cli`
-builds no argparse parser: the first `main` call does.
+name, and no two constructions define a method of one name with one body.
+A listed paper count or entry point has no reader in the package, so
+neither list goes stale. In `cli.py` only `main` may `return 2` or print
+an `error:` or `refused:` line; a subcommand raises its refusal instead.
+Importing `dupcodes.cli` builds no argparse parser: the first `main` call
+does.
 """
 
 import ast
@@ -36,10 +39,17 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dupcodes"
 PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
 # Paper counts that only the tests call, each held to an enumeration oracle.
-TESTED_PAPER_COUNTS = {"bounds.rll_weight_count", "bounds.irreducible_count"}
-# The paper's operations that nothing in the package calls: entry points for
-# users, which README's quick start runs.
-KEPT_PUBLIC = {"channel.tandem_duplicate", "channel.tandem_delete", "channel.palindromic_duplicate"}
+TESTED_PAPER_COUNTS = {"bounds.rll_weight_count", "bounds.irreducible_count", "bounds.deletion_histogram"}
+# The paper's operations and its error ball, which nothing in the package
+# calls: entry points kept for users, each with its line in README's
+# "Public surface" (the quick start runs `tandem_duplicate`).
+KEPT_PUBLIC = {
+    "channel.tandem_duplicate",
+    "channel.tandem_delete",
+    "channel.palindromic_duplicate",
+    "channel.palindromic_delete",
+    "channel.error_ball",
+}
 # Module functions of `codes` that a construction method may forward to:
 # perfbench/selftest.py patches them by name with a wrong decoder, so
 # `decode` must look them up at call time (`docs/decisions.md`, D20).
@@ -144,7 +154,17 @@ def test_the_guard_finds_an_unreferenced_public_definition():
 def test_every_public_definition_is_referenced():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     outside = [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))]
-    assert unreferenced_publics(sources, outside) == sorted(TESTED_PAPER_COUNTS | KEPT_PUBLIC)
+    assert sorted(set(unreferenced_publics(sources, outside)) - TESTED_PAPER_COUNTS - KEPT_PUBLIC) == []
+
+
+def test_no_listed_public_name_has_a_reader_in_the_package():
+    """Neither list goes stale: a paper count or kept entry point that a
+    module of the package (`__init__` aside) starts to read leaves its
+    list. A name that the benchmark spells is still listed, since a
+    pattern that selects it for tracing is no reader."""
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    unread = set(unreferenced_publics(sources, []))
+    assert sorted((TESTED_PAPER_COUNTS | KEPT_PUBLIC) - unread) == []
 
 
 def public_surface(readme: str) -> set[str]:
@@ -189,14 +209,10 @@ def test_every_conftest_helper_is_named_by_a_test_module():
     assert unnamed_helpers((tests_dir / "conftest.py").read_text(), tests) == []
 
 
-def forwarding_methods(source: str, classes: set[str]) -> list[str]:
-    """The methods of the named classes of the module source whose body, a
-    docstring aside, is one bare `return f(...)` of a public module-level
-    function f of the module, as Class.method:f, sorted."""
-    tree = ast.parse(source)
-    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-    found = []
-    for cls in tree.body:
+def methods(source: str, classes: set[str]):
+    """(Class, method name, body) for each method of the named classes of
+    the module source, the body without its docstring."""
+    for cls in ast.parse(source).body:
         if not isinstance(cls, ast.ClassDef) or cls.name not in classes:
             continue
         for method in cls.body:
@@ -205,9 +221,20 @@ def forwarding_methods(source: str, classes: set[str]) -> list[str]:
             body = method.body
             if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str):
                 body = body[1:]
-            call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
-            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id in functions:
-                found.append(f"{cls.name}.{method.name}:{call.func.id}")
+            yield cls.name, method.name, body
+
+
+def forwarding_methods(source: str, classes: set[str]) -> list[str]:
+    """The methods of the named classes of the module source whose body, a
+    docstring aside, is one bare `return f(...)` of a public module-level
+    function f of the module, as Class.method:f, sorted."""
+    tree = ast.parse(source)
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    found = []
+    for cls, name, body in methods(source, classes):
+        call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id in functions:
+            found.append(f"{cls}.{name}:{call.func.id}")
     return sorted(found)
 
 
@@ -234,6 +261,43 @@ def test_no_construction_method_forwards_to_a_module_twin():
     found = forwarding_methods((PACKAGE / "codes.py").read_text(), classes)
     assert [entry for entry in found if entry.split(":")[1] not in FORWARDED] == []
     assert {entry.split(":")[1] for entry in found} == FORWARDED
+
+
+def copied_methods(source: str, classes: set[str]) -> list[str]:
+    """The methods that two or more of the named classes of the module
+    source define with equal bodies, docstrings dropped and bodies compared
+    by `ast.dump`, as method:Class,Class..., sorted."""
+    owners = {}
+    for cls, name, body in methods(source, classes):
+        owners.setdefault((name, "\n".join(map(ast.dump, body))), []).append(cls)
+    return sorted(f"{name}:{','.join(sorted(found))}" for (name, _), found in owners.items() if len(found) > 1)
+
+
+def test_the_guard_finds_a_method_that_two_classes_copy():
+    source = (
+        "class A:\n"
+        "    def member(self, x):\n        \"\"\"A's.\"\"\"\n        return self.rule(x)\n\n"
+        "    def decode(self, y):\n        return y\n\n"
+        "class B:\n"
+        "    def member(self, x):\n        \"\"\"B's, in other words.\"\"\"\n        return self.rule(x)\n\n"
+        "    def decode(self, y):\n        return None\n\n"
+        "class C:\n"
+        "    def member(self, x):\n        return self.rule(x[:1])\n\n"
+        "    def decode(self, y):\n        return y\n\n"
+        "class Unlisted:\n"
+        "    def member(self, x):\n        return self.rule(x)\n"
+    )
+    assert copied_methods(source, {"A", "B", "C"}) == ["decode:A,C", "member:A,B"]
+
+
+def test_no_two_constructions_copy_a_method():
+    """A Word adapter that constructions share is written once, in
+    `codes._Construction`, and a new construction copies none of them
+    (`docs/decisions.md`, D21)."""
+    from dupcodes import cli
+
+    classes = {cls.__name__ for cls, _ in cli.CONSTRUCTIONS.values()}
+    assert copied_methods((PACKAGE / "codes.py").read_text(), classes) == []
 
 
 def exits_outside_main(source: str) -> list[str]:
