@@ -364,29 +364,34 @@ def cmd_simulate(args) -> tuple[int, list[dict]]:
         raise ValueError("empty codebook")
     kinds = code.kinds
     tables = [channel.duplication_columns(code.n, kind) for kind in kinds]
-    successes, failure = 0, None
-    for start in range(0, args.trials, codes._DECODE_ROWS):
-        draws = []  # per trial, as the Word loop drew: codeword, kind (when several), position
-        for _ in range(min(codes._DECODE_ROWS, args.trials - start)):
+
+    def batches():
+        """(k, [(trial, codeword, position), ...]): the trials of kind k in
+        trial order, _DECODE_ROWS at a time, then each kind's remainder."""
+        pending = [[] for _ in kinds]
+        for trial in range(args.trials):  # drawn as the Word loop drew: codeword, kind (when several), position
             i = rng.randrange(len(book))
             k = rng.randrange(len(kinds)) if len(kinds) > 1 else 0
-            draws.append((i, k, rng.randrange(len(tables[k]))))
-        index, kind_of, position = np.array(draws).T
-        sent = book[index]
-        decoded = np.empty_like(sent)
-        for k, table in enumerate(tables):
-            at = np.flatnonzero(kind_of == k)
-            decoded[at] = code.decode_rows(sent[at[:, None], table[position[at]]])
+            pending[k].append((trial, i, rng.randrange(len(tables[k]))))
+            if len(pending[k]) == codes._DECODE_ROWS:
+                yield k, pending[k]
+                pending[k] = []
+        yield from ((k, batch) for k, batch in enumerate(pending) if batch)
+
+    successes, first = 0, None  # first: (trial, counterexample) of the earliest failed trial
+    for k, batch in batches():
+        trial, index, position = np.array(batch).T
+        sent, received = book[index], book[index[:, None], tables[k][position]]
+        decoded = code.decode_rows(received)
         ok = (decoded == sent).all(axis=1)
         successes += int(ok.sum())
-        if failure is None and not ok.all():
-            t = int(np.argmin(ok))
-            k, p = kind_of[t], position[t]
-            c, y, got = (format_word(_word_of_row(row, code.q)) for row in (sent[t], sent[t][tables[k][p]], decoded[t]))
-            failure = f"counterexample: codeword {c} kind {kinds[k]} p={p} -> {y} decoded {None if -1 in decoded[t] else got}"
+        t = int(np.argmin(ok))  # a batch is in trial order: its earliest failure
+        if not ok[t] and (first is None or trial[t] < first[0]):
+            c, y, got = (format_word(_word_of_row(row, code.q)) for row in (sent[t], received[t], decoded[t]))
+            first = trial[t], f"counterexample: codeword {c} kind {kinds[k]} p={position[t]} -> {y} decoded {None if -1 in decoded[t] else got}"
     print(f"{successes}/{args.trials} decoded correctly (seed {args.seed})")
-    if failure:
-        print(failure, file=sys.stderr)
+    if first:
+        print(first[1], file=sys.stderr)
     row = {
         "code": args.code,
         "n": args.n,

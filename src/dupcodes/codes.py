@@ -114,7 +114,7 @@ class DecodingFailure(Exception):
 
 
 _CUT_ROWS = 2048  # rows that the row members and cpf's decode_rows take at a time, which bounds their temporaries
-_DECODE_ROWS = 256  # rows that the Word loop decode_rows and simulate's trial blocks take at a time; at _CUT_ROWS rows, verify's peak RSS rose 0.9 MB and simulate's 1.1 MB (D21)
+_DECODE_ROWS = 256  # rows that the Word loop decode_rows and simulate's per-kind decode batches take at a time; at _CUT_ROWS rows, verify's peak RSS rose 0.9 MB and simulate's 1.1 MB (D21)
 
 
 def _by_cuts(block, rows: np.ndarray, out: np.ndarray, *args) -> np.ndarray:

@@ -1016,6 +1016,12 @@ SIMULATED = [
 ]
 
 
+def word_decoder_on_rows(decode, q):
+    """A row decoder double(rows, n) that runs the Word decoder `decode` on
+    each row over Z_q."""
+    return lambda rows, n: np.array([decode(Word(tuple(row), q)).symbols for row in rows.tolist()], dtype=np.int8).reshape(-1, n)
+
+
 def assert_simulate_matches_the_word_loop(capsys, tmp_path, code, args, trials, seed, decode):
     """stdout, stderr, exit status and the --out text of one simulate run
     against `word_loop_simulate`; returns (successes, first failed trial)."""
@@ -1030,14 +1036,20 @@ def assert_simulate_matches_the_word_loop(capsys, tmp_path, code, args, trials, 
     return successes, first
 
 
-@pytest.mark.parametrize("trials", [0, 1, codes._DECODE_ROWS, codes._DECODE_ROWS + 1])
+@pytest.mark.parametrize("trials", [0, 1, codes._DECODE_ROWS, codes._DECODE_ROWS + 1, "a-batch-per-kind-and-one"])
 @pytest.mark.parametrize("code,args,decoder", SIMULATED, ids=["c1", "c2", "cpf"])
 def test_simulate_rows_match_the_word_loop(capsys, tmp_path, code, args, decoder, trials):
     """The row route draws the same codeword, kind and position for every
-    trial, in blocks of _DECODE_ROWS, and reports byte for byte what the
-    Word loop reports, for seeds 0..9."""
+    trial, decodes each kind's trials _DECODE_ROWS at a time, and reports
+    byte for byte what the Word loop reports, for seeds 0..9. With
+    len(kinds) * _DECODE_ROWS + 1 trials (1,281 for cpf), some kind draws
+    more than a batch, so it is decoded in the middle of the run and its
+    remainder at the end (seeds 0..2)."""
     decode = (lambda y: cpf_decode_scalar(y, code.n)) if decoder == "cpf_decode_rows" else code.decode
-    for seed in range(10):
+    seeds = range(10)
+    if trials == "a-batch-per-kind-and-one":
+        trials, seeds = len(code.kinds) * codes._DECODE_ROWS + 1, range(3)
+    for seed in seeds:
         assert assert_simulate_matches_the_word_loop(capsys, tmp_path, code, args, trials, seed, decode) == (trials, None)
 
 
@@ -1064,11 +1076,8 @@ def test_simulate_reports_the_first_failed_trial_of_the_word_loop(monkeypatch, c
     def decode(y):
         return wrong_word(y, code) if wrong_here(y.symbols) else correct(y)
 
-    def row_decoder(rows, n):
-        return np.array([decode(Word(tuple(row), code.q)).symbols for row in rows.tolist()], dtype=np.int8).reshape(-1, n)
-
     if decoder == "cpf_decode_rows":
-        patch_decoder(monkeypatch, decoder, row_decoder)
+        patch_decoder(monkeypatch, decoder, word_decoder_on_rows(decode, code.q))
     else:
         original = getattr(codes, decoder)
         patch_decoder(monkeypatch, decoder, lambda y, c: wrong_word(y, c) if wrong_here(y.symbols) else original(y, c))
@@ -1078,6 +1087,75 @@ def test_simulate_reports_the_first_failed_trial_of_the_word_loop(monkeypatch, c
         assert any(first is not None and first >= codes._DECODE_ROWS for _, first in runs), runs
     else:
         assert all(successes < trials - 10 for successes, _ in runs), runs
+
+
+def decode_ranks(kind_of):
+    """The rank of the `decode_rows` call that decodes each trial, given each
+    trial's kind index: simulate decodes a kind's trials when _DECODE_ROWS of
+    them are pending, then each kind's remainder in kind order."""
+    rank, pending, calls = [None] * len(kind_of), {}, 0
+    for t, k in enumerate(kind_of):
+        pending.setdefault(k, []).append(t)
+        if len(pending[k]) == codes._DECODE_ROWS:
+            for u in pending.pop(k):
+                rank[u] = calls
+            calls += 1
+    for k in sorted(pending):
+        for u in pending[k]:
+            rank[u] = calls
+        calls += 1
+    return rank
+
+
+def test_simulate_reports_a_first_failure_that_is_decoded_after_a_later_one(monkeypatch, capsys, tmp_path):
+    """Batches of one kind finish out of trial order. A cpf decoder that is
+    wrong on two received words of seed 0: that of the last trial of the
+    first batch decoded (a full batch, in the middle of the run), and that
+    of an earlier trial of another kind, decoded later. The report still
+    names the earliest failed trial, as the Word loop does."""
+    code, args, _ = SIMULATED[2]
+    ells = [kind.ell for kind in code.kinds]
+    trials = len(ells) * codes._DECODE_ROWS + 1
+    seen = []
+    word_loop_simulate(code, trials, 0, lambda y: seen.append(y) or cpf_decode_scalar(y, code.n))
+    rank = decode_ranks([ells.index(len(y) - code.n) for y in seen])
+    late = max(t for t in range(trials) if rank[t] == 0)
+    early = next(t for t in range(late) if rank[t] > 0)
+    wrong = {seen[early].symbols, seen[late].symbols}
+    failed = [t for t, y in enumerate(seen) if y.symbols in wrong]
+    assert rank.count(0) == codes._DECODE_ROWS and late < trials - 1
+    assert any(t > failed[0] and rank[t] < rank[failed[0]] for t in failed), (failed, rank)
+
+    def decode(y):
+        return wrong_word(y, code) if y.symbols in wrong else cpf_decode_scalar(y, code.n)
+
+    patch_decoder(monkeypatch, "cpf_decode_rows", word_decoder_on_rows(decode, code.q))
+    result = assert_simulate_matches_the_word_loop(capsys, tmp_path, code, args, trials, 0, decode)
+    assert result == (trials - len(failed), failed[0])
+
+
+@pytest.mark.parametrize("code,args,decoder", SIMULATED, ids=["c1", "c2", "cpf"])
+def test_simulate_decodes_each_kind_in_full_batches(monkeypatch, capsys, code, args, decoder):
+    """simulate calls `decode_rows` at most ceil(t_k / _DECODE_ROWS) times for
+    a kind k that drew t_k trials, each call on at most _DECODE_ROWS rows of
+    one kind, so c1 and c2 (one kind) make ceil(trials / _DECODE_ROWS)
+    calls. Splitting blocks of trials over the kinds passes the byte-identity
+    tests but fails here."""
+    cls, calls = type(code), []
+    original = cls.decode_rows
+    monkeypatch.setattr(cls, "decode_rows", lambda self, rows: calls.append(rows.shape) or original(self, rows))
+    trials = 3 * len(code.kinds) * codes._DECODE_ROWS + 1
+    status, out, _ = run_cli(capsys, "simulate", *args, "--trials", str(trials), "--seed", "1")
+    assert status == 0 and out == f"{trials}/{trials} decoded correctly (seed 1)\n"
+    drawn = {}
+    for rows, width in calls:
+        assert 0 < rows <= codes._DECODE_ROWS
+        drawn.setdefault(width - code.n, []).append(rows)
+    assert len(drawn) == len(code.kinds) and sum(map(sum, drawn.values())) == trials
+    for sizes in drawn.values():
+        assert len(sizes) <= -(-sum(sizes) // codes._DECODE_ROWS), drawn
+    if len(code.kinds) == 1:
+        assert len(calls) == -(-trials // codes._DECODE_ROWS)
 
 
 def test_a_decoded_word_of_the_wrong_length_shows_as_none(monkeypatch, capsys):
